@@ -42,7 +42,17 @@ void* operator new(std::size_t n, std::align_val_t al) {
   throw std::bad_alloc();
 }
 
+// Once these are inlined into a delete of a new-expression, GCC sees free()
+// on operator-new memory; the replacement new above is malloc-backed, so
+// the pairing is correct.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

@@ -74,12 +74,22 @@ void* operator new(std::size_t n, std::align_val_t al) {
   throw std::bad_alloc();
 }
 
+// Once this is inlined into a delete of a new-expression, GCC sees free()
+// on operator-new memory; the replacement new above is malloc-backed, so
+// the pairing is correct.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 static void counted_free(void* p) noexcept {
   if (p == nullptr) return;
   cmtos::bench::g_net_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
                                       std::memory_order_relaxed);
   std::free(p);
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 void operator delete(void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
@@ -242,8 +252,8 @@ class CountUser : public transport::TransportUser {
 /// `pairs` host pairs, each carrying `vcs_per_pair` low-rate VCs, plus one
 /// fat pump pair for the data-plane measurement.
 struct ChurnWorld {
-  ChurnWorld(std::size_t pairs, std::size_t vcs_per_pair, std::uint64_t seed)
-      : platform(seed), vcs_per_pair(vcs_per_pair) {
+  ChurnWorld(std::size_t pairs, std::size_t per_pair, std::uint64_t seed)
+      : platform(seed), vcs_per_pair(per_pair) {
     net::LinkConfig link;
     link.bandwidth_bps = 100'000'000;
     link.propagation_delay = 1 * kMillisecond;

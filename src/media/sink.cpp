@@ -63,7 +63,7 @@ void RenderingSink::render_tick() {
     rec.local_time = platform_.network().node(host_.id).local_now();
     rec.seq = osdu->seq;
     rec.true_delay = rec.true_time - osdu->true_submit;
-    auto header = verify_frame(osdu->data);
+    auto header = verify_frame(osdu->data.span());
     if (!header || (config_.expect_track != 0 && header->track_id != config_.expect_track)) {
       rec.intact = false;
       ++stats_.integrity_failures;

@@ -15,19 +15,30 @@ namespace {
 
 /// Fan-in gate: fires `done` once all `n` domain confirms arrived, with the
 /// conjunction and the first failure reason (kOk when all succeeded).
+/// Confirms fire on each domain's orchestrating shard, so under a parallel
+/// round they would race on the shared count; each arrival detours through
+/// a serial round instead, merged in the same order at every thread count.
 HloAgent::ResultFn make_barrier(std::size_t n, HloAgent::ResultFn done) {
   struct State {
     std::size_t pending;
+    HloAgent::ResultFn done;
     bool all_ok = true;
     OrchReason reason = OrchReason::kOk;
   };
-  auto st = std::make_shared<State>(State{n});
-  return [st, done = std::move(done)](bool ok, OrchReason reason) {
-    if (!ok && st->all_ok) {
-      st->all_ok = false;
-      st->reason = reason;
+  auto st = std::make_shared<State>(State{n, std::move(done)});
+  return [st](bool ok, OrchReason reason) {
+    auto arrive = [st, ok, reason] {
+      if (!ok && st->all_ok) {
+        st->all_ok = false;
+        st->reason = reason;
+      }
+      if (--st->pending == 0 && st->done) st->done(st->all_ok, st->reason);
+    };
+    if (sim::NodeRuntime* rt = sim::Executor::current(); rt != nullptr) {
+      rt->defer_global(std::move(arrive));
+    } else {
+      arrive();
     }
-    if (--st->pending == 0 && done) done(st->all_ok, st->reason);
   };
 }
 

@@ -73,7 +73,15 @@ std::size_t Executor::run(std::size_t limit) {
         best_time = h->time;
       }
     }
-    if (best == nullptr) break;
+    if (best == nullptr) {
+      // Drained: every shard's clock joins the latest executed time, as at
+      // the end of run_until, so work injected afterwards (Scheduler::now()
+      // reads the control shard) is never scheduled behind a node's clock.
+      Time latest = 0;
+      for (auto& s : shards_) latest = std::max(latest, s->now());
+      for (auto& s : shards_) s->set_now(latest);
+      break;
+    }
     best->execute_head();
     ++fired;
   }

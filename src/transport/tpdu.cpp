@@ -236,6 +236,7 @@ std::optional<DataTpdu> DataTpdu::decode(std::span<const std::uint8_t> wire,
 
 void DataTpdu::encode_onto(net::Packet& pkt) const {
   pkt.payload.clear();
+  pkt.payload.reserve(kDtPacketHeaderBytes);
   ByteWriter w(pkt.payload);
   write_dt_header(w, *this);
   // Payload length and the frame-body CRC ride in the header; the bytes
@@ -371,6 +372,7 @@ std::optional<NakTpdu> NakTpdu::decode(std::span<const std::uint8_t> wire,
 
 std::vector<std::uint8_t> FeedbackTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(kFeedbackWireBytes);
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kFB));
   w.u64(vc);

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -80,6 +81,12 @@ enum DtFlags : std::uint8_t {
   kDtRetransmission = 1 << 0,
 };
 
+/// Bytes DataTpdu::encode_onto writes into pkt.payload: the DT header
+/// fields (46), the payload length (4), the frame-body CRC (4) and the
+/// header CRC trailer (4).  The encoder reserves exactly this much, so each
+/// DT header costs one allocation instead of a doubling sequence.
+inline constexpr std::size_t kDtPacketHeaderBytes = 58;
+
 /// Data TPDU: one fragment of one OSDU.
 struct DataTpdu {
   VcId vc = kInvalidVc;
@@ -144,6 +151,10 @@ struct NakTpdu {
   static std::optional<NakTpdu> decode(std::span<const std::uint8_t> wire,
                                        WireFault* fault = nullptr);
 };
+
+/// Encoded size of a FeedbackTpdu (fields 22 + CRC trailer 4); the encoder
+/// reserves exactly this much.
+inline constexpr std::size_t kFeedbackWireBytes = 26;
 
 /// Rate-profile receiver feedback: the state of the receive buffer, from
 /// which the source modulates its sending rate (decoupled from error

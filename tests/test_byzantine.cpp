@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fixtures.h"
 #include "obs/metrics.h"
+#include "transport/tpdu.h"
 #include "util/checksum.h"
 
 namespace cmtos::test {
@@ -238,6 +241,38 @@ TEST(Byzantine, ChecksumFailuresNeverQuarantine) {
                 .counter("wire.checksum_failed", {{"pdu", "control"}})
                 .value(),
             0);
+}
+
+// One flipped bit in any 16-byte lane of a full-size fragment — each lane
+// is one folding step of the CRC kernel — must be refused on the real
+// packet path as a checksum fault, never accepted or misclassified.
+TEST(Byzantine, SingleBitFlipInEveryFrameLaneIsRefused) {
+  constexpr std::size_t kFragment = 1400;
+  std::vector<std::uint8_t> bytes(kFragment);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i * 7 + 3);
+
+  transport::DataTpdu dt;
+  dt.vc = 42;
+  dt.tpdu_seq = 9;
+  dt.osdu_seq = 3;
+  dt.frag_count = 47;
+  dt.payload = PayloadView::adopt(std::vector<std::uint8_t>(bytes));
+  net::Packet good;
+  dt.encode_onto(good);
+  ASSERT_TRUE(transport::DataTpdu::decode_packet(good).has_value());
+
+  for (std::size_t lane = 0; lane * 16 < kFragment; ++lane) {
+    auto damaged = bytes;
+    const std::size_t at = std::min(lane * 16 + lane % 16, kFragment - 1);
+    damaged[at] ^= static_cast<std::uint8_t>(1u << (lane % 8));
+    net::Packet pkt;
+    pkt.payload = good.payload;
+    pkt.frame = PayloadView::adopt(std::move(damaged));
+    WireFault fault = WireFault::kNone;
+    EXPECT_FALSE(transport::DataTpdu::decode_packet(pkt, &fault).has_value())
+        << "flip at byte " << at << " accepted";
+    EXPECT_EQ(fault, WireFault::kChecksum) << "flip at byte " << at;
+  }
 }
 
 }  // namespace

@@ -496,7 +496,8 @@ TEST(Failover, RebuildRetriesWithBackoffUntilEndpointReachable) {
 
   sim::ChaosEngine engine(w.p->scheduler(), w.p->chaos_target());
   sim::ChaosPlan plan;
-  plan.isolate(5 * kSecond - 50 * kMillisecond, w.srv1->id, 700 * kMillisecond);
+  // Isolation starts now: a plan must not reach into the past.
+  plan.isolate(5 * kSecond, w.srv1->id, 700 * kMillisecond);
   plan.crash(5 * kSecond + kMillisecond, w.wsC->id);
   engine.arm(plan);
   w.p->run_until(12 * kSecond);

@@ -289,6 +289,17 @@ TEST(Tpdu, AckNakFeedbackRoundTrip) {
   EXPECT_EQ(f->paused, 1);
 }
 
+// The encoders reserve their output once from these constants; a field
+// added to either layout without updating the constant fails here.
+TEST(Tpdu, ReservedSizesMatchWhatTheWritersEmit) {
+  DataTpdu dt;
+  dt.payload = PayloadView::adopt({1, 2, 3});
+  net::Packet pkt;
+  dt.encode_onto(pkt);
+  EXPECT_EQ(pkt.payload.size(), kDtPacketHeaderBytes);
+  EXPECT_EQ(FeedbackTpdu{}.encode().size(), kFeedbackWireBytes);
+}
+
 TEST(Tpdu, PeekTypeAndVc) {
   DataTpdu dt;
   dt.vc = 0xabcd;

@@ -252,7 +252,7 @@ struct ManagedWorld {
     stream->set_buffer_osdus(8);
     stream->set_sample_period(250 * kMillisecond);
     bool connected = false;
-    stream->connect(a, {ws->id, 200}, MediaQos{vq}, sc, [&](bool ok, auto) { connected = ok; });
+    stream->connect(a, {ws->id, 200}, MediaQos{vq}, sc, [&](bool up, auto) { connected = up; });
     platform.run_until(500 * kMillisecond);
     ok = connected;
   }

@@ -107,6 +107,14 @@ TEST(SteadyStateAlloc, MediaPathAllocationsFlatAfterWarmup) {
     EXPECT_LE(std::abs(apo - base), 0.10 * base + 8.0)
         << "allocs/OSDU drifted: window 0 = " << base << ", window " << i << " = " << apo;
   }
+
+  // Absolute ceiling: flatness alone would accept a per-fragment allocation
+  // added uniformly to every window.  The ceiling is the measured level with
+  // one-allocation DT headers (~118 on GCC 12 / libstdc++) plus 25%.
+  constexpr double kMaxAllocsPerOsdu = 148.0;
+  for (int i = 0; i < kWindows; ++i)
+    EXPECT_LE(win[i].allocs_per_osdu(), kMaxAllocsPerOsdu)
+        << "allocs/OSDU above ceiling in window " << i;
 }
 
 }  // namespace

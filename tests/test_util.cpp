@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "util/byte_io.h"
 #include "util/checksum.h"
 #include "util/ring_buffer.h"
@@ -114,6 +118,76 @@ TEST(Checksum, DetectsSingleBitFlip) {
 }
 
 TEST(Checksum, EmptyInput) { EXPECT_EQ(crc32({}), 0u); }
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the oracle every
+// kernel (folding bulk, slice-by-8 tail, table-only fallback) must match.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng r(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(r.next_u64());
+  return v;
+}
+
+TEST(Checksum, MatchesBitwiseReferenceAtEveryLength) {
+  const auto buf = random_bytes(65536, 31);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t len = 0; len <= 2048; ++len)
+    ASSERT_EQ(crc32(all.first(len)), crc32_bitwise(all.first(len))) << "len " << len;
+  EXPECT_EQ(crc32(all), crc32_bitwise(all));
+}
+
+TEST(Checksum, MatchesBitwiseReferenceAtEveryOffset) {
+  // Misaligned starts exercise the unaligned 16-byte loads of the folding
+  // kernel and the byte-assembled loads of the table kernel.
+  const auto buf = random_bytes(4096 + 64, 37);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t off = 0; off < 64; ++off) {
+    for (std::size_t len : {0, 1, 7, 8, 15, 16, 17, 63, 64, 65, 79, 80, 127, 128, 129, 200,
+                            1400, 4096}) {
+      const auto s = all.subspan(off, len);
+      ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << " len " << len;
+    }
+  }
+}
+
+TEST(Checksum, MatchesBitwiseReferenceWithRandomSeeds) {
+  const auto buf = random_bytes(8192, 41);
+  const std::span<const std::uint8_t> all(buf);
+  Rng r(43);
+  for (int i = 0; i < 2000; ++i) {
+    const auto off = static_cast<std::size_t>(r.uniform(0, 63));
+    const auto len = static_cast<std::size_t>(r.uniform(0, 4096));
+    const auto seed = static_cast<std::uint32_t>(r.next_u64());
+    const auto s = all.subspan(off, len);
+    ASSERT_EQ(crc32(s, seed), crc32_bitwise(s, seed))
+        << "offset " << off << " len " << len << " seed " << seed;
+  }
+}
+
+TEST(Checksum, ChainingMatchesOneShotAcrossFoldThreshold) {
+  // crc32(b, crc32(a)) == crc32(a || b) with the split at every position
+  // mod 16 on both sides of the 64-byte folding threshold, so either half
+  // may run folded, table-only or both.
+  const auto buf = random_bytes(2048, 47);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t total : {48, 64, 80, 127, 128, 143, 200, 1400}) {
+    const auto whole = all.first(total);
+    const std::uint32_t one_shot = crc32(whole);
+    for (std::size_t split = 0; split <= std::min<std::size_t>(total, 144); ++split) {
+      const std::uint32_t chained = crc32(whole.subspan(split), crc32(whole.first(split)));
+      ASSERT_EQ(chained, one_shot) << "total " << total << " split " << split;
+    }
+  }
+}
 
 TEST(OnlineStats, MeanVarMinMax) {
   OnlineStats s;
