@@ -1,53 +1,41 @@
-// city_soak — city-scale federated orchestration soak for CI.
+// city.cpp — city-scale federated orchestration rows.
 //
-// Stands up the largest topology in the repo: a core switch fanning out to
-// 12 district hubs, each district holding one media server and 8
-// workstations (121 nodes total).  Every district server feeds one video
-// stream to each of its workstations (96 streams), the 12 districts are
-// orchestrated as the domains of one FederatedHlo (per-VC regulation
-// reports stay inside each district; the root sees only per-domain
-// digests), and a FailoverFleet watches every domain session.  On top of
-// the steady media load, a churn mixer keeps opening and closing
-// cross-district transport VCs, exercising the flat session/VC tables
-// under continuous admit/release while 96 reservations stay pinned.
+// The largest topology in the repo: a core switch fanning out to 12
+// district hubs, each district holding one media server and 8 workstations
+// (121 nodes total).  Every district server feeds one video stream to each
+// of its workstations (96 streams), the 12 districts are orchestrated as the
+// domains of one FederatedHlo (per-VC regulation reports stay inside each
+// district; the root sees only per-domain digests), and a FailoverFleet
+// watches every domain session.  On top of the steady media load, a churn
+// mixer keeps opening and closing cross-district transport VCs, exercising
+// the flat session/VC tables under continuous admit/release while 96
+// reservations stay pinned.
 //
-//   $ ./city_soak --scenario churn --seed 3 --json out.json
-//
-// Scenarios:
 //   steady   the full city runs with no churn: every stream renders, every
 //            domain regulates, the root ingests only aggregates
 //   churn    same city plus 200 cross-district VC open/close cycles over
 //            32 rotating slots; every open must be admitted and confirmed
 //
-// The run is deterministic: stdout and the JSON snapshot are byte-identical
-// at every --threads value (the CI determinism oracle diffs 1/2/8).
-// Because each of the 121 nodes is its own event shard, this scenario is
-// also the multi-thread speedup demo: compare
-//   time ./city_soak --threads 1      vs      time ./city_soak --threads 8
-// (or pass --wall to print the wall-clock seconds; leave it off for
-// determinism diffs).
-//
-// Exit status: 0 when every invariant held, 1 otherwise.
+// Each of the 121 nodes is its own event shard, so these rows are where the
+// sharded executor has the most parallel work; perfbench's `city_orch`
+// workload reports the speedup (sim.parallel_speedup).
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "media/sink.h"
 #include "media/stored_server.h"
-#include "obs/metrics.h"
 #include "orch/failover.h"
 #include "orch/federation.h"
 #include "platform/host.h"
 #include "platform/stream.h"
+#include "soak.h"
 #include "util/rng.h"
 
-using namespace cmtos;
-
+namespace cmtos::soak {
 namespace {
 
 constexpr int kDistricts = 12;
@@ -174,10 +162,6 @@ struct City {
 
   platform::Host* ws(int district, int w) { return districts[district].ws[w]; }
 
-  ChurnUser& churn_user_at(int district, int w) {
-    return *churn_users[static_cast<std::size_t>(district * kWsPerDistrict + w)];
-  }
-
   platform::Platform platform;
   platform::Host* core = nullptr;
   std::vector<District> districts;
@@ -186,28 +170,6 @@ struct City {
   std::vector<std::unique_ptr<ChurnUser>> churn_users;
   int streams_connected = 0;
 };
-
-bool fail(const char* what) {
-  std::fprintf(stderr, "city_soak: FAILED: %s\n", what);
-  return false;
-}
-
-/// Sums one counter across all label sets in the global registry snapshot
-/// (same convention as the other soak runners).
-std::int64_t counter_total(const std::string& name) {
-  const std::string json = obs::Registry::global().to_json();
-  const std::string needle = "\"name\": \"" + name + "\"";
-  std::int64_t total = 0;
-  std::size_t pos = 0;
-  while ((pos = json.find(needle, pos)) != std::string::npos) {
-    const std::size_t eol = json.find('\n', pos);
-    const std::size_t val = json.find("\"value\": ", pos);
-    if (val != std::string::npos && (eol == std::string::npos || val < eol))
-      total += std::strtoll(json.c_str() + val + 9, nullptr, 10);
-    pos += needle.size();
-  }
-  return total;
-}
 
 /// One rotating churn slot: a cross-district VC owned by its source ws.
 struct ChurnSlot {
@@ -245,7 +207,7 @@ void churn_once(City& city, Rng& rng, std::vector<ChurnSlot>& slots, std::size_t
   if (!open_slot(city, rng, slot)) ++stats.admission_failures;
 }
 
-bool run_city(City& city, const std::string& scenario, std::uint64_t seed) {
+bool run_city(City& city, bool churn, std::uint64_t seed) {
   if (city.streams_connected != kDistricts * kWsPerDistrict)
     return fail("not every media stream connected");
 
@@ -296,7 +258,7 @@ bool run_city(City& city, const std::string& scenario, std::uint64_t seed) {
   std::vector<ChurnSlot> slots;
   ChurnStats stats;
   std::size_t next = 0;
-  if (scenario == "churn") {
+  if (churn) {
     slots.resize(32);
     for (auto& slot : slots) {
       ++stats.attempted;
@@ -307,7 +269,7 @@ bool run_city(City& city, const std::string& scenario, std::uint64_t seed) {
   for (int op = 0; op < 200; ++op) {
     t += 50 * kMillisecond;
     city.platform.run_until(t);
-    if (scenario == "churn") churn_once(city, rng, slots, next, stats);
+    if (churn) churn_once(city, rng, slots, next, stats);
   }
   city.platform.run_until(t + kSecond);  // settle the last opens
 
@@ -321,7 +283,7 @@ bool run_city(City& city, const std::string& scenario, std::uint64_t seed) {
   if (confirmed != stats.attempted) return fail("churn opens not all confirmed");
   // Each release produces two indications: the courtesy one to the
   // requesting endpoint's bound user and the DR-driven one at the peer.
-  if (scenario == "churn" && disconnected != 2 * 200) return fail("churn releases not all seen");
+  if (churn && disconnected != 2 * 200) return fail("churn releases not all seen");
 
   // Every workstation rendered; no stream starved anywhere in the city.
   std::int64_t frames_total = 0, frames_min = -1;
@@ -346,11 +308,10 @@ bool run_city(City& city, const std::string& scenario, std::uint64_t seed) {
   }
   if (fed.max_domain_skew_s() >= 0.5) return fail("federation misaligned");
 
-  // Nothing failed over and nothing broke a contract in a fault-free run.
+  // Nothing failed over in a fault-free run.
   if (fleet.orphaned() != 0) return fail("orphaned session");
   for (std::size_t d = 0; d < fleet.session_count(); ++d)
     if (fleet.supervisor(d).failovers() != 0) return fail("spurious failover");
-  if (counter_total("contract.violations") != 0) return fail("contract violations");
 
   std::printf("city: nodes=%zu districts=%d streams=%d/%d\n", city.platform.host_count(),
               kDistricts, city.streams_connected, kDistricts * kWsPerDistrict);
@@ -366,59 +327,23 @@ bool run_city(City& city, const std::string& scenario, std::uint64_t seed) {
   return true;
 }
 
+bool steady(std::uint64_t seed, unsigned threads) {
+  City city(seed, threads);
+  return run_city(city, false, seed);
+}
+
+bool churn(std::uint64_t seed, unsigned threads) {
+  City city(seed, threads);
+  return run_city(city, true, seed);
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string scenario = "churn";
-  std::string json_path;
-  std::uint64_t seed = 1;
-  unsigned threads = 1;
-  bool wall = false;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "city_soak: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scenario") == 0) {
-      scenario = next("--scenario");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = next("--json");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<unsigned>(std::strtoul(next("--threads"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--wall") == 0) {
-      wall = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: city_soak [--scenario steady|churn] [--seed N] [--threads N] "
-                   "[--wall] [--json PATH]\n");
-      return 2;
-    }
-  }
-  if (scenario != "steady" && scenario != "churn") {
-    std::fprintf(stderr, "city_soak: unknown scenario '%s'\n", scenario.c_str());
-    return 2;
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  City city(seed, threads);
-  const bool passed = run_city(city, scenario, seed);
-  if (wall) {
-    const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                      wall_start)
-                            .count();
-    std::printf("wall: %.2fs at --threads %u\n", secs, threads);
-  }
-
-  if (!json_path.empty()) {
-    obs::Registry::global().write_json(
-        json_path, {{"scenario", scenario}, {"seed", std::to_string(seed)}});
-  }
-  std::printf("city_soak: scenario %s seed %llu: %s\n", scenario.c_str(),
-              static_cast<unsigned long long>(seed), passed ? "OK" : "FAILED");
-  return passed ? 0 : 1;
+std::vector<Scenario> city_scenarios() {
+  return {
+      {"steady", steady},
+      {"churn", churn},
+  };
 }
+
+}  // namespace cmtos::soak

@@ -1,19 +1,10 @@
-// overload_soak — closed-loop graceful-degradation soak scenarios for CI.
+// overload.cpp — closed-loop graceful-degradation rows.  Where the chaos
+// rows prove the stack survives faults, these prove it survives overload:
+// sustained QoS violations drive the QosManager down its degradation ladder
+// and back up when conditions clear; admission under contention preempts
+// the least important stream instead of refusing the most important one;
+// and a stalled consumer sheds stale media instead of wedging the VC.
 //
-// Where chaos_soak proves the stack survives *faults* (crashes, partitions),
-// this soak proves it survives *overload*: sustained QoS violations drive
-// the QosManager down its degradation ladder and back up when conditions
-// clear; admission under contention preempts the least important stream
-// instead of refusing the most important one; and a stalled consumer sheds
-// stale media instead of wedging the VC.  Every run writes an observability
-// snapshot carrying `qos.degrade` / `qos.upgrade` / `admission.preempt` /
-// `buffer.shed` counters and the per-stream `qos.ladder_level` gauge, so CI
-// can validate the closed loop from the JSON alone — alongside
-// `contract.violations`, which must stay absent.
-//
-//   $ ./overload_soak --scenario storm_recover --seed 7 --json out.json
-//
-// Scenarios:
 //   storm_recover   a jitter + loss storm hits the video path for 8 s; the
 //                   manager walks the video ladder down (audio, coupled to
 //                   the lagging video by lip-sync regulation, may ride down
@@ -26,32 +17,19 @@
 //   consumer_stall  the sink application stops consuming for 3 s; the
 //                   watermark shedder drops stale OSDUs, the VC survives,
 //                   and delivery resumes when the consumer returns
-//
-// Exit status: 0 when the scenario's invariants held, 1 otherwise.
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <string>
 
 #include "media/sink.h"
 #include "media/stored_server.h"
-#include "obs/metrics.h"
 #include "platform/host.h"
 #include "platform/qos_manager.h"
 #include "platform/stream.h"
 #include "sim/chaos.h"
-#include "util/logging.h"
+#include "soak.h"
 
-using namespace cmtos;
-
+namespace cmtos::soak {
 namespace {
-
-bool fail(const char* what) {
-  std::fprintf(stderr, "overload_soak: FAILED: %s\n", what);
-  return false;
-}
 
 /// Small frame so every video OSDU is a single TPDU: per-packet link jitter
 /// then shows up undamped in the monitor's OSDU delay spread, which is the
@@ -70,7 +48,7 @@ platform::VideoQos small_video() {
 // ====================================================================
 
 struct StormWorld {
-  explicit StormWorld(std::uint64_t seed, unsigned threads = 1) : platform(seed) {
+  explicit StormWorld(std::uint64_t seed, unsigned threads) : platform(seed) {
     platform.set_threads(threads);
     hub = &platform.add_host("hub");
     vidsrv = &platform.add_host("vidsrv");
@@ -163,7 +141,7 @@ struct StormWorld {
   bool ok = false;
 };
 
-bool run_storm_recover(std::uint64_t seed, unsigned threads) {
+bool storm_recover(std::uint64_t seed, unsigned threads) {
   StormWorld w(seed, threads);
   if (!w.ok) return fail("world setup");
   if (!w.establish_and_start()) return fail("session setup");
@@ -221,7 +199,7 @@ bool run_storm_recover(std::uint64_t seed, unsigned threads) {
 // preempt
 // ====================================================================
 
-bool run_preempt(std::uint64_t seed, unsigned threads) {
+bool preempt(std::uint64_t seed, unsigned threads) {
   platform::Platform platform(seed);
   platform.set_threads(threads);
   auto& src1 = platform.add_host("src1");
@@ -306,11 +284,7 @@ bool run_preempt(std::uint64_t seed, unsigned threads) {
   // Full preferred QoS: the freed reservation covered the new stream.
   if (c_agreed.osdu_rate < vq.frames_per_second - 1e-9)
     return fail("critical stream admitted degraded");
-  const auto preempts =
-      obs::Registry::global()
-          .counter("admission.preempt", {{"node", std::to_string(src1.id)}})
-          .value();
-  if (preempts < 1) return fail("admission.preempt not counted");
+  if (counter_total("admission.preempt") < 1) return fail("admission.preempt not counted");
 
   // The survivors keep playing.
   const auto f2 = sink2.stats().frames_rendered;
@@ -366,7 +340,7 @@ class StallSink : public platform::DeviceUser {
   sim::EventHandle tick_;
 };
 
-bool run_consumer_stall(std::uint64_t seed, unsigned threads) {
+bool consumer_stall(std::uint64_t seed, unsigned threads) {
   platform::Platform platform(seed);
   platform.set_threads(threads);
   auto& src = platform.add_host("src");
@@ -420,54 +394,12 @@ bool run_consumer_stall(std::uint64_t seed, unsigned threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string scenario = "storm_recover";
-  std::string json_path;
-  std::uint64_t seed = 1;
-  unsigned threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "overload_soak: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scenario") == 0) {
-      scenario = next("--scenario");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = next("--json");
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      set_log_level(LogLevel::kInfo);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<unsigned>(std::strtoul(next("--threads"), nullptr, 10));
-    } else {
-      std::fprintf(stderr,
-                   "usage: overload_soak [--scenario storm_recover|preempt|consumer_stall] "
-                   "[--seed N] [--threads N] [--json PATH] [--verbose]\n");
-      return 2;
-    }
-  }
-
-  bool passed = false;
-  if (scenario == "storm_recover") {
-    passed = run_storm_recover(seed, threads);
-  } else if (scenario == "preempt") {
-    passed = run_preempt(seed, threads);
-  } else if (scenario == "consumer_stall") {
-    passed = run_consumer_stall(seed, threads);
-  } else {
-    std::fprintf(stderr, "overload_soak: unknown scenario '%s'\n", scenario.c_str());
-    return 2;
-  }
-
-  if (!json_path.empty()) {
-    obs::Registry::global().write_json(
-        json_path, {{"scenario", scenario}, {"seed", std::to_string(seed)}});
-  }
-  std::printf("overload_soak: scenario %s seed %llu: %s\n", scenario.c_str(),
-              static_cast<unsigned long long>(seed), passed ? "OK" : "FAILED");
-  return passed ? 0 : 1;
+std::vector<Scenario> overload_scenarios() {
+  return {
+      {"storm_recover", storm_recover},
+      {"preempt", preempt},
+      {"consumer_stall", consumer_stall},
+  };
 }
+
+}  // namespace cmtos::soak

@@ -12,7 +12,7 @@ void set_fault(WireFault* fault, WireFault f) {
 }
 
 // Verifies and strips the CRC-32 trailer every control-plane TPDU carries.
-// With hardening off (the byzantine_soak contrast mode) the full span is
+// With hardening off (the byzantine_storm_unhardened soak) the full span is
 // returned unverified — decoders ignore trailing bytes, so the 4-byte
 // trailer parses as garbage tolerance, exactly the pre-hardening stack.
 std::optional<std::span<const std::uint8_t>> checked_body(
@@ -175,7 +175,7 @@ std::optional<ControlTpdu> ControlTpdu::decode(std::span<const std::uint8_t> wir
 
 namespace {
 
-// Header layout shared by the flat and split DataTpdu encodings.
+// DataTpdu header fields, in wire order.
 void write_dt_header(ByteWriter& w, const DataTpdu& t) {
   w.u8(wire_enum(TpduType::kDT));
   w.u64(t.vc);
@@ -204,35 +204,6 @@ bool read_dt_header(ByteReader& r, DataTpdu& t) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> DataTpdu::encode() const {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  write_dt_header(w, *this);
-  w.blob(payload);
-  w.u32(crc32(out));
-  return out;
-}
-
-std::optional<DataTpdu> DataTpdu::decode(std::span<const std::uint8_t> wire,
-                                         WireFault* fault) {
-  set_fault(fault, WireFault::kNone);
-  const auto body = checked_body(wire, fault);
-  if (!body) return std::nullopt;
-  try {
-    ByteReader r(*body);
-    DataTpdu t;
-    if (!read_dt_header(r, t)) {
-      set_fault(fault, WireFault::kBadType);
-      return std::nullopt;
-    }
-    t.payload = PayloadView::adopt(r.blob());
-    return t;
-  } catch (const DecodeError&) {
-    set_fault(fault, WireFault::kTruncated);
-    return std::nullopt;
-  }
-}
 
 void DataTpdu::encode_onto(net::Packet& pkt) const {
   pkt.payload.clear();

@@ -106,27 +106,17 @@ struct DataTpdu {
   /// bytes themselves are written exactly once.
   PayloadView payload;
 
-  /// Encodes the whole TPDU into one flat byte string with a trailing
-  /// CRC-32 (legacy/diagnostic wire image; the packet path below keeps
-  /// header and payload separate).
-  std::vector<std::uint8_t> encode() const;
-
-  /// Decodes the flat wire image and verifies the CRC; nullopt on checksum
-  /// failure or malformed input.  Total over arbitrary bytes.
-  static std::optional<DataTpdu> decode(std::span<const std::uint8_t> wire,
-                                        WireFault* fault = nullptr);
-
   /// Zero-copy packet encoding (two-world split): the serialized header
   /// (fields + payload length + frame-body CRC + CRC over the header) goes
   /// into pkt.payload; the fragment rides as pkt.frame, a refcounted view —
-  /// no media byte is copied.  The wire image charges the link 4 bytes more
-  /// than encode() for the frame-body CRC field.
+  /// no media byte is copied.
   void encode_onto(net::Packet& pkt) const;
 
   /// Inverse of encode_onto: verifies the header CRC, the payload length
   /// against the frame actually attached, and the frame-body CRC over the
   /// attached bytes, then takes a reference to the packet's frame.  Header
   /// bit flips, frame truncation and frame-body flips are all refused.
+  /// Total over arbitrary header bytes and frames.
   static std::optional<DataTpdu> decode_packet(const net::Packet& pkt,
                                                WireFault* fault = nullptr);
 };

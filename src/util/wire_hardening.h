@@ -2,8 +2,9 @@
 //
 // Process-wide switch over the adversarial wire defences (DESIGN.md §14):
 // receive-path checksum verification, the GBN/reassembly duplicate guards,
-// and the per-peer malformed-PDU quarantine.  On by default; byzantine_soak
-// --no-hardening turns it off to reproduce the pre-hardening stack, where a
+// and the per-peer malformed-PDU quarantine.  On by default; the soak row
+// byzantine_storm_unhardened turns it off to reproduce the pre-hardening
+// stack, where a
 // corruption storm feeds garbage straight into protocol state — the
 // contrast run that demonstrates the failure the defences prevent.
 //

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Sharded-runtime determinism regression check (DESIGN.md section 10).
+"""Soak verdict and sharded-runtime determinism check (DESIGN.md section 10).
 
-Runs the chaos, overload, byzantine and city soaks at --threads 1/2/8 with
-the same seed and asserts that the fault log (stdout+stderr) and the metric
-snapshot (--json) are byte-identical across thread counts.  --threads 1 is the determinism
-oracle: the executor classifies and orders rounds identically at every
-worker count, so any divergence here is a cross-shard ordering bug, not
-noise.
+Runs every row of `soak --list` at --threads 1/2/8 with the same seed.  Each
+run must exit 0 (the row's oracles and the shared contract oracle held), and
+its stdout (fault log, sweep lines) and metric snapshot (--json) must be
+byte-identical across thread counts.  --threads 1 is the determinism oracle:
+the executor classifies and orders rounds identically at every worker count,
+so any divergence here is a cross-shard ordering bug, not noise.  stderr
+carries the log lines, which shards of one parallel round write in
+wall-clock order, so it must match as a multiset of lines.
 
-Usage: determinism_check.py <chaos_soak-binary> <overload_soak-binary> \\
-                            <byzantine_soak-binary> <city_soak-binary>
+Usage: determinism_check.py <soak-binary>
 """
 
 import json
@@ -20,62 +21,47 @@ from pathlib import Path
 
 THREADS = [1, 2, 8]
 
-RUNS = [
-    ("chaos_soak", ["--scenario", "crash_mid_stream", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "partition_prime_start", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "orch_death", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "partition_heal_split_brain", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "orch_flap", "--seed", "5"]),
-    ("overload_soak", ["--scenario", "storm_recover", "--seed", "7"]),
-    ("overload_soak", ["--scenario", "preempt", "--seed", "7"]),
-    ("overload_soak", ["--scenario", "consumer_stall", "--seed", "7"]),
-    ("byzantine_soak", ["--scenario", "byzantine_storm", "--seed", "5"]),
-    ("byzantine_soak", ["--scenario", "dup_flood", "--seed", "5"]),
-    ("city_soak", ["--scenario", "churn", "--seed", "3"]),
-    ("city_soak", ["--scenario", "steady", "--seed", "7"]),
-]
+# Seed per row; rows not named here run at DEFAULT_SEED.
+SEEDS = {"storm_recover": 7, "preempt": 7, "consumer_stall": 7, "churn": 3, "steady": 7}
+DEFAULT_SEED = 5
 
 
-def run_one(binary, scenario_args, threads, json_path):
-    cmd = [binary, *scenario_args, "--threads", str(threads), "--json", str(json_path)]
+def run(cmd):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
         raise SystemExit(
             f"FAIL: {' '.join(cmd)} exited {proc.returncode}\n{proc.stdout}{proc.stderr}"
         )
-    return proc.stdout + proc.stderr, json_path.read_bytes()
+    return proc.stdout, sorted(proc.stderr.splitlines())
 
 
 def main():
-    if len(sys.argv) != 5:
+    if len(sys.argv) != 2:
         raise SystemExit(__doc__)
-    binaries = {
-        "chaos_soak": sys.argv[1],
-        "overload_soak": sys.argv[2],
-        "byzantine_soak": sys.argv[3],
-        "city_soak": sys.argv[4],
-    }
+    soak = sys.argv[1]
+    rows = run([soak, "--list"])[0].split()
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for name, scenario_args in RUNS:
-            label = f"{name} {' '.join(scenario_args)}"
-            ref_log = ref_json = None
+        for row in rows:
+            args = ["--scenario", row, "--seed", str(SEEDS.get(row, DEFAULT_SEED))]
+            label = " ".join(args)
+            row_failures = failures
+            ref = None
             for t in THREADS:
-                log, snap = run_one(
-                    binaries[name], scenario_args, t, tmp / f"{name}-{t}.json"
-                )
+                json_path = Path(tmp) / f"{row}-{t}.json"
+                out, err = run([soak, *args, "--threads", str(t), "--json", str(json_path)])
+                snap = json_path.read_bytes()
                 json.loads(snap)  # the snapshot must at least be valid JSON
-                if t == THREADS[0]:
-                    ref_log, ref_json = log, snap
+                if ref is None:
+                    ref = out, err, snap
                     continue
-                if log != ref_log:
-                    print(f"FAIL: {label}: fault log differs at --threads {t}")
-                    failures += 1
-                if snap != ref_json:
-                    print(f"FAIL: {label}: metric snapshot differs at --threads {t}")
-                    failures += 1
-            print(f"ok: {label}: byte-identical at threads {THREADS}")
+                for what, got, want in zip(("stdout", "stderr", "metric snapshot"),
+                                           (out, err, snap), ref):
+                    if got != want:
+                        print(f"FAIL: {label}: {what} differs at --threads {t}")
+                        failures += 1
+            if failures == row_failures:
+                print(f"ok: {label}: identical at threads {THREADS}")
     if failures:
         raise SystemExit(f"{failures} determinism failure(s)")
     print("determinism check passed")

@@ -53,6 +53,31 @@ using cmtos::transport::NakTpdu;
 using cmtos::transport::TpduType;
 
 using Bytes = std::vector<std::uint8_t>;
+using cmtos::transport::kDtPacketHeaderBytes;
+
+// ====================================================================
+// DataTpdu travels as a packet: header bytes plus a detached frame.  As a
+// byte string it is the header followed by the frame; any input splits
+// back into a packet at kDtPacketHeaderBytes (shorter inputs are all
+// header, with an empty frame).
+// ====================================================================
+
+Bytes dt_wire(const DataTpdu& t) {
+  cmtos::net::Packet pkt;
+  t.encode_onto(pkt);
+  Bytes out = pkt.payload;
+  out.insert(out.end(), pkt.frame.data(), pkt.frame.data() + pkt.frame.size());
+  return out;
+}
+
+cmtos::net::Packet dt_packet(std::span<const std::uint8_t> wire) {
+  const std::size_t cut = std::min(wire.size(), kDtPacketHeaderBytes);
+  cmtos::net::Packet pkt;
+  pkt.payload.assign(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(cut));
+  pkt.frame = cmtos::PayloadView::adopt(Bytes(wire.begin() + static_cast<std::ptrdiff_t>(cut),
+                                               wire.end()));
+  return pkt;
+}
 
 // ====================================================================
 // Seed generators: valid encodings with randomized field values.
@@ -91,7 +116,7 @@ Bytes gen_data(Rng& rng) {
   Bytes payload(static_cast<std::size_t>(rng.uniform(0, 64)));
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
   t.payload = cmtos::PayloadView::adopt(std::move(payload));
-  return t.encode();
+  return dt_wire(t);
 }
 
 Bytes gen_ack(Rng& rng) {
@@ -201,21 +226,62 @@ bool fixpoint(std::span<const std::uint8_t> wire, const char* family) {
   return true;
 }
 
+// The packet-path fixpoint: an accepted packet re-encodes to a packet that
+// decodes again and re-encodes byte-identically.
+bool dt_fixpoint(const cmtos::net::Packet& pkt, const char* family) {
+  WireFault fault = WireFault::kNone;
+  auto d1 = DataTpdu::decode_packet(pkt, &fault);
+  if (!d1) return true;  // refusal is always acceptable
+  const Bytes e1 = dt_wire(*d1);
+  auto d2 = DataTpdu::decode_packet(dt_packet(e1), &fault);
+  if (!d2) {
+    std::fprintf(stderr, "FUZZ VIOLATION [%s]: re-decode of accepted input failed (%s)\n",
+                 family, to_string(fault));
+    return false;
+  }
+  if (dt_wire(*d2) != e1) {
+    std::fprintf(stderr, "FUZZ VIOLATION [%s]: encode(decode(x)) is not a fixpoint\n",
+                 family);
+    return false;
+  }
+  return true;
+}
+
+bool dt_check(std::span<const std::uint8_t> wire, const char* family) {
+  return dt_fixpoint(dt_packet(wire), family);
+}
+
+// Re-seals a mutant's checksum so it passes and the structural validation
+// behind it gets exercised: the CRC trailer of a flat PDU, or the header
+// CRC of a DT packet (the frame-body CRC stays as mutated).
+void reseal_trailer(Bytes& x) {
+  x.resize(x.size() - 4);
+  cmtos::append_crc32(x);
+}
+
+void reseal_dt_header(Bytes& x) {
+  const std::size_t header = std::min(x.size(), kDtPacketHeaderBytes);
+  Bytes sealed(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(header));
+  reseal_trailer(sealed);
+  std::copy(sealed.begin(), sealed.end(), x.begin());
+}
+
 struct Family {
   const char* name;
   Bytes (*gen)(Rng&);
   bool (*check)(std::span<const std::uint8_t>, const char*);
+  void (*reseal)(Bytes&);
 };
 
 constexpr Family kFamilies[] = {
-    {"control_tpdu", gen_control, fixpoint<ControlTpdu>},
-    {"data_tpdu", gen_data, fixpoint<DataTpdu>},
-    {"ack_tpdu", gen_ack, fixpoint<AckTpdu>},
-    {"nak_tpdu", gen_nak, fixpoint<NakTpdu>},
-    {"fb_tpdu", gen_fb, fixpoint<FeedbackTpdu>},
-    {"ka_tpdu", gen_ka, fixpoint<KeepaliveTpdu>},
-    {"dg_tpdu", gen_dg, fixpoint<DatagramTpdu>},
-    {"opdu", gen_opdu, fixpoint<Opdu>},
+    {"control_tpdu", gen_control, fixpoint<ControlTpdu>, reseal_trailer},
+    {"data_tpdu", gen_data, dt_check, reseal_dt_header},
+    {"ack_tpdu", gen_ack, fixpoint<AckTpdu>, reseal_trailer},
+    {"nak_tpdu", gen_nak, fixpoint<NakTpdu>, reseal_trailer},
+    {"fb_tpdu", gen_fb, fixpoint<FeedbackTpdu>, reseal_trailer},
+    {"ka_tpdu", gen_ka, fixpoint<KeepaliveTpdu>, reseal_trailer},
+    {"dg_tpdu", gen_dg, fixpoint<DatagramTpdu>, reseal_trailer},
+    {"opdu", gen_opdu, fixpoint<Opdu>, reseal_trailer},
 };
 constexpr std::size_t kFamilyCount = std::size(kFamilies);
 
@@ -223,7 +289,7 @@ constexpr std::size_t kFamilyCount = std::size(kFamilies);
 // Mutators.
 // ====================================================================
 
-void mutate(Bytes& x, Rng& rng, const Bytes& donor) {
+void mutate(Bytes& x, Rng& rng, const Bytes& donor, void (*reseal)(Bytes&)) {
   const auto kind = rng.uniform(0, 5);
   switch (kind) {
     case 0:  // truncate to a random prefix
@@ -273,12 +339,8 @@ void mutate(Bytes& x, Rng& rng, const Bytes& donor) {
       for (auto& b : x) b = static_cast<std::uint8_t>(rng.next_u64());
       break;
   }
-  // Half the mutants get their CRC trailer recomputed so they pass the
-  // checksum and exercise the structural validation behind it.
-  if (x.size() >= 4 && rng.bernoulli(0.5)) {
-    x.resize(x.size() - 4);
-    cmtos::append_crc32(x);
-  }
+  // Half the mutants get their checksum re-sealed.
+  if (x.size() >= 4 && rng.bernoulli(0.5)) reseal(x);
 }
 
 // ====================================================================
@@ -327,17 +389,7 @@ bool fuzz_packet_path(Rng& rng) {
       break;
   }
 
-  WireFault fault = WireFault::kNone;
-  auto d = DataTpdu::decode_packet(pkt, &fault);
-  if (!d) return true;
-  // Accepted: fields must survive a flat-encode round trip.
-  const Bytes e1 = d->encode();
-  auto d2 = DataTpdu::decode(e1);
-  if (!d2 || d2->encode() != e1) {
-    std::fprintf(stderr, "FUZZ VIOLATION [data_tpdu/packet]: fixpoint broken\n");
-    return false;
-  }
-  return true;
+  return dt_fixpoint(pkt, "data_tpdu/packet");
 }
 
 // ====================================================================
@@ -423,13 +475,13 @@ int main(int argc, char** argv) {
     const auto& dseeds = pool[df];
     const Bytes& donor = dseeds[static_cast<std::size_t>(
         rng.uniform(0, static_cast<std::int64_t>(dseeds.size()) - 1))];
-    mutate(x, rng, donor);
+    mutate(x, rng, donor, fam.reseal);
     WireFault fault = WireFault::kNone;
     const bool accepted =
         [&] {
           switch (f) {  // decode once for stats; fixpoint re-decodes on acceptance
             case 0: return ControlTpdu::decode(x, &fault).has_value();
-            case 1: return DataTpdu::decode(x, &fault).has_value();
+            case 1: return DataTpdu::decode_packet(dt_packet(x), &fault).has_value();
             case 2: return AckTpdu::decode(x, &fault).has_value();
             case 3: return NakTpdu::decode(x, &fault).has_value();
             case 4: return FeedbackTpdu::decode(x, &fault).has_value();

@@ -11,19 +11,29 @@
 // Crashing inputs found here get committed to tests/fuzz_corpus/ so the
 // deterministic replay keeps them fixed.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "net/packet.h"
 #include "orch/opdu.h"
 #include "transport/tpdu.h"
+#include "util/frame_pool.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   const std::span<const std::uint8_t> wire(data, size);
   // Every family sees every input: the decoders are total, so none may
   // crash, over-read, or allocate unboundedly on any byte string.
   (void)cmtos::transport::ControlTpdu::decode(wire);
-  (void)cmtos::transport::DataTpdu::decode(wire);
+  // A DT travels as header bytes plus a detached frame: the first
+  // kDtPacketHeaderBytes of the input are the header, the rest the frame.
+  const std::size_t cut = std::min(size, cmtos::transport::kDtPacketHeaderBytes);
+  cmtos::net::Packet dt;
+  dt.payload.assign(data, data + cut);
+  dt.frame = cmtos::PayloadView::adopt(std::vector<std::uint8_t>(data + cut, data + size));
+  (void)cmtos::transport::DataTpdu::decode_packet(dt);
   (void)cmtos::transport::AckTpdu::decode(wire);
   (void)cmtos::transport::NakTpdu::decode(wire);
   (void)cmtos::transport::FeedbackTpdu::decode(wire);

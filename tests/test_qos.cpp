@@ -182,8 +182,9 @@ TEST(Tpdu, DataRoundTripWithCrc) {
   dt.true_submit = 111;
   dt.payload = PayloadView::adopt({1, 2, 3, 4, 5});
 
-  const auto wire = dt.encode();
-  const auto back = DataTpdu::decode(wire);
+  net::Packet pkt;
+  dt.encode_onto(pkt);
+  const auto back = DataTpdu::decode_packet(pkt);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->vc, 99u);
   EXPECT_EQ(back->tpdu_seq, 1234u);
@@ -192,6 +193,7 @@ TEST(Tpdu, DataRoundTripWithCrc) {
   EXPECT_EQ(back->frag_index, 2);
   EXPECT_EQ(back->frag_count, 5);
   EXPECT_EQ(back->src_timestamp, 123456789);
+  EXPECT_EQ(back->true_submit, 111);
   EXPECT_EQ(back->payload, dt.payload);
 }
 
@@ -199,10 +201,11 @@ TEST(Tpdu, DataCrcDetectsCorruption) {
   DataTpdu dt;
   dt.vc = 1;
   dt.payload = PayloadView::adopt({9, 9, 9});
-  auto wire = dt.encode();
-  wire[wire.size() / 2] ^= 0x01;
+  net::Packet pkt;
+  dt.encode_onto(pkt);
+  pkt.payload[pkt.payload.size() / 2] ^= 0x01;
   WireFault fault = WireFault::kNone;
-  EXPECT_FALSE(DataTpdu::decode(wire, &fault).has_value());
+  EXPECT_FALSE(DataTpdu::decode_packet(pkt, &fault).has_value());
   EXPECT_EQ(fault, WireFault::kChecksum);
 }
 
@@ -210,11 +213,12 @@ TEST(Tpdu, DecodeFaultTaxonomyOnTruncation) {
   DataTpdu dt;
   dt.vc = 1;
   dt.payload = PayloadView::adopt({1});
-  const auto wire = dt.encode();
-  EXPECT_TRUE(DataTpdu::decode(wire).has_value());
+  net::Packet pkt;
+  dt.encode_onto(pkt);
+  EXPECT_TRUE(DataTpdu::decode_packet(pkt).has_value());
   WireFault fault = WireFault::kNone;
-  const std::vector<std::uint8_t> half(wire.begin(), wire.begin() + wire.size() / 2);
-  EXPECT_FALSE(DataTpdu::decode(half, &fault).has_value());
+  pkt.payload.resize(pkt.payload.size() / 2);
+  EXPECT_FALSE(DataTpdu::decode_packet(pkt, &fault).has_value());
   EXPECT_NE(fault, WireFault::kNone);
 }
 
@@ -229,9 +233,9 @@ TEST(Tpdu, PacketSplitRoundTripIsZeroCopy) {
 
   net::Packet pkt;
   dt.encode_onto(pkt);
-  // Split wire image charges the link like the flat encoding plus the
-  // 4-byte frame-body CRC that guards the detached frame bytes.
-  EXPECT_EQ(pkt.payload.size() + pkt.frame.size(), dt.encode().size() + 4);
+  // The header carries the fields and CRCs; the fragment rides detached.
+  EXPECT_EQ(pkt.payload.size(), kDtPacketHeaderBytes);
+  EXPECT_EQ(pkt.frame.size(), dt.payload.size());
 
   const auto back = DataTpdu::decode_packet(pkt);
   ASSERT_TRUE(back.has_value());
@@ -304,16 +308,19 @@ TEST(Tpdu, PeekTypeAndVc) {
   DataTpdu dt;
   dt.vc = 0xabcd;
   dt.payload = PayloadView::adopt({1});
-  const auto wire = dt.encode();
-  EXPECT_EQ(peek_type(wire), TpduType::kDT);
-  EXPECT_EQ(peek_vc(wire), 0xabcdu);
+  net::Packet pkt;
+  dt.encode_onto(pkt);
+  EXPECT_EQ(peek_type(pkt.payload), TpduType::kDT);
+  EXPECT_EQ(peek_vc(pkt.payload), 0xabcdu);
   EXPECT_FALSE(peek_type({}).has_value());
 }
 
 TEST(Tpdu, MalformedInputRejected) {
   std::vector<std::uint8_t> junk{1, 2, 3};
+  net::Packet junk_dt;
+  junk_dt.payload = junk;
   EXPECT_FALSE(ControlTpdu::decode(junk).has_value());
-  EXPECT_FALSE(DataTpdu::decode(junk).has_value());
+  EXPECT_FALSE(DataTpdu::decode_packet(junk_dt).has_value());
   EXPECT_FALSE(AckTpdu::decode(junk).has_value());
   EXPECT_FALSE(NakTpdu::decode(junk).has_value());
   EXPECT_FALSE(FeedbackTpdu::decode(junk).has_value());
