@@ -53,6 +53,8 @@ class CMTOS_SHARD_AFFINE Node {
 
   /// Registers the handler for packets terminating here with protocol `p`.
   void set_handler(Proto p, Handler h) { handlers_[index(p)] = std::move(h); }
+  /// The handler registered for `p` (tests wrap it to drop chosen packets).
+  const Handler& handler(Proto p) const { return handlers_[index(p)]; }
 
   /// Called by the Network when a packet addressed to this node arrives.
   void receive(Packet&& pkt);

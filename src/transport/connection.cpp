@@ -39,8 +39,6 @@ namespace {
 /// Data TPDU payload limit (transport MTU); OSDUs larger than this are
 /// segmented and reassembled with boundaries preserved (§3.7).
 constexpr std::size_t kMaxTpduPayload = 1400;
-/// Receiver feedback cadence for the rate profile.
-constexpr Duration kFeedbackPeriod = 20 * kMillisecond;
 /// NAK retry interval and cap (error-correction class).
 constexpr Duration kNakRetryAfter = 60 * kMillisecond;
 constexpr int kNakMaxTries = 3;
@@ -100,9 +98,8 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
 Connection::~Connection() {
   pacer_event_.cancel();
   rto_event_.cancel();
-  feedback_event_.cancel();
   monitor_event_.cancel();
-  cancel_liveness_timers();
+  if (state_ == VcState::kOpen) entity_.heartbeat().detach(*this);
 }
 
 net::NodeId Connection::local_node() const {
@@ -153,17 +150,16 @@ void Connection::open() {
     // and tell the source about the new credit.
     buffer_.set_space_available([this] {
       push_delivery_queue();
-      if (request_.service_class.profile == ProtocolProfile::kRateBasedCm) send_feedback();
+      if (request_.service_class.profile == ProtocolProfile::kRateBasedCm) {
+        send_feedback();
+        watch_feedback();  // repeated on heartbeats until the source acks it
+      }
     });
     monitor_->begin(entity_.local_now());
     schedule_monitor();
-    if (request_.service_class.profile == ProtocolProfile::kRateBasedCm) schedule_feedback();
   }
-  if (entity_.config().peer_dead_after > 0) {
-    last_peer_activity_ = sched_.now();
-    schedule_keepalive();
-    schedule_liveness_check();
-  }
+  entity_.heartbeat().attach(*this);
+  watch_feedback();  // the first report
 }
 
 void Connection::close() {
@@ -172,13 +168,12 @@ void Connection::close() {
     obs::Tracer::global().async_end(role_ == VcRole::kSource ? "VC.source" : "VC.sink",
                                     id_, trace_pid_, trace_tid_);
     set_state(VcState::kClosing);
+    entity_.heartbeat().detach(*this);
   }
   set_state(VcState::kClosed);
   pacer_event_.cancel();
   rto_event_.cancel();
-  feedback_event_.cancel();
   monitor_event_.cancel();
-  cancel_liveness_timers();
 }
 
 void Connection::apply_new_qos(const QosParams& agreed) {
@@ -223,6 +218,7 @@ std::optional<Osdu> Connection::receive() {
     last_delivered_seq_ = osdu->seq;
     ++stats_.osdus_delivered;
     m_osdus_delivered_->add();
+    watch_feedback();
     if (on_osdu_delivered_) on_osdu_delivered_(*osdu, entity_.local_now());
   }
   return osdu;
@@ -260,6 +256,7 @@ std::uint32_t Connection::drop_at_source(std::uint32_t n) {
 void Connection::set_delivery_enabled(bool enabled) {
   CMTOS_DCHECK(role_ == VcRole::kSink);
   buffer_.set_delivery_enabled(enabled, sched_.now());
+  watch_feedback();  // the shedding trickle rule depends on the gate
 }
 
 void Connection::flush() {
@@ -279,7 +276,10 @@ void Connection::flush() {
     next_deliver_seq_ = -1;
     tpdu_resync_ = true;
     last_hole_progress_ = now;
-    if (request_.service_class.profile == ProtocolProfile::kRateBasedCm) send_feedback();
+    if (request_.service_class.profile == ProtocolProfile::kRateBasedCm) {
+      send_feedback();
+      watch_feedback();
+    }
   }
 }
 
@@ -486,12 +486,12 @@ void Connection::on_feedback(const FeedbackTpdu& fb) {
 // Sink side: reassembly, ordering, delivery, feedback
 // ====================================================================
 
-void Connection::on_data(const net::Packet& pkt) {
+bool Connection::on_data(const net::Packet& pkt) {
   CMTOS_DCHECK(role_ == VcRole::kSink);
   // Both endpoints reach kOpen before any data TPDU can be emitted (the
   // sink opens on CR receipt, the source on CC receipt), so anything else
   // here is a late packet racing teardown: discard.
-  if (role_ != VcRole::kSink || state_ != VcState::kOpen) return;
+  if (role_ != VcRole::kSink || state_ != VcState::kOpen) return false;
   WireFault fault = WireFault::kNone;
   auto dt = DataTpdu::decode_packet(pkt, &fault);
   if (!dt) {
@@ -512,7 +512,7 @@ void Connection::on_data(const net::Packet& pkt) {
     obs::Tracer::global().instant("TPDU.corrupt", trace_pid_, trace_tid_);
     // The sequence number is unreadable; recovery (if any) rides on the
     // gap-detection path when the next good TPDU arrives.
-    return;
+    return false;
   }
   ++stats_.tpdus_received;
   m_tpdus_received_->add();
@@ -537,7 +537,7 @@ void Connection::on_data(const net::Packet& pkt) {
       ack.cumulative_ack = expected_tpdu_seq_;
       ack.window = recv_window_granted_;
       entity_.send_tpdu(peer_node(), net::Proto::kTransportData, ack.encode());
-      return;
+      return true;
     }
     ++expected_tpdu_seq_;
   } else {
@@ -571,7 +571,10 @@ void Connection::on_data(const net::Packet& pkt) {
     ack.cumulative_ack = expected_tpdu_seq_;
     ack.window = recv_window_granted_;
     entity_.send_tpdu(peer_node(), net::Proto::kTransportData, ack.encode());
+  } else {
+    watch_feedback();
   }
+  return true;
 }
 
 void Connection::note_gap(std::uint32_t from_seq, std::uint32_t to_seq) {
@@ -774,6 +777,11 @@ void Connection::push_delivery_queue() {
   }
 }
 
+bool Connection::has_holes() const {
+  return !nak_tries_.empty() || (!completed_.empty() && next_deliver_seq_ >= 0 &&
+                                 completed_.begin()->first > next_deliver_seq_);
+}
+
 void Connection::give_up_on_holes() {
   if (state_ != VcState::kOpen) return;
   const Time now = sched_.now();
@@ -820,8 +828,7 @@ void Connection::give_up_on_holes() {
   }
 }
 
-void Connection::send_feedback() {
-  if (state_ != VcState::kOpen) return;
+FeedbackTpdu Connection::feedback_value() const {
   FeedbackTpdu fb;
   fb.vc = id_;
   const std::size_t backlog = delivery_queue_.size();
@@ -835,62 +842,19 @@ void Connection::send_feedback() {
   fb.capacity = static_cast<std::uint32_t>(buffer_.capacity());
   fb.highest_osdu = static_cast<std::uint32_t>(std::max<std::int64_t>(0, highest_completed_seq_));
   fb.paused = 0;
-  entity_.send_tpdu(peer_node(), net::Proto::kTransportData, fb.encode());
+  return fb;
 }
 
-void Connection::schedule_feedback() {
-  feedback_event_ = sched_.after(kFeedbackPeriod, [this] {
-    if (state_ != VcState::kOpen) return;
-    send_feedback();
-    give_up_on_holes();
-    schedule_feedback();
-  });
+void Connection::send_feedback() {
+  if (state_ != VcState::kOpen) return;
+  entity_.send_tpdu(peer_node(), net::Proto::kTransportData, feedback_value().encode());
 }
 
-// ====================================================================
-// Liveness (both roles)
-// ====================================================================
-
-std::uint64_t Connection::liveness_key() const {
-  return (role_ == VcRole::kSink ? (std::uint64_t{1} << 63) : 0) | id_;
-}
-
-void Connection::cancel_liveness_timers() {
-  entity_.timer_set().cancel(TimerKind::kKeepalive, liveness_key());
-  entity_.timer_set().cancel(TimerKind::kLiveness, liveness_key());
-}
-
-void Connection::schedule_keepalive() {
-  // Timed by the local crystal like every other protocol timer (§3.6).
-  entity_.timer_set().arm_local(
-      TimerKind::kKeepalive, liveness_key(),
-      entity_.to_true(entity_.config().keepalive_interval), [this] {
-        if (state_ != VcState::kOpen) return;
-        KeepaliveTpdu ka;
-        ka.vc = id_;
-        entity_.send_tpdu(peer_node(), net::Proto::kTransportData, ka.encode());
-        schedule_keepalive();
-      });
-}
-
-void Connection::schedule_liveness_check() {
-  const Duration period =
-      std::max<Duration>(kMillisecond, entity_.config().peer_dead_after / 2);
-  entity_.timer_set().arm_local(TimerKind::kLiveness, liveness_key(),
-                                entity_.to_true(period), [this] {
-    if (state_ != VcState::kOpen) return;
-    if (sched_.now() - last_peer_activity_ > entity_.config().peer_dead_after) {
-      // Teardown releases network reservations and notifies users, so it
-      // must run as a global event.  Capture entity + vc, not `this`: a
-      // same-timestamp DR can destroy this Connection before the deferred
-      // event fires (on_peer_dead tolerates an unknown vc).
-      TransportEntity& ent = entity_;
-      const VcId vc = id_;
-      sched_.defer_global([&ent, vc] { ent.on_peer_dead(vc); });
-      return;
-    }
-    schedule_liveness_check();
-  });
+void Connection::watch_feedback() {
+  if (role_ != VcRole::kSink || state_ != VcState::kOpen || fb_report_.watched ||
+      request_.service_class.profile != ProtocolProfile::kRateBasedCm)
+    return;
+  entity_.heartbeat().watch(*this);
 }
 
 void Connection::schedule_monitor() {

@@ -10,6 +10,12 @@
 // delivers them in sequence order into the shared receive ring, runs the
 // QoS monitor, and generates rate feedback).
 //
+// The only periodic timer a Connection arms itself is the sink's QoS
+// monitor.  Rate feedback, NAK retry / hole skipping and peer liveness run
+// from the entity's per-peer heartbeat (transport/heartbeat.h): a sink asks
+// for attention with watch_feedback() whenever its feedback may have
+// changed, and an idle, acknowledged VC costs no events and no packets.
+//
 // The low-level orchestrator attaches here: delivery hold (prime / stop),
 // drop-at-source, pause, flush, position queries and per-OSDU hooks are all
 // Connection operations.
@@ -29,6 +35,7 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "sim/node_runtime.h"
+#include "transport/heartbeat.h"
 #include "transport/monitor.h"
 #include "transport/osdu.h"
 #include "transport/service.h"
@@ -166,8 +173,9 @@ class CMTOS_SHARD_AFFINE Connection {
   // Entity-internal interface.
   // ------------------------------------------------------------------
 
-  /// Transitions kConnecting -> kOpen and starts timers (pacer at the
-  /// source; feedback + monitor timers at the sink).
+  /// Transitions kConnecting -> kOpen, joins the entity's per-peer
+  /// heartbeat record and starts the pacer (source) or the monitor timer
+  /// (sink; a rate-based sink also queues its first feedback report).
   void open();
 
   /// Stops all activity; the entity removes the connection afterwards.
@@ -176,15 +184,23 @@ class CMTOS_SHARD_AFFINE Connection {
   /// Applies a renegotiated contract (keeps buffers, seq numbers, state).
   void apply_new_qos(const QosParams& agreed);
 
-  /// Incoming data-plane TPDUs, dispatched by the entity.
-  void on_data(const net::Packet& pkt);
+  /// Incoming data-plane TPDUs, dispatched by the entity.  on_data returns
+  /// whether the TPDU passed its checksums (liveness counts only those).
+  bool on_data(const net::Packet& pkt);
   void on_ack(const AckTpdu& ack);
   void on_nak(const NakTpdu& nak);
   void on_feedback(const FeedbackTpdu& fb);
 
-  /// Any data-plane TPDU for this VC proves the peer endpoint alive; the
-  /// entity calls this on every dispatch (liveness, tentpole 2).
-  void note_peer_activity() { last_peer_activity_ = sched_.now(); }
+  // --- per-peer heartbeat hooks (rate-based sink) ---
+  /// The receive-buffer report the source should act on now.
+  FeedbackTpdu feedback_value() const;
+  /// What the heartbeat last reported for this VC and whether it was acked.
+  FeedbackReport& feedback_report() { return fb_report_; }
+  /// Outstanding NAKs, or completed OSDUs waiting behind a hole.
+  bool has_holes() const;
+  /// Retries or abandons outstanding NAKs and skips holes that stalled
+  /// delivery past the jitter budget (run from the heartbeat tick).
+  void give_up_on_holes();
 
   /// Source: bounds the retransmission-retain map (tests shrink it to
   /// exercise the window/retention interaction).  In window mode the
@@ -231,25 +247,17 @@ class CMTOS_SHARD_AFFINE Connection {
   std::int64_t unwrap_osdu_seq(std::uint32_t seq) const;
   void deliver_ready();
   void push_delivery_queue();
+  /// Immediate FeedbackTpdu (space-available / flush): the low-latency
+  /// path that unstalls a source without waiting for the next heartbeat.
   void send_feedback();
-  void schedule_feedback();
+  /// Rate-based sink: asks the peer's heartbeat tick to look at this VC.
+  void watch_feedback();
   void schedule_monitor();
-  void give_up_on_holes();
-
-  // --- liveness (both roles) ---
-  void schedule_keepalive();
-  void schedule_liveness_check();
-  void cancel_liveness_timers();
-  /// TimerSet key for this endpoint's keepalive/liveness slots: the VC id
-  /// with the role in bit 63 — a loopback VC has two Connections sharing an
-  /// id, and each needs its own timers.
-  std::uint64_t liveness_key() const;
 
   TransportEntity& entity_;
   /// The owning node's shard runtime: every data-plane timer of this
-  /// endpoint is shard-local.  The two escalation points that must touch
-  /// shared state (peer-dead teardown, QoS-violation reporting) go through
-  /// defer_global.
+  /// endpoint is shard-local.  The escalation point that must touch shared
+  /// state (QoS-violation reporting) goes through defer_global.
   sim::NodeRuntime& sched_;
   VcId id_;
   VcRole role_;
@@ -303,7 +311,7 @@ class CMTOS_SHARD_AFFINE Connection {
   std::map<std::uint32_t, int> nak_tries_;     // tpdu seq -> attempts  // cmtos-analyze: allow(hot-path-map)
   Time last_hole_progress_ = 0;
   std::uint32_t recv_window_granted_ = 8;
-  sim::EventHandle feedback_event_;
+  FeedbackReport fb_report_;
   sim::EventHandle monitor_event_;
   std::unique_ptr<QosMonitor> monitor_;
   // Load shedding: when the receive ring holds at least this many OSDUs and
@@ -312,10 +320,6 @@ class CMTOS_SHARD_AFFINE Connection {
   std::size_t shed_watermark_slots_ = 0;
   std::function<void(const Osdu&)> on_osdu_arrival_;
   std::function<void(const Osdu&, Time)> on_osdu_delivered_;
-
-  // === liveness state (both roles; armed only when the entity's
-  // peer_dead_after config is nonzero) ===
-  Time last_peer_activity_ = 0;
 
   // === observability ===
   // Cached global-registry instruments (labelled per VC + node + role);

@@ -595,6 +595,11 @@ void ConnectionManager::on_peer_dead(VcId vc) {
   if (ent_.on_vc_closed_) ent_.on_vc_closed_(vc, DisconnectReason::kPeerDead);
 }
 
+void ConnectionManager::connects_pending_with(net::NodeId peer, std::vector<VcId>& out) const {
+  for (const auto& [vc, pend] : pending_cc_)
+    if (pend.req.dst.node == peer) out.push_back(vc);
+}
+
 void ConnectionManager::note_malformed_pdu(net::NodeId peer) {
   // Called only for CRC-valid structural refusals: checksum failures are
   // line noise and never blamed on the peer (see util/quarantine.h).

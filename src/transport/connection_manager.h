@@ -54,8 +54,13 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
   void handle_dc(const ControlTpdu& t);
   void handle_rdr(const ControlTpdu& t);
 
-  /// Liveness teardown: the peer endpoint of `vc` went silent.
+  /// Liveness teardown: the peer entity of `vc` went silent, restarted, or
+  /// no longer holds the VC.
   void on_peer_dead(VcId vc);
+
+  /// Appends the VCs whose CR to `peer` still awaits its CC: the peer may
+  /// already hold them, so the heartbeat's id list must name them.
+  void connects_pending_with(net::NodeId peer, std::vector<VcId>& out) const;
 
   // --- malformed-PDU quarantine (adversarial wire model) ---
   /// Records a structurally-invalid PDU (valid checksum, refused decode)

@@ -2,12 +2,11 @@
 //
 // A keyed set of protocol timers sharing one node runtime.  The transport
 // control plane (ConnectionManager handshake retransmits, the
-// RenegotiationEngine's RN retries, per-VC keepalive/liveness) and the
-// LLO's operation timeouts all follow the same pattern: at most one live
-// timer per (kind, key), re-armed or cancelled as the protocol advances,
-// and all of them dropped together on a crash.  TimerSet centralises that
-// bookkeeping so the owning engines do not each carry a map of raw
-// EventHandles.
+// RenegotiationEngine's RN retries) and the LLO's operation timeouts all
+// follow the same pattern: at most one live timer per (kind, key), re-armed
+// or cancelled as the protocol advances, and all of them dropped together
+// on a crash.  TimerSet centralises that bookkeeping so the owning engines
+// do not each carry a map of raw EventHandles.
 //
 // Timers armed with arm_global run as global events: their expiry paths
 // release shared network reservations or notify facade-side users, so the
@@ -26,19 +25,15 @@
 namespace cmtos::transport {
 
 /// Timer slots multiplexed through one TimerSet.  One live timer per
-/// (kind, key); keys are VC ids for the transport (keepalive/liveness pack
-/// the connection role into bit 63 so the two halves of a loopback VC get
-/// independent slots) and session ids for the LLO.  Timers whose natural
-/// key is composite and wider than 64 bits — the LLO's regulation slots and
-/// merge windows, keyed by (session, vc) or (vc, interval_id) — stay as raw
-/// EventHandles in their owning structs instead; packing them here would
-/// alias distinct timers.
+/// (kind, key); keys are VC ids for the transport and session ids for the
+/// LLO.  Timers whose natural key is composite and wider than 64 bits — the
+/// LLO's regulation slots and merge windows, keyed by (session, vc) or
+/// (vc, interval_id) — stay as raw EventHandles in their owning structs
+/// instead; packing them here would alias distinct timers.
 enum class TimerKind : std::uint8_t {
   kRcrRetransmit,        // remote-connect (RCR) retransmission
   kCrRetransmit,         // connect (CR) retransmission
   kRenegRetransmit,      // RN retransmission
-  kKeepalive,            // per-VC keepalive emission
-  kLiveness,             // per-VC peer-silence check
   kOpTimeout,            // LLO group-operation timeout
 };
 
@@ -100,7 +95,7 @@ class TimerSet {
   }
 
   sim::NodeRuntime& rt_;
-  // Flat table: steady-state re-arm cycles (keepalive, retransmit) recycle
+  // Flat table: steady-state re-arm cycles (retransmit, op timeout) recycle
   // slab slots instead of allocating tree nodes per arm.
   FlatMap<std::pair<TimerKind, std::uint64_t>, sim::EventHandle> timers_;
 };

@@ -12,7 +12,8 @@ TransportEntity::TransportEntity(net::Network& network, net::NodeId node)
       rng_(0x7c3a9d5b11ull + node),
       timers_(network.node(node).runtime()),
       conn_mgr_(*this, timers_),
-      reneg_(*this, timers_) {
+      reneg_(*this, timers_),
+      heartbeat_(*this) {
   network_.node(node_).set_handler(net::Proto::kTransportControl,
                                    [this](net::Packet&& p) { on_control_packet(std::move(p)); });
   network_.node(node_).set_handler(net::Proto::kTransportData,
@@ -73,7 +74,7 @@ void TransportEntity::send_tpdu(net::NodeId dst, net::Proto proto,
   pkt.payload = std::move(payload);
   // Control TPDU handlers release reservations and call into (possibly
   // facade-side) users: their terminal delivery must run in a serial
-  // round.  The data plane (DT/AK/NAK/FB/KA/DG) stays shard-local.
+  // round.  The data plane (DT/AK/NAK/FB/HB/DG) stays shard-local.
   pkt.global_delivery = (proto == net::Proto::kTransportControl);
   network_.send(std::move(pkt));
 }
@@ -147,6 +148,7 @@ void TransportEntity::crash() {
 
   for (const auto& [vc, tsap] : conn_mgr_.crash()) lost.emplace_back(vc, tsap);
   reneg_.crash();
+  heartbeat_.crash();
   timers_.cancel_all();
   // users_ and next_vc_ survive: TSAP bindings belong to the applications
   // (which outlive the stack), and VC ids must stay unique across
@@ -159,6 +161,7 @@ void TransportEntity::crash() {
 
 void TransportEntity::restart() {
   down_ = false;
+  heartbeat_.restart();
   CMTOS_INFO("transport", "entity at node %u restarted", node_);
 }
 
@@ -193,6 +196,7 @@ void TransportEntity::on_control_packet(net::Packet&& pkt) {
     note_wire_refusal(pkt.src, "control", fault);
     return;
   }
+  heartbeat_.heard_from(pkt.src);
   const auto& table = control_dispatch();
   const auto idx = static_cast<std::size_t>(t->type);
   if (idx < table.size() && table[idx] != nullptr) {
@@ -206,36 +210,35 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
   if (down_) return;
   if (conn_mgr_.peer_quarantined(pkt.src)) return;
   const auto type = peek_type(pkt.payload);
-  const auto vc = peek_vc(pkt.payload);
-  if (!type || !vc) return;
+  if (!type) return;
   // Decoder refusals on the data plane are counted (and, when the CRC was
   // valid, blamed on the peer) exactly like the control plane; damaged
   // bytes themselves are silent beyond the counters — media error control
-  // (NAK/retransmit) recovers what the service class asks for.
+  // (NAK/retransmit) recovers what the service class asks for.  Only a
+  // checksum-valid TPDU proves the peer entity alive: damaged bytes must
+  // not masquerade as liveness.
   WireFault fault = WireFault::kNone;
   const auto refused = [&](const char* pdu) { note_wire_refusal(pkt.src, pdu, fault); };
+  if (*type == TpduType::kHB) {
+    // The heartbeat is per node pair and carries no VC id.
+    if (auto hb = HeartbeatTpdu::decode(pkt.payload, &fault)) {
+      heartbeat_.on_heartbeat(pkt.src, *hb);
+    } else {
+      refused("hb");
+    }
+    return;
+  }
+  const auto vc = peek_vc(pkt.payload);
+  if (!vc) return;
   switch (*type) {
     case TpduType::kDT: {
-      if (Connection* c = sink(*vc)) {
-        c->note_peer_activity();
-        c->on_data(pkt);
-      }
-      break;
-    }
-    case TpduType::kKA: {
-      // A keepalive proves the peer endpoint is alive whichever role it
-      // has locally (loopback VCs have both) — but only a checksum-valid
-      // one: damaged bytes must not masquerade as liveness.
-      if (auto ka = KeepaliveTpdu::decode(pkt.payload, &fault)) {
-        if (Connection* c = source(ka->vc)) c->note_peer_activity();
-        if (Connection* c = sink(ka->vc)) c->note_peer_activity();
-      } else {
-        refused("ka");
-      }
+      Connection* c = sink(*vc);
+      if (c != nullptr && c->on_data(pkt)) heartbeat_.heard_from(pkt.src);
       break;
     }
     case TpduType::kDG: {
       if (auto dg = DatagramTpdu::decode(pkt.payload, &fault)) {
+        heartbeat_.heard_from(pkt.src);
         if (TransportUser* u = user_at(dg->dst_tsap))
           u->t_unitdata_indication(dg->src, dg->dst_tsap, dg->payload);
       } else {
@@ -246,7 +249,7 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
     case TpduType::kAK: {
       if (Connection* c = source(*vc)) {
         if (auto ack = AckTpdu::decode(pkt.payload, &fault)) {
-          c->note_peer_activity();
+          heartbeat_.heard_from(pkt.src);
           c->on_ack(*ack);
         } else {
           refused("ak");
@@ -257,7 +260,7 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
     case TpduType::kNAK: {
       if (Connection* c = source(*vc)) {
         if (auto nak = NakTpdu::decode(pkt.payload, &fault)) {
-          c->note_peer_activity();
+          heartbeat_.heard_from(pkt.src);
           c->on_nak(*nak);
         } else {
           refused("nak");
@@ -268,7 +271,7 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
     case TpduType::kFB: {
       if (Connection* c = source(*vc)) {
         if (auto fb = FeedbackTpdu::decode(pkt.payload, &fault)) {
-          c->note_peer_activity();
+          heartbeat_.heard_from(pkt.src);
           c->on_feedback(*fb);
         } else {
           refused("fb");

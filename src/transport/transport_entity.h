@@ -11,9 +11,12 @@
 //                          three-party remote connect), DR/DC/RDR release,
 //                          liveness teardown, preemptive displacement;
 //   RenegotiationEngine  — RN/RNC contract renegotiation and the QI
-//                          degradation relay.
+//                          degradation relay;
+//   HeartbeatEngine      — one heartbeat per peer node: batched rate
+//                          feedback, NAK retry / hole skipping and peer
+//                          liveness for every VC with that node.
 //
-// The entity keeps what both engines (and the data plane) need: TSAP
+// The entity keeps what the engines (and the data plane) need: TSAP
 // bindings, the sources_/sinks_ endpoint maps, reverse-path reservations,
 // timing config, wire I/O, the crash/restart fault model, and a shared
 // TimerSet holding every protocol timer.  Incoming control TPDUs are
@@ -30,6 +33,7 @@
 #include "net/network.h"
 #include "transport/connection.h"
 #include "transport/connection_manager.h"
+#include "transport/heartbeat.h"
 #include "transport/renegotiation_engine.h"
 #include "transport/service.h"
 #include "transport/timer_set.h"
@@ -54,11 +58,13 @@ struct TransportConfig {
   /// the retry storms that otherwise form when many connects race a healed
   /// partition.
   double handshake_jitter = 0.2;
-  /// Cadence of per-VC keepalive probes on established connections.
+  /// Cadence of the per-peer heartbeat while liveness is on: each entity
+  /// sends one heartbeat per peer node it holds VCs with, however many.
   Duration keepalive_interval = 250 * kMillisecond;
-  /// Silence threshold after which a peer endpoint is declared dead and the
-  /// VC is torn down with kPeerDead.  0 disables liveness detection (and
-  /// keepalive emission) entirely.
+  /// Silence threshold after which a peer entity is declared dead and every
+  /// VC with it is torn down with kPeerDead; also how long a VC-set digest
+  /// mismatch may last before the peers exchange VC id lists.  0 disables
+  /// liveness detection (and keepalive heartbeats) entirely.
   Duration peer_dead_after = 0;
 };
 
@@ -158,7 +164,7 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   // Internal plumbing (used by Connection and the engines)
   // ------------------------------------------------------------------
   /// Sends an encoded TPDU.  Control TPDUs (and the data plane's small
-  /// AK/NAK/FB) ride the high-priority band; DT carries media priority.
+  /// AK/NAK/FB/HB) ride the high-priority band; DT carries media priority.
   /// Control TPDUs are marked for *global* delivery: their handlers touch
   /// shared state (reservations, facade users), so the executor serialises
   /// the rounds they complete in.
@@ -179,14 +185,13 @@ class CMTOS_SHARD_AFFINE TransportEntity {
     reneg_.on_qos_violation(conn, report);
   }
 
-  /// The entity's protocol TimerSet.  Connections park their per-VC
-  /// keepalive/liveness slots here (keyed by vc with the endpoint role in
-  /// bit 63, so the two halves of a loopback VC stay independent).
-  TimerSet& timer_set() { return timers_; }
+  /// The per-peer heartbeat: connections join it on open/close and ask it
+  /// to report their feedback (see transport/heartbeat.h).
+  HeartbeatEngine& heartbeat() { return heartbeat_; }
 
-  /// Liveness timeout fired by a Connection: the peer endpoint of `vc`
-  /// went silent past config().peer_dead_after.  Tears the local endpoint
-  /// down, frees its resources and delivers kPeerDead.
+  /// Liveness teardown decided by the heartbeat: the peer entity of `vc`
+  /// went silent, restarted, or no longer holds the VC.  Tears the local
+  /// endpoint down, frees its resources and delivers kPeerDead.
   void on_peer_dead(VcId vc) { conn_mgr_.on_peer_dead(vc); }
 
   /// Records a decoder refusal from `peer`: bumps the
@@ -239,6 +244,7 @@ class CMTOS_SHARD_AFFINE TransportEntity {
 
  private:
   friend class ConnectionManager;
+  friend class HeartbeatEngine;
   friend class RenegotiationEngine;
 
   void on_control_packet(net::Packet&& pkt);
@@ -260,14 +266,14 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   std::function<void(VcId, DisconnectReason)> on_vc_closed_;
   std::uint32_t next_vc_ = 1;
 
-  /// Every protocol timer of this entity (handshake retransmits, RN
-  /// retries, per-VC keepalive/liveness), shared by both engines and the
-  /// connections; dies as a unit on crash().  Declared before the endpoint
-  /// maps: ~Connection cancels its slots through timer_set(), so the
-  /// TimerSet must outlive sources_/sinks_.
+  /// Every handshake timer of this entity (CR/RCR retransmits, RN
+  /// retries), shared by both engines; dies as a unit on crash().
   TimerSet timers_;
   ConnectionManager conn_mgr_;
   RenegotiationEngine reneg_;
+  /// Declared before the endpoint maps: ~Connection leaves its peer record,
+  /// so the heartbeat must outlive sources_/sinks_.
+  HeartbeatEngine heartbeat_;
 
   // Flat tables on the per-packet hot path: every DT/AK/NAK/FB lookup is one
   // O(1) probe, and VC churn at a stable population recycles slab slots

@@ -48,7 +48,7 @@ using cmtos::transport::ControlTpdu;
 using cmtos::transport::DataTpdu;
 using cmtos::transport::DatagramTpdu;
 using cmtos::transport::FeedbackTpdu;
-using cmtos::transport::KeepaliveTpdu;
+using cmtos::transport::HeartbeatTpdu;
 using cmtos::transport::NakTpdu;
 using cmtos::transport::TpduType;
 
@@ -146,9 +146,29 @@ Bytes gen_fb(Rng& rng) {
   return t.encode();
 }
 
-Bytes gen_ka(Rng& rng) {
-  KeepaliveTpdu t;
-  t.vc = static_cast<std::uint32_t>(rng.next_u64());
+Bytes gen_hb(Rng& rng) {
+  HeartbeatTpdu t;
+  t.incarnation = static_cast<std::uint32_t>(rng.uniform(1, 8));
+  t.seq = static_cast<std::uint32_t>(rng.next_u64());
+  t.ack = static_cast<std::uint32_t>(rng.next_u64());
+  t.vc_count = static_cast<std::uint32_t>(rng.uniform(0, 10'000));
+  t.digest = rng.next_u64();
+  t.flags = static_cast<std::uint8_t>(rng.uniform(0, 3));
+  const auto n = static_cast<std::size_t>(rng.uniform(0, 4));
+  for (std::size_t i = 0; i < n; ++i) {
+    FeedbackTpdu e;
+    e.vc = static_cast<std::uint32_t>(rng.next_u64());
+    e.free_slots = static_cast<std::uint32_t>(rng.uniform(0, 4096));
+    e.capacity = static_cast<std::uint32_t>(rng.uniform(0, 4096));
+    e.highest_osdu = static_cast<std::uint32_t>(rng.next_u64());
+    e.paused = static_cast<std::uint8_t>(rng.uniform(0, 1));
+    t.feedback.push_back(e);
+  }
+  if ((t.flags & cmtos::transport::kHbCarriesIds) != 0) {
+    const auto k = static_cast<std::size_t>(rng.uniform(0, 8));
+    for (std::size_t i = 0; i < k; ++i)
+      t.ids.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+  }
   return t.encode();
 }
 
@@ -279,7 +299,7 @@ constexpr Family kFamilies[] = {
     {"ack_tpdu", gen_ack, fixpoint<AckTpdu>, reseal_trailer},
     {"nak_tpdu", gen_nak, fixpoint<NakTpdu>, reseal_trailer},
     {"fb_tpdu", gen_fb, fixpoint<FeedbackTpdu>, reseal_trailer},
-    {"ka_tpdu", gen_ka, fixpoint<KeepaliveTpdu>, reseal_trailer},
+    {"hb_tpdu", gen_hb, fixpoint<HeartbeatTpdu>, reseal_trailer},
     {"dg_tpdu", gen_dg, fixpoint<DatagramTpdu>, reseal_trailer},
     {"opdu", gen_opdu, fixpoint<Opdu>, reseal_trailer},
 };
@@ -485,7 +505,7 @@ int main(int argc, char** argv) {
             case 2: return AckTpdu::decode(x, &fault).has_value();
             case 3: return NakTpdu::decode(x, &fault).has_value();
             case 4: return FeedbackTpdu::decode(x, &fault).has_value();
-            case 5: return KeepaliveTpdu::decode(x, &fault).has_value();
+            case 5: return HeartbeatTpdu::decode(x, &fault).has_value();
             case 6: return DatagramTpdu::decode(x, &fault).has_value();
             default: return Opdu::decode(x, &fault).has_value();
           }

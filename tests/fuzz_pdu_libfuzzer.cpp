@@ -37,7 +37,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   (void)cmtos::transport::AckTpdu::decode(wire);
   (void)cmtos::transport::NakTpdu::decode(wire);
   (void)cmtos::transport::FeedbackTpdu::decode(wire);
-  (void)cmtos::transport::KeepaliveTpdu::decode(wire);
+  (void)cmtos::transport::HeartbeatTpdu::decode(wire);
   (void)cmtos::transport::DatagramTpdu::decode(wire);
   (void)cmtos::orch::Opdu::decode(wire);
   (void)cmtos::transport::peek_type(wire);

@@ -116,6 +116,86 @@ TEST(TransportLiveness, DisabledByDefault) {
   EXPECT_TRUE(src.disconnects.empty());
 }
 
+/// A liveness-enabled pair (heartbeat every 100 ms, dead after 400 ms) with
+/// one idle VC a -> b established by t = 500 ms.
+struct LivePair {
+  LivePair() : src(w.a->entity), dst(w.b->entity) {
+    TransportConfig tc;
+    tc.keepalive_interval = 100 * kMillisecond;
+    tc.peer_dead_after = 400 * kMillisecond;
+    w.a->entity.set_config(tc);
+    w.b->entity.set_config(tc);
+    w.a->entity.bind(10, &src);
+    w.b->entity.bind(20, &dst);
+    vc = w.a->entity.t_connect_request(basic_request({w.a->id, 10}, {w.b->id, 20}));
+    w.platform.run_until(500 * kMillisecond);
+  }
+  PairPlatform w;
+  ScriptedUser src, dst;
+  transport::VcId vc = transport::kInvalidVc;
+};
+
+TEST(TransportLiveness, PeerRestartBeforeDeadlineTearsDownThroughIncarnation) {
+  LivePair p;
+  ASSERT_EQ(p.src.confirms.size(), 1u);
+  p.w.platform.crash_node(p.w.b->id);
+  p.w.platform.run_until(550 * kMillisecond);
+  p.w.platform.restart_node(p.w.b->id);
+  // The survivor last heard b at ~500 ms, so silence alone could not
+  // condemn the VC before ~900 ms: the restarted entity's new incarnation
+  // on its first heartbeat reply does it.
+  p.w.platform.run_until(800 * kMillisecond);
+  ASSERT_EQ(p.src.disconnects.size(), 1u);
+  EXPECT_EQ(p.src.disconnects[0].second, DisconnectReason::kPeerDead);
+  EXPECT_EQ(p.w.a->entity.source(p.vc), nullptr);
+  EXPECT_EQ(p.w.platform.network().reserved_on(p.w.a->id, p.w.b->id), 0);
+}
+
+TEST(TransportLiveness, DroppedDrHalfOpenVcTornDownWithinDeadlinePlusInterval) {
+  LivePair p;
+  ASSERT_EQ(p.src.confirms.size(), 1u);
+  // Lose the DR on the wire: b keeps a half-open sink.
+  auto& node_b = p.w.platform.network().node(p.w.b->id);
+  net::Node::Handler control = node_b.handler(net::Proto::kTransportControl);
+  int dropped = 0;
+  node_b.set_handler(net::Proto::kTransportControl, [&, control](net::Packet&& pkt) {
+    const auto t = transport::ControlTpdu::decode(pkt.payload);
+    if (t && t->type == transport::TpduType::kDR && dropped == 0) {
+      ++dropped;
+      return;
+    }
+    control(std::move(pkt));
+  });
+  const Time closed = p.w.platform.scheduler().now();
+  p.w.a->entity.t_disconnect_request(p.vc);
+  p.w.platform.run_until(closed + 300 * kMillisecond);
+  ASSERT_EQ(dropped, 1);
+  EXPECT_NE(p.w.b->entity.sink(p.vc), nullptr);  // still half-open
+  EXPECT_TRUE(p.dst.disconnects.empty());
+
+  // The heartbeats' VC digests disagree; once that has lasted
+  // peer_dead_after the peers exchange id lists and b drops the orphan.
+  p.w.platform.run_until(closed + 400 * kMillisecond + 100 * kMillisecond);
+  ASSERT_EQ(p.dst.disconnects.size(), 1u);
+  EXPECT_EQ(p.dst.disconnects[0].second, DisconnectReason::kPeerDead);
+  EXPECT_EQ(p.w.b->entity.sink(p.vc), nullptr);
+}
+
+TEST(TransportLiveness, PartitionShorterThanDeadlineTearsNothingDown) {
+  LivePair p;
+  ASSERT_EQ(p.src.confirms.size(), 1u);
+  // Heartbeats flow every 100 ms each way, so a 150 ms cut leaves at most
+  // ~350 ms of silence: under peer_dead_after.
+  p.w.platform.network().set_link_up(p.w.a->id, p.w.b->id, false);
+  p.w.platform.run_until(650 * kMillisecond);
+  p.w.platform.network().set_link_up(p.w.a->id, p.w.b->id, true);
+  p.w.platform.run_until(3 * kSecond);
+  EXPECT_TRUE(p.src.disconnects.empty());
+  EXPECT_TRUE(p.dst.disconnects.empty());
+  EXPECT_NE(p.w.a->entity.source(p.vc), nullptr);
+  EXPECT_NE(p.w.b->entity.sink(p.vc), nullptr);
+}
+
 // ====================================================================
 // Tightened control-path timeouts (the knobs were hardcoded constants)
 // ====================================================================

@@ -31,14 +31,14 @@ class TimerSetTest : public ::testing::Test {
 
 TEST_F(TimerSetTest, ArmLocalFiresOnceAtDeadline) {
   int fired = 0;
-  timers_.arm_local(TimerKind::kKeepalive, kVc, 100, [&] { ++fired; });
-  EXPECT_TRUE(timers_.pending(TimerKind::kKeepalive, kVc));
+  timers_.arm_local(TimerKind::kRcrRetransmit, kVc, 100, [&] { ++fired; });
+  EXPECT_TRUE(timers_.pending(TimerKind::kRcrRetransmit, kVc));
 
   sched_.run_until(99);
   EXPECT_EQ(fired, 0);
   sched_.run_until(100);
   EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(timers_.pending(TimerKind::kKeepalive, kVc));
+  EXPECT_FALSE(timers_.pending(TimerKind::kRcrRetransmit, kVc));
 
   sched_.run_until(1000);
   EXPECT_EQ(fired, 1);  // one-shot: never fires again
@@ -80,13 +80,13 @@ TEST_F(TimerSetTest, RepeatedRearmKeepsExactlyOneLiveTimer) {
 
 TEST_F(TimerSetTest, CancelPreventsFiringAndIsIdempotent) {
   int fired = 0;
-  timers_.arm_local(TimerKind::kLiveness, kVc, 100, [&] { ++fired; });
-  timers_.cancel(TimerKind::kLiveness, kVc);
-  EXPECT_FALSE(timers_.pending(TimerKind::kLiveness, kVc));
+  timers_.arm_local(TimerKind::kRenegRetransmit, kVc, 100, [&] { ++fired; });
+  timers_.cancel(TimerKind::kRenegRetransmit, kVc);
+  EXPECT_FALSE(timers_.pending(TimerKind::kRenegRetransmit, kVc));
   EXPECT_EQ(rt_.live(), 0u);
 
-  timers_.cancel(TimerKind::kLiveness, kVc);  // empty slot: no effect
-  timers_.cancel(TimerKind::kKeepalive, kVc + 1);
+  timers_.cancel(TimerKind::kRenegRetransmit, kVc);  // empty slot: no effect
+  timers_.cancel(TimerKind::kRcrRetransmit, kVc + 1);
 
   sched_.run_until(1000);
   EXPECT_EQ(fired, 0);
@@ -121,12 +121,12 @@ TEST_F(TimerSetTest, RearmAtTheDeadlineSupersedesTheDueTimer) {
 
 TEST_F(TimerSetTest, KindsUnderOneKeyAreIndependentSlots) {
   std::vector<int> fired(3, 0);
-  timers_.arm_local(TimerKind::kKeepalive, kVc, 10, [&] { ++fired[0]; });
-  timers_.arm_local(TimerKind::kLiveness, kVc, 20, [&] { ++fired[1]; });
+  timers_.arm_local(TimerKind::kRcrRetransmit, kVc, 10, [&] { ++fired[0]; });
+  timers_.arm_local(TimerKind::kRenegRetransmit, kVc, 20, [&] { ++fired[1]; });
   timers_.arm_local(TimerKind::kOpTimeout, kVc, 30, [&] { ++fired[2]; });
   EXPECT_EQ(rt_.live(), 3u);
 
-  timers_.cancel(TimerKind::kLiveness, kVc);
+  timers_.cancel(TimerKind::kRenegRetransmit, kVc);
 
   sched_.run_until(100);
   EXPECT_EQ(fired[0], 1);
@@ -137,11 +137,11 @@ TEST_F(TimerSetTest, KindsUnderOneKeyAreIndependentSlots) {
 TEST_F(TimerSetTest, SameKindDistinctKeysAreIndependentSlots) {
   int a = 0;
   int b = 0;
-  timers_.arm_local(TimerKind::kKeepalive, 1, 10, [&] { ++a; });
-  timers_.arm_local(TimerKind::kKeepalive, 2, 10, [&] { ++b; });
+  timers_.arm_local(TimerKind::kRcrRetransmit, 1, 10, [&] { ++a; });
+  timers_.arm_local(TimerKind::kRcrRetransmit, 2, 10, [&] { ++b; });
   EXPECT_EQ(rt_.live(), 2u);
-  EXPECT_TRUE(timers_.pending(TimerKind::kKeepalive, 1));
-  EXPECT_TRUE(timers_.pending(TimerKind::kKeepalive, 2));
+  EXPECT_TRUE(timers_.pending(TimerKind::kRcrRetransmit, 1));
+  EXPECT_TRUE(timers_.pending(TimerKind::kRcrRetransmit, 2));
 
   sched_.run_until(10);
   EXPECT_EQ(a, 1);
@@ -151,15 +151,15 @@ TEST_F(TimerSetTest, SameKindDistinctKeysAreIndependentSlots) {
 TEST_F(TimerSetTest, CancelKeyDropsEveryKindUnderTheKey) {
   int torn_down = 0;
   int other_vc = 0;
-  timers_.arm_local(TimerKind::kKeepalive, kVc, 10, [&] { ++torn_down; });
-  timers_.arm_local(TimerKind::kLiveness, kVc, 20, [&] { ++torn_down; });
+  timers_.arm_local(TimerKind::kRcrRetransmit, kVc, 10, [&] { ++torn_down; });
+  timers_.arm_local(TimerKind::kRenegRetransmit, kVc, 20, [&] { ++torn_down; });
   timers_.arm_global(TimerKind::kOpTimeout, kVc, 30, [&] { ++torn_down; });
-  timers_.arm_local(TimerKind::kKeepalive, kVc + 1, 40, [&] { ++other_vc; });
+  timers_.arm_local(TimerKind::kRcrRetransmit, kVc + 1, 40, [&] { ++other_vc; });
 
   timers_.cancel_key(kVc);  // VC teardown
   EXPECT_EQ(rt_.live(), 1u);
-  EXPECT_FALSE(timers_.pending(TimerKind::kKeepalive, kVc));
-  EXPECT_TRUE(timers_.pending(TimerKind::kKeepalive, kVc + 1));
+  EXPECT_FALSE(timers_.pending(TimerKind::kRcrRetransmit, kVc));
+  EXPECT_TRUE(timers_.pending(TimerKind::kRcrRetransmit, kVc + 1));
 
   sched_.run_until(100);
   EXPECT_EQ(torn_down, 0);
@@ -185,7 +185,7 @@ TEST_F(TimerSetTest, DestructorCancelsOutstandingTimers) {
   int fired = 0;
   {
     TimerSet doomed(rt_);
-    doomed.arm_local(TimerKind::kKeepalive, kVc, 100, [&] { ++fired; });
+    doomed.arm_local(TimerKind::kRcrRetransmit, kVc, 100, [&] { ++fired; });
     EXPECT_EQ(rt_.live(), 1u);
   }
   EXPECT_EQ(rt_.live(), 0u);
@@ -215,9 +215,9 @@ TEST_F(TimerSetTest, ExpiryCallbackMayRearmItsOwnSlot) {
 TEST_F(TimerSetTest, CancelThenRearmStartsAFreshTimer) {
   int first = 0;
   int second = 0;
-  timers_.arm_local(TimerKind::kLiveness, kVc, 10, [&] { ++first; });
-  timers_.cancel(TimerKind::kLiveness, kVc);
-  timers_.arm_local(TimerKind::kLiveness, kVc, 50, [&] { ++second; });
+  timers_.arm_local(TimerKind::kRenegRetransmit, kVc, 10, [&] { ++first; });
+  timers_.cancel(TimerKind::kRenegRetransmit, kVc);
+  timers_.arm_local(TimerKind::kRenegRetransmit, kVc, 50, [&] { ++second; });
   EXPECT_EQ(rt_.live(), 1u);
 
   sched_.run_until(100);

@@ -14,6 +14,7 @@
 
 #include "orch/opdu.h"
 #include "transport/tpdu.h"
+#include "util/checksum.h"
 #include "util/frame_pool.h"
 
 namespace cmtos {
@@ -26,7 +27,7 @@ using transport::ControlTpdu;
 using transport::DataTpdu;
 using transport::DatagramTpdu;
 using transport::FeedbackTpdu;
-using transport::KeepaliveTpdu;
+using transport::HeartbeatTpdu;
 using transport::NakTpdu;
 using transport::TpduType;
 
@@ -121,10 +122,49 @@ TEST(WireTotality, FeedbackTpdu) {
   sweep<FeedbackTpdu>(t.encode(), "fb_tpdu");
 }
 
-TEST(WireTotality, KeepaliveTpdu) {
-  KeepaliveTpdu t;
-  t.vc = 9;
-  sweep<KeepaliveTpdu>(t.encode(), "ka_tpdu");
+TEST(WireTotality, HeartbeatTpdu) {
+  HeartbeatTpdu t;
+  t.incarnation = 2;
+  t.seq = 77;
+  t.ack = 41;
+  t.vc_count = 2;
+  t.digest = transport::vc_digest(5) ^ transport::vc_digest(9);
+  t.feedback.push_back({5, 3, 32, 88, 0});
+  t.feedback.push_back({9, 0, 16, 4, 1});
+  sweep<HeartbeatTpdu>(t.encode(), "hb_tpdu");
+}
+
+TEST(WireTotality, HeartbeatTpduWithIdList) {
+  HeartbeatTpdu t;
+  t.seq = 3;
+  t.flags = transport::kHbCarriesIds | transport::kHbWantsIds;
+  t.ids = {5, 9, 12};
+  sweep<HeartbeatTpdu>(t.encode(), "hb_tpdu");
+}
+
+TEST(WireTotality, HeartbeatTpduRefusesCountsTheBytesCannotHold) {
+  HeartbeatTpdu t;
+  t.feedback.push_back({5, 3, 32, 88, 0});
+  auto wire = t.encode();
+  // The entry count sits after the fixed fields (type 1 + 4 x u32 + u64 +
+  // flags 1 = 26 bytes); stomp it and re-seal the CRC.
+  wire.resize(wire.size() - 4);
+  wire[26] = 0xff;
+  wire[27] = 0xff;
+  append_crc32(wire);
+  WireFault fault = WireFault::kNone;
+  EXPECT_FALSE(HeartbeatTpdu::decode(wire, &fault).has_value());
+  EXPECT_EQ(fault, WireFault::kBadLength);
+
+  // Unknown flag bits are refused, and so is any single flipped bit (CRC).
+  t.flags = 0x80;
+  EXPECT_FALSE(HeartbeatTpdu::decode(t.encode(), &fault).has_value());
+  EXPECT_EQ(fault, WireFault::kBadType);
+  t.flags = 0;
+  auto flipped = t.encode();
+  flipped[10] ^= 0x04;
+  EXPECT_FALSE(HeartbeatTpdu::decode(flipped, &fault).has_value());
+  EXPECT_EQ(fault, WireFault::kChecksum);
 }
 
 TEST(WireTotality, DatagramTpdu) {

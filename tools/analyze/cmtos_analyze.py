@@ -1093,7 +1093,7 @@ CB_PROBE = """\
 #include "transport/connection.h"
 void f(cmtos::transport::Connection* conn, cmtos::net::Link* wire) {
   sched.after(d, [conn] { conn->send(); });
-  timers.arm_global(TimerKind::kKeepalive, key, d,
+  timers.arm_global(TimerKind::kOpTimeout, key, d,
                     [this,
                      wire] { wire->pump(); });
   sched.after(d, [conn] { if (conn != nullptr) conn->send(); });
@@ -1233,7 +1233,7 @@ void good(std::span<const std::uint8_t> w, cmtos::ByteReader& r,
   auto ak = cmtos::transport::AckTpdu::decode(w);
   if (!ak) return;
   apply(ak->cumulative);
-  if (auto kb = cmtos::transport::KeepaliveTpdu::decode(w)) note(kb->vc);
+  if (auto hb = cmtos::transport::HeartbeatTpdu::decode(w)) note(hb->seq);
   const std::uint32_t n = r.u32();
   if (n > r.remaining() / 4) return;
   out.reserve(n);
