@@ -45,12 +45,13 @@ std::int64_t links_corrupted(World& w) {
 /// source side, hub<->wsB on the sink side) mid-playback.  `hardening`
 /// false reruns the identical storm against the pre-hardening protocol.
 bool storm(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool hardening) {
+  const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
   wire::set_hardening(hardening);
 
-  const std::int64_t decode_failed_before = counter_total("wire.decode_failed");
-  const std::int64_t checksum_failed_before = counter_total("wire.checksum_failed");
-  const std::int64_t quarantined_before = counter_total("wire.peer_quarantined");
+  const std::int64_t decode_failed_before = reg.total("wire.decode_failed");
+  const std::int64_t checksum_failed_before = reg.total("wire.checksum_failed");
+  const std::int64_t quarantined_before = reg.total("wire.peer_quarantined");
   const std::int64_t corrupted_before = links_corrupted(w);
   const auto frames_before = w.sink1->stats().frames_rendered;
 
@@ -74,11 +75,11 @@ bool storm(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool hardenin
   if (w.supervisor->failovers() != 0) return fail("line noise caused a failover");
   if (w.supervisor->orphaned()) return fail("session orphaned");
   if (w.sink1->stats().frames_rendered <= frames_before) return fail("playback stalled");
-  if (counter_total("wire.peer_quarantined") - quarantined_before != 0)
+  if (reg.total("wire.peer_quarantined") - quarantined_before != 0)
     return fail("line noise quarantined a peer");
 
-  const std::int64_t refused = counter_total("wire.decode_failed") - decode_failed_before;
-  const std::int64_t checksum = counter_total("wire.checksum_failed") - checksum_failed_before;
+  const std::int64_t refused = reg.total("wire.decode_failed") - decode_failed_before;
+  const std::int64_t checksum = reg.total("wire.checksum_failed") - checksum_failed_before;
   if (hardening) {
     if (refused <= 0) return fail("decoders refused nothing under the storm");
     if (checksum <= 0) return fail("no checksum refusals despite bit corruption");
@@ -110,9 +111,10 @@ bool storm_unhardened(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 /// A pure duplication flood on the source path: every duplicate must be
 /// discarded exactly once, nothing delivered twice, nobody quarantined.
 bool dup_flood(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+  const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
-  const std::int64_t dup_dropped_before = counter_total("transport.dup_dropped");
-  const std::int64_t quarantined_before = counter_total("wire.peer_quarantined");
+  const std::int64_t dup_dropped_before = reg.total("transport.dup_dropped");
+  const std::int64_t quarantined_before = reg.total("wire.peer_quarantined");
   const auto frames_before = w.sink1->stats().frames_rendered;
 
   const Time t0 = w.platform.scheduler().now();
@@ -126,10 +128,10 @@ bool dup_flood(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 
   if (engine.injected() != 2) return fail("storms not all injected");
   if (w.supervisor->failovers() != 0) return fail("duplication caused a failover");
-  if (counter_total("transport.dup_dropped") - dup_dropped_before <= 0)
+  if (reg.total("transport.dup_dropped") - dup_dropped_before <= 0)
     return fail("no duplicates discarded under a dup storm");
   if (w.sink1->stats().frames_rendered <= frames_before) return fail("playback stalled");
-  if (counter_total("wire.peer_quarantined") - quarantined_before != 0)
+  if (reg.total("wire.peer_quarantined") - quarantined_before != 0)
     return fail("duplication quarantined a peer");
   return true;
 }
@@ -145,8 +147,9 @@ struct GoodputSample {
 };
 
 GoodputSample measure_goodput(std::uint64_t seed, unsigned threads, WorldBody body) {
+  const obs::Registry& reg = obs::Registry::global();
   GoodputSample s;
-  const std::int64_t checksum_before = counter_total("wire.checksum_failed");
+  const std::int64_t checksum_before = reg.total("wire.checksum_failed");
   World w(seed, threads);
   if (!w.ok) return s;
   sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
@@ -155,7 +158,7 @@ GoodputSample measure_goodput(std::uint64_t seed, unsigned threads, WorldBody bo
     s.frames += sink->stats().frames_rendered;
     s.corrupt_rendered += sink->stats().integrity_failures;
   }
-  s.checksum_refused = counter_total("wire.checksum_failed") - checksum_before;
+  s.checksum_refused = reg.total("wire.checksum_failed") - checksum_before;
   return s;
 }
 

@@ -31,6 +31,7 @@
 
 #include <cstdio>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "world.h"
 
@@ -116,11 +117,12 @@ bool orch_death(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 /// applied; without fencing its targets land beside the successor's — the
 /// split brain the epoch exists to prevent.
 bool split_brain(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool fencing) {
+  const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
   w.set_fencing(fencing);
-  const std::int64_t rejected_before = counter_total("orch.stale_epoch_rejected");
-  const std::int64_t applied_before = counter_total("orch.stale_target_applied");
-  const std::int64_t superseded_before = counter_total("orch.superseded");
+  const std::int64_t rejected_before = reg.total("orch.stale_epoch_rejected");
+  const std::int64_t applied_before = reg.total("orch.stale_target_applied");
+  const std::int64_t superseded_before = reg.total("orch.superseded");
 
   sim::ChaosPlan plan;
   plan.seed = seed;
@@ -137,8 +139,8 @@ bool split_brain(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool fe
     return fail("unexpected re-election");
   if (w.sink1->stats().frames_rendered <= frames_before) return fail("playback stalled");
 
-  const std::int64_t rejected = counter_total("orch.stale_epoch_rejected") - rejected_before;
-  const std::int64_t applied = counter_total("orch.stale_target_applied") - applied_before;
+  const std::int64_t rejected = reg.total("orch.stale_epoch_rejected") - rejected_before;
+  const std::int64_t applied = reg.total("orch.stale_target_applied") - applied_before;
   if (!fencing) {
     // Contrast run: the healed orchestrator regulates beside its successor.
     if (applied <= 0) return fail("expected stale targets applied without fencing");
@@ -146,7 +148,7 @@ bool split_brain(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool fe
   }
   if (rejected <= 0) return fail("healed stale orchestrator was never fenced");
   if (applied != 0) return fail("stale target applied despite fencing");
-  if (counter_total("orch.superseded") - superseded_before != 1)
+  if (reg.total("orch.superseded") - superseded_before != 1)
     return fail("stale orchestrator did not self-retire");
   if (w.supervisor->superseded_count() != 0)
     return fail("superseded session not reaped by the supervisor");
@@ -173,8 +175,9 @@ bool split_brain_unfenced(World& w, sim::ChaosEngine& engine, std::uint64_t seed
 /// result.  Then one real outage: exactly one failover, and the flapper is
 /// fenced when it heals.
 bool orch_flap(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+  const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
-  const std::int64_t rejected_before = counter_total("orch.stale_epoch_rejected");
+  const std::int64_t rejected_before = reg.total("orch.stale_epoch_rejected");
   const Time t0 = w.platform.scheduler().now();
   sim::ChaosPlan plan;
   plan.seed = seed;
@@ -191,7 +194,7 @@ bool orch_flap(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
   if (w.supervisor->orphaned()) return fail("session orphaned");
   if (w.supervisor->session()->orchestrating_node() != w.wsB->id)
     return fail("unexpected re-election");
-  if (counter_total("orch.stale_epoch_rejected") <= rejected_before)
+  if (reg.total("orch.stale_epoch_rejected") <= rejected_before)
     return fail("healed flapper was never fenced");
   if (w.supervisor->superseded_count() != 0)
     return fail("superseded session not reaped by the supervisor");
@@ -209,8 +212,9 @@ bool orch_flap(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 /// Oracles are outcome-agnostic — a short isolation may legitimately heal
 /// before any failover.
 const char* sweep_one(std::uint64_t seed, unsigned threads) {
-  const std::int64_t applied_before = counter_total("orch.stale_target_applied");
-  const std::int64_t violations_before = counter_total("contract.violations");
+  const obs::Registry& reg = obs::Registry::global();
+  const std::int64_t applied_before = reg.total("orch.stale_target_applied");
+  const std::int64_t violations_before = reg.total("contract.violations");
   World w(seed, threads);
   if (!w.ok || !w.establish() || !w.prime_and_start()) return "session setup";
   sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
@@ -245,9 +249,9 @@ const char* sweep_one(std::uint64_t seed, unsigned threads) {
   w.platform.run_until(t0 + 14 * kSecond);
 
   if (engine.injected() < 1) return "no fault injected";
-  if (counter_total("orch.stale_target_applied") != applied_before)
+  if (reg.total("orch.stale_target_applied") != applied_before)
     return "stale target applied";
-  if (counter_total("contract.violations") != violations_before) return "contract violations";
+  if (reg.total("contract.violations") != violations_before) return "contract violations";
   if (w.supervisor->orphaned()) return "session orphaned";
   if (w.supervisor->superseded_count() != 0) return "superseded session not reaped";
   // Exactly one regulator for s1's sink VC: the supervisor's current

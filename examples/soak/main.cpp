@@ -28,21 +28,6 @@ bool fail(const char* what) {
   return false;
 }
 
-std::int64_t counter_total(const std::string& name) {
-  const std::string json = obs::Registry::global().to_json();
-  const std::string needle = "\"name\": \"" + name + "\"";
-  std::int64_t total = 0;
-  std::size_t pos = 0;
-  while ((pos = json.find(needle, pos)) != std::string::npos) {
-    const std::size_t eol = json.find('\n', pos);
-    const std::size_t val = json.find("\"value\": ", pos);
-    if (val != std::string::npos && (eol == std::string::npos || val < eol))
-      total += std::strtoll(json.c_str() + val + 9, nullptr, 10);
-    pos += needle.size();
-  }
-  return total;
-}
-
 }  // namespace cmtos::soak
 
 int main(int argc, char** argv) {
@@ -88,7 +73,8 @@ int main(int argc, char** argv) {
   }
 
   bool passed = row->run(seed, threads);
-  if (counter_total("contract.violations") != 0) passed = fail("contract violations");
+  if (cmtos::obs::Registry::global().total("contract.violations") != 0)
+    passed = fail("contract violations");
 
   if (!json_path.empty()) {
     cmtos::obs::Registry::global().write_json(

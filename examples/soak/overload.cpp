@@ -22,6 +22,7 @@
 
 #include "media/sink.h"
 #include "media/stored_server.h"
+#include "obs/metrics.h"
 #include "platform/host.h"
 #include "platform/qos_manager.h"
 #include "platform/stream.h"
@@ -284,7 +285,8 @@ bool preempt(std::uint64_t seed, unsigned threads) {
   // Full preferred QoS: the freed reservation covered the new stream.
   if (c_agreed.osdu_rate < vq.frames_per_second - 1e-9)
     return fail("critical stream admitted degraded");
-  if (counter_total("admission.preempt") < 1) return fail("admission.preempt not counted");
+  if (obs::Registry::global().total("admission.preempt") < 1)
+    return fail("admission.preempt not counted");
 
   // The survivors keep playing.
   const auto f2 = sink2.stats().frames_rendered;

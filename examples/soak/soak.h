@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cmtos::soak {
@@ -29,13 +28,5 @@ std::vector<Scenario> city_scenarios();
 /// Reports a failed oracle on stderr and returns false, so oracles read
 /// `if (...) return fail("what");`.
 bool fail(const char* what);
-
-/// Sums one counter across all label sets.  The registry is global and
-/// monotonic across worlds in one process, so rows diff totals taken before
-/// and after a faulted window.  It reads the JSON snapshot (the registry has
-/// no enumeration API and each metric sits on its own line), so unlike
-/// Registry::counter() it never creates a series and cannot perturb the
-/// snapshot it is checking.
-std::int64_t counter_total(const std::string& name);
 
 }  // namespace cmtos::soak

@@ -23,6 +23,24 @@ namespace {
   return true;
 }();
 
+std::string key_of(std::string_view name, const Labels& labels) {
+  // '\x1f' cannot appear in sane metric names/labels; it keeps the key
+  // unambiguous and the map ordering stable and human-sensible.
+  std::string key(name);
+  for (const auto& [k, v] : labels) {
+    key += '\x1f';
+    key += k;
+    key += '\x1f';
+    key += v;
+  }
+  return key;
+}
+
+[[noreturn]] void throw_kind_mismatch(std::string_view name) {
+  throw std::logic_error("obs::Registry: metric '" + std::string(name) +
+                         "' reported with a different type");
+}
+
 }  // namespace
 
 void Histogram::observe(double v) {
@@ -58,19 +76,6 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-std::string Registry::key_of(const std::string& name, const Labels& labels) {
-  // '\x1f' cannot appear in sane metric names/labels; it keeps the key
-  // unambiguous and the map ordering stable and human-sensible.
-  std::string key = name;
-  for (const auto& [k, v] : labels) {
-    key += '\x1f';
-    key += k;
-    key += '\x1f';
-    key += v;
-  }
-  return key;
-}
-
 Registry::Entry& Registry::find_or_create(const std::string& name, const Labels& labels,
                                           Kind kind) {
   const MutexLock lock(mu_);
@@ -104,9 +109,60 @@ Histogram& Registry::histogram(const std::string& name, const Labels& labels) {
   return *find_or_create(name, labels, Kind::kHistogram).h;
 }
 
+Registry::Attachment Registry::attach(Collector collector) {
+  const MutexLock lock(mu_);
+  const std::uint64_t id = next_collector_++;
+  collectors_.emplace(id, std::move(collector));
+  return Attachment(this, id);
+}
+
+void Registry::detach(std::uint64_t id) {
+  const MutexLock lock(mu_);
+  collectors_.erase(id);
+}
+
+Emitter::Series& Emitter::at(std::string_view name, const Labels& labels, bool is_counter) {
+  auto [it, inserted] = series_.try_emplace(key_of(name, labels));
+  Series& s = it->second;
+  if (inserted) {
+    s.name = name;
+    s.labels = labels;
+    s.is_counter = is_counter;
+  } else if (s.is_counter != is_counter) {
+    throw_kind_mismatch(name);
+  }
+  return s;
+}
+
+void Emitter::counter(std::string_view name, const Labels& labels, std::int64_t v) {
+  at(name, labels, true).count += v;
+}
+
+void Emitter::gauge(std::string_view name, const Labels& labels, double v) {
+  at(name, labels, false).value += v;
+}
+
+std::map<std::string, Emitter::Series> Registry::pull() const {
+  Emitter out;
+  for (const auto& [id, collect] : collectors_) collect(out);
+  return std::move(out.series_);
+}
+
 std::size_t Registry::size() const {
   const MutexLock lock(mu_);
-  return entries_.size();
+  std::size_t n = entries_.size();
+  for (const auto& [key, p] : pull()) n += entries_.count(key) == 0 ? 1 : 0;
+  return n;
+}
+
+std::int64_t Registry::total(const std::string& name) const {
+  const MutexLock lock(mu_);
+  std::int64_t sum = 0;
+  for (const auto& [key, e] : entries_)
+    if (e.kind == Kind::kCounter && e.name == name) sum += e.c->value();
+  for (const auto& [key, p] : pull())
+    if (p.is_counter && p.name == name) sum += p.count;
+  return sum;
 }
 
 void Registry::clear() {
@@ -116,6 +172,7 @@ void Registry::clear() {
 
 std::string Registry::to_json(const Labels& meta) const {
   const MutexLock lock(mu_);
+  const auto pulled = pull();
   std::string out = "{\n  \"meta\": {";
   bool first = true;
   for (const auto& [k, v] : meta) {
@@ -125,33 +182,48 @@ std::string Registry::to_json(const Labels& meta) const {
   }
   out += "},\n  \"metrics\": [";
   first = true;
-  for (const auto& [key, e] : entries_) {
-    (void)key;
+  // Owned and pulled series in one key order; a pulled series with an
+  // owned series' key adds into it.
+  std::map<std::string_view, std::pair<const Entry*, const Emitter::Series*>> rows;
+  for (const auto& [key, e] : entries_) rows[key].first = &e;
+  for (const auto& [key, p] : pulled) rows[key].second = &p;
+  for (const auto& [key, row] : rows) {
+    const auto [e, p] = row;
+    const Kind kind = e != nullptr ? e->kind : p->is_counter ? Kind::kCounter : Kind::kGauge;
+    if (p != nullptr && kind != (p->is_counter ? Kind::kCounter : Kind::kGauge))
+      throw_kind_mismatch(p->name);
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + json_escape(e.name) + "\", \"labels\": {";
+    out += "    {\"name\": \"" + json_escape(e != nullptr ? e->name : p->name) +
+           "\", \"labels\": {";
     bool lf = true;
-    for (const auto& [k, v] : e.labels) {
+    for (const auto& [k, v] : e != nullptr ? e->labels : p->labels) {
       if (!lf) out += ", ";
       lf = false;
       out += "\"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
     }
     out += "}, ";
-    switch (e.kind) {
-      case Kind::kCounter:
-        out += "\"type\": \"counter\", \"value\": " + std::to_string(e.c->value());
+    switch (kind) {
+      case Kind::kCounter: {
+        std::int64_t v = e != nullptr ? e->c->value() : 0;
+        if (p != nullptr) v += p->count;
+        out += "\"type\": \"counter\", \"value\": " + std::to_string(v);
         break;
-      case Kind::kGauge:
-        out += "\"type\": \"gauge\", \"value\": " + json_number(e.g->value());
+      }
+      case Kind::kGauge: {
+        double v = e != nullptr ? e->g->value() : p->value;
+        if (e != nullptr && p != nullptr) v += p->value;
+        out += "\"type\": \"gauge\", \"value\": " + json_number(v);
         break;
+      }
       case Kind::kHistogram:
-        out += "\"type\": \"histogram\", \"count\": " + std::to_string(e.h->count()) +
-               ", \"sum\": " + json_number(e.h->sum()) +
-               ", \"min\": " + json_number(e.h->min()) +
-               ", \"max\": " + json_number(e.h->max()) +
-               ", \"mean\": " + json_number(e.h->mean()) +
-               ", \"p50\": " + json_number(e.h->quantile(0.50)) +
-               ", \"p99\": " + json_number(e.h->quantile(0.99));
+        out += "\"type\": \"histogram\", \"count\": " + std::to_string(e->h->count()) +
+               ", \"sum\": " + json_number(e->h->sum()) +
+               ", \"min\": " + json_number(e->h->min()) +
+               ", \"max\": " + json_number(e->h->max()) +
+               ", \"mean\": " + json_number(e->h->mean()) +
+               ", \"p50\": " + json_number(e->h->quantile(0.50)) +
+               ", \"p99\": " + json_number(e->h->quantile(0.99));
         break;
     }
     out += "}";

@@ -58,17 +58,6 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
   trace_pid_ = static_cast<int>(local_node());
   trace_tid_ = static_cast<int>(id_ & 0xffffffffu);
   buffer_.set_trace_identity(trace_pid_, trace_tid_);
-  const obs::Labels labels = {{"vc", std::to_string(id_)},
-                              {"node", std::to_string(local_node())},
-                              {"role", role_ == VcRole::kSource ? "source" : "sink"}};
-  auto& reg = obs::Registry::global();
-  m_tpdus_sent_ = &reg.counter("transport.tpdus_sent", labels);
-  m_tpdus_received_ = &reg.counter("transport.tpdus_received", labels);
-  m_tpdus_lost_ = &reg.counter("transport.tpdus_lost", labels);
-  m_tpdus_corrupt_ = &reg.counter("transport.tpdus_corrupt", labels);
-  m_dup_dropped_ = &reg.counter("transport.dup_dropped", labels);
-  m_osdus_delivered_ = &reg.counter("transport.osdus_delivered", labels);
-  m_osdus_shed_ = &reg.counter("buffer.shed", labels);
   if (role_ == VcRole::kSink) {
     if (request_.shed_watermark_pct > 0) {
       shed_watermark_slots_ = std::max<std::size_t>(
@@ -96,6 +85,7 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
 }
 
 Connection::~Connection() {
+  entity_.retire_metrics(*this);
   pacer_event_.cancel();
   rto_event_.cancel();
   monitor_event_.cancel();
@@ -217,7 +207,6 @@ std::optional<Osdu> Connection::receive() {
   if (osdu) {
     last_delivered_seq_ = osdu->seq;
     ++stats_.osdus_delivered;
-    m_osdus_delivered_->add();
     watch_feedback();
     if (on_osdu_delivered_) on_osdu_delivered_(*osdu, entity_.local_now());
   }
@@ -334,7 +323,6 @@ void Connection::send_data_tpdu(DataTpdu&& dt, bool retransmission,
   } else {
     ++stats_.tpdus_sent;
   }
-  m_tpdus_sent_->add();
   obs::Tracer::global().instant(retransmission ? "TPDU.retx" : "TPDU.tx", trace_pid_,
                                 trace_tid_);
   // Retain for NAK-driven recovery (bounded).  The payload is a refcounted
@@ -499,7 +487,6 @@ bool Connection::on_data(const net::Packet& pkt) {
     // The corrupt TPDU's bytes still crossed the wire; they belong in the
     // BER denominator.
     if (monitor_) monitor_->on_tpdu_corrupt(static_cast<std::int64_t>(pkt.wire_size()));
-    m_tpdus_corrupt_->add();
     // On the packet path, kBadLength means the attached frame was cut or
     // padded in flight — line damage, same as a checksum failure.  Only a
     // CRC-valid header with structural nonsense (kBadType) is the peer's
@@ -515,7 +502,6 @@ bool Connection::on_data(const net::Packet& pkt) {
     return false;
   }
   ++stats_.tpdus_received;
-  m_tpdus_received_->add();
   obs::Tracer::global().instant("TPDU.rx", trace_pid_, trace_tid_);
   if (monitor_) {
     monitor_->on_tpdu_received(static_cast<std::int64_t>(pkt.wire_size()));
@@ -591,7 +577,6 @@ void Connection::note_gap(std::uint32_t from_seq, std::uint32_t to_seq) {
   } else {
     stats_.tpdus_lost += n;
     if (monitor_) monitor_->on_tpdu_lost(n);
-    m_tpdus_lost_->add(n);
     obs::Tracer::global().instant("TPDU.loss", trace_pid_, trace_tid_);
   }
 }
@@ -609,7 +594,6 @@ std::int64_t Connection::unwrap_osdu_seq(std::uint32_t seq) const {
 
 void Connection::drop_duplicate_tpdu() {
   ++stats_.tpdus_dup_dropped;
-  m_dup_dropped_->add();
   obs::Tracer::global().instant("TPDU.dup", trace_pid_, trace_tid_);
 }
 
@@ -770,7 +754,6 @@ void Connection::push_delivery_queue() {
     while (buffer_.size() >= shed_watermark_slots_) {
       if (!buffer_.shed_oldest(sched_.now())) break;
       ++stats_.osdus_shed;
-      m_osdus_shed_->add();
       shed_any = true;
     }
     if (!shed_any) break;
@@ -805,7 +788,6 @@ void Connection::give_up_on_holes() {
     if (abandoned > 0) {
       stats_.tpdus_lost += abandoned;
       if (monitor_) monitor_->on_tpdu_lost(abandoned);
-      m_tpdus_lost_->add(abandoned);
       obs::Tracer::global().instant("TPDU.loss", trace_pid_, trace_tid_);
     }
   }

@@ -33,7 +33,6 @@
 
 #include "net/address.h"
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "sim/node_runtime.h"
 #include "transport/heartbeat.h"
 #include "transport/monitor.h"
@@ -67,6 +66,9 @@ enum class VcState : std::uint8_t { kConnecting, kOpen, kClosing, kClosed };
 bool vc_transition_legal(VcState from, VcState to);
 const char* to_string(VcState s);
 
+/// The endpoint's counters and their only store: the entity publishes them
+/// as the VC's `transport.*` series while the endpoint lives and folds them
+/// into per-node totals when it goes (see TransportEntity::retire_metrics).
 struct VcStats {
   // Source side.
   std::int64_t osdus_submitted = 0;
@@ -101,6 +103,7 @@ class CMTOS_SHARD_AFFINE Connection {
   net::ReservationId reservation() const { return reservation_; }
   const VcStats& stats() const { return stats_; }
   QosMonitor* monitor() { return monitor_.get(); }
+  const QosMonitor* monitor() const { return monitor_.get(); }
 
   /// The peer endpoint's node (sink node for a source connection and vice
   /// versa).
@@ -322,16 +325,6 @@ class CMTOS_SHARD_AFFINE Connection {
   std::function<void(const Osdu&, Time)> on_osdu_delivered_;
 
   // === observability ===
-  // Cached global-registry instruments (labelled per VC + node + role);
-  // resolved once at construction so the data path never takes the
-  // registry lock.
-  obs::Counter* m_tpdus_sent_ = nullptr;
-  obs::Counter* m_tpdus_received_ = nullptr;
-  obs::Counter* m_tpdus_lost_ = nullptr;
-  obs::Counter* m_tpdus_corrupt_ = nullptr;
-  obs::Counter* m_dup_dropped_ = nullptr;
-  obs::Counter* m_osdus_delivered_ = nullptr;
-  obs::Counter* m_osdus_shed_ = nullptr;
   int trace_pid_ = 0;  // node id
   int trace_tid_ = 0;  // VC (low 32 bits)
 };

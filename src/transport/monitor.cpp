@@ -8,24 +8,11 @@
 namespace cmtos::transport {
 
 QosMonitor::QosMonitor(VcId vc, QosParams agreed, Duration sample_period)
-    : vc_(vc), agreed_(agreed), sample_period_(sample_period) {
-  const obs::Labels labels = {{"vc", std::to_string(vc_)}};
-  auto& reg = obs::Registry::global();
-  g_osdu_rate_ = &reg.gauge("qos.osdu_rate", labels);
-  g_mean_delay_ms_ = &reg.gauge("qos.mean_delay_ms", labels);
-  g_jitter_ms_ = &reg.gauge("qos.jitter_ms", labels);
-  g_per_ = &reg.gauge("qos.packet_error_rate", labels);
-  g_ber_ = &reg.gauge("qos.bit_error_rate", labels);
-  c_violations_ = &reg.counter("qos.violation_periods", labels);
-}
+    : vc_(vc), agreed_(agreed), sample_period_(sample_period) {}
 
 void QosMonitor::publish(const QosReport& rep) {
-  g_osdu_rate_->set(rep.measured_osdu_rate);
-  g_mean_delay_ms_->set(to_millis(rep.measured_mean_delay));
-  g_jitter_ms_->set(to_millis(rep.measured_jitter));
-  g_per_->set(rep.measured_packet_error_rate);
-  g_ber_->set(rep.measured_bit_error_rate);
-  if (rep.violations.any() && !rep.warmup) c_violations_->add();
+  last_report_ = rep;
+  if (rep.violations.any() && !rep.warmup) ++violation_periods_;
 
   auto& tr = obs::Tracer::global();
   if (!tr.enabled()) return;

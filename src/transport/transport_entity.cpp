@@ -6,6 +6,31 @@
 
 namespace cmtos::transport {
 
+namespace {
+
+/// The per-VC transport counters, each read from VcStats: published with
+/// {vc,node,role} labels while the endpoint lives, then folded into the
+/// node's {node,role} totals.
+struct VcCounter {
+  const char* name;
+  std::int64_t (*value)(const VcStats&);
+};
+constexpr std::array<VcCounter, 7> kVcCounters = {{
+    // Every data TPDU put on the wire: first transmissions and retransmits.
+    {"transport.tpdus_sent",
+     [](const VcStats& s) { return s.tpdus_sent + s.tpdus_retransmitted; }},
+    {"transport.tpdus_received", [](const VcStats& s) { return s.tpdus_received; }},
+    {"transport.tpdus_lost", [](const VcStats& s) { return s.tpdus_lost; }},
+    {"transport.tpdus_corrupt", [](const VcStats& s) { return s.tpdus_corrupt; }},
+    {"transport.dup_dropped", [](const VcStats& s) { return s.tpdus_dup_dropped; }},
+    {"transport.osdus_delivered", [](const VcStats& s) { return s.osdus_delivered; }},
+    {"buffer.shed", [](const VcStats& s) { return s.osdus_shed; }},
+}};
+
+const char* role_name(VcRole role) { return role == VcRole::kSource ? "source" : "sink"; }
+
+}  // namespace
+
 TransportEntity::TransportEntity(net::Network& network, net::NodeId node)
     : network_(network),
       node_(node),
@@ -13,7 +38,9 @@ TransportEntity::TransportEntity(net::Network& network, net::NodeId node)
       timers_(network.node(node).runtime()),
       conn_mgr_(*this, timers_),
       reneg_(*this, timers_),
-      heartbeat_(*this) {
+      heartbeat_(*this),
+      metrics_(obs::Registry::global().attach(
+          [this](obs::Emitter& out) { collect_metrics(out); })) {
   network_.node(node_).set_handler(net::Proto::kTransportControl,
                                    [this](net::Packet&& p) { on_control_packet(std::move(p)); });
   network_.node(node_).set_handler(net::Proto::kTransportData,
@@ -49,6 +76,44 @@ Connection* TransportEntity::sink(VcId vc) {
 Connection* TransportEntity::endpoint(VcId vc) {
   if (Connection* c = source(vc)) return c;
   return sink(vc);
+}
+
+void TransportEntity::collect_metrics(obs::Emitter& out) const {
+  const std::string node = std::to_string(node_);
+  for (const auto* table : {&sources_, &sinks_}) {
+    for (const auto& [vc, conn] : *table) {
+      const std::string id = std::to_string(vc);
+      const obs::Labels labels = {{"vc", id}, {"node", node}, {"role", role_name(conn->role())}};
+      for (const VcCounter& c : kVcCounters) out.counter(c.name, labels, c.value(conn->stats()));
+      const QosMonitor* monitor = conn->monitor();
+      if (monitor == nullptr) continue;
+      const obs::Labels vc_only = {{"vc", id}};
+      const QosReport& rep = monitor->last_report();
+      out.gauge("qos.osdu_rate", vc_only, rep.measured_osdu_rate);
+      out.gauge("qos.mean_delay_ms", vc_only, to_millis(rep.measured_mean_delay));
+      out.gauge("qos.jitter_ms", vc_only, to_millis(rep.measured_jitter));
+      out.gauge("qos.packet_error_rate", vc_only, rep.measured_packet_error_rate);
+      out.gauge("qos.bit_error_rate", vc_only, rep.measured_bit_error_rate);
+      out.counter("qos.violation_periods", vc_only, monitor->violation_periods());
+    }
+  }
+}
+
+void TransportEntity::retire_metrics(const Connection& conn) {
+  auto& reg = obs::Registry::global();
+  const std::string node = std::to_string(node_);
+  auto& totals = closed_totals_[conn.role() == VcRole::kSource ? 0 : 1];
+  if (totals.empty()) {
+    const obs::Labels labels = {{"node", node}, {"role", role_name(conn.role())}};
+    for (const VcCounter& c : kVcCounters) totals.push_back(&reg.counter(c.name, labels));
+  }
+  for (std::size_t i = 0; i < kVcCounters.size(); ++i)
+    totals[i]->add(kVcCounters[i].value(conn.stats()));
+  if (const QosMonitor* monitor = conn.monitor()) {
+    if (closed_violation_periods_ == nullptr)
+      closed_violation_periods_ = &reg.counter("qos.violation_periods", {{"node", node}});
+    closed_violation_periods_->add(monitor->violation_periods());
+  }
 }
 
 VcId TransportEntity::alloc_vc() {

@@ -21,6 +21,12 @@
 // timing config, wire I/O, the crash/restart fault model, and a shared
 // TimerSet holding every protocol timer.  Incoming control TPDUs are
 // demultiplexed through a dispatch table indexed by TPDU type.
+//
+// The entity also publishes its endpoints' metrics.  It is the registry's
+// collector for the per-VC `transport.*`, `buffer.shed` ({vc,node,role})
+// and `qos.*` ({vc}) series, read from each open endpoint's VcStats and
+// QosMonitor at snapshot time, and it folds a closing endpoint's counters
+// into per-node totals, so the series count follows the live VCs.
 
 #pragma once
 
@@ -31,6 +37,7 @@
 #include <optional>
 
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "transport/connection.h"
 #include "transport/connection_manager.h"
 #include "transport/heartbeat.h"
@@ -189,6 +196,12 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// to report their feedback (see transport/heartbeat.h).
   HeartbeatEngine& heartbeat() { return heartbeat_; }
 
+  /// Adds a closing endpoint's counters to this node's totals of closed
+  /// endpoints ({node,role} labels; {node} for qos.violation_periods).
+  /// ~Connection calls it: the one point where an endpoint's stats leave
+  /// the live series.
+  void retire_metrics(const Connection& conn);
+
   /// Liveness teardown decided by the heartbeat: the peer entity of `vc`
   /// went silent, restarted, or no longer holds the VC.  Tears the local
   /// endpoint down, frees its resources and delivers kPeerDead.
@@ -249,6 +262,8 @@ class CMTOS_SHARD_AFFINE TransportEntity {
 
   void on_control_packet(net::Packet&& pkt);
   void on_data_packet(net::Packet&& pkt);
+  /// The registry collector: every live endpoint's per-VC series.
+  void collect_metrics(obs::Emitter& out) const;
 
   void deliver_disconnect(VcId vc, net::Tsap tsap, DisconnectReason reason);
   /// Releases (and forgets) the reverse-path control trickle of `vc`.
@@ -274,6 +289,10 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// Declared before the endpoint maps: ~Connection leaves its peer record,
   /// so the heartbeat must outlive sources_/sinks_.
   HeartbeatEngine heartbeat_;
+  /// Handles of the closed-endpoint totals, indexed by role, resolved on
+  /// the first close; like the heartbeat, ~Connection needs them.
+  std::array<std::vector<obs::Counter*>, 2> closed_totals_;
+  obs::Counter* closed_violation_periods_ = nullptr;
 
   // Flat tables on the per-packet hot path: every DT/AK/NAK/FB lookup is one
   // O(1) probe, and VC churn at a stable population recycles slab slots
@@ -283,6 +302,9 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   FlatMap<VcId, std::unique_ptr<Connection>> sinks_;
   /// Reverse-path control-trickle reservation per source VC.
   FlatMap<VcId, net::ReservationId> reverse_reservations_;
+  /// Declared after the endpoint maps, so the collector is detached before
+  /// the endpoints go.
+  obs::Registry::Attachment metrics_;
 
   /// Control-TPDU dispatch: indexed by TpduType (control types are 1..10),
   /// routing each row to the owning engine.  Replaces the historical

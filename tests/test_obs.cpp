@@ -1,4 +1,5 @@
-// Observability layer tests: JSON helpers, the metrics registry, the
+// Observability layer tests: JSON helpers, the metrics registry and its
+// collectors, the per-VC series the transport entity publishes, the
 // Chrome-trace tracer, the QoS monitor's BER estimator and warmup flag,
 // and an end-to-end orchestrated session traced to disk.
 
@@ -7,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "fixtures.h"
@@ -133,6 +135,217 @@ TEST(ObsRegistry, WriteJsonRoundTrips) {
   EXPECT_TRUE(json_valid(text)) << text;
   EXPECT_NE(text.find("written"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ObsRegistry, PulledSeriesAddToOwnedSeriesOfTheSameIdentity) {
+  Registry reg;
+  reg.counter("c", {{"vc", "1"}}).add(3);
+  reg.set_gauge("g", 1.5);
+  const auto hook = reg.attach([](obs::Emitter& out) {
+    out.counter("c", {{"vc", "1"}}, 4);
+    out.counter("c", {{"vc", "2"}}, 5);
+    out.gauge("g", {}, 2.0);
+  });
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.total("c"), 12);
+  const std::string snap = reg.to_json();
+  EXPECT_TRUE(json_valid(snap)) << snap;
+  const auto c1 = snap.find(
+      R"({"name": "c", "labels": {"vc": "1"}, "type": "counter", "value": 7})");
+  const auto c2 = snap.find(
+      R"({"name": "c", "labels": {"vc": "2"}, "type": "counter", "value": 5})");
+  const auto g = snap.find(R"({"name": "g", "labels": {}, "type": "gauge", "value": 3.5})");
+  ASSERT_NE(c1, std::string::npos) << snap;
+  ASSERT_NE(c2, std::string::npos) << snap;
+  ASSERT_NE(g, std::string::npos) << snap;
+  // One key order for owned and pulled series.
+  EXPECT_LT(c1, c2);
+  EXPECT_LT(c2, g);
+}
+
+TEST(ObsRegistry, DetachedCollectorSeriesAreGone) {
+  Registry reg;
+  reg.counter("owned").add(1);
+  {
+    const auto hook =
+        reg.attach([](obs::Emitter& out) { out.counter("pulled", {{"vc", "9"}}, 2); });
+    EXPECT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg.total("pulled"), 2);
+    EXPECT_NE(reg.to_json().find("pulled"), std::string::npos);
+  }
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.total("pulled"), 0);
+  EXPECT_EQ(reg.to_json().find("pulled"), std::string::npos);
+}
+
+// --- per-VC series published by the transport entity ---
+
+constexpr const char* kVcCounterNames[] = {
+    "transport.tpdus_sent", "transport.tpdus_received", "transport.tpdus_lost",
+    "transport.tpdus_corrupt", "transport.dup_dropped", "transport.osdus_delivered",
+    "buffer.shed", "qos.violation_periods"};
+
+/// The eight per-VC counters, each as the endpoint's stats define it.
+std::map<std::string, std::int64_t> vc_counters(const transport::Connection& c) {
+  const auto& s = c.stats();
+  const auto* m = c.monitor();
+  return {{"transport.tpdus_sent", s.tpdus_sent + s.tpdus_retransmitted},
+          {"transport.tpdus_received", s.tpdus_received},
+          {"transport.tpdus_lost", s.tpdus_lost},
+          {"transport.tpdus_corrupt", s.tpdus_corrupt},
+          {"transport.dup_dropped", s.tpdus_dup_dropped},
+          {"transport.osdus_delivered", s.osdus_delivered},
+          {"buffer.shed", s.osdus_shed},
+          {"qos.violation_periods", m != nullptr ? m->violation_periods() : 0}};
+}
+
+/// A bound pair whose link duplicates packets, and also drops and
+/// corrupts them while noisy, so every counter but buffer.shed moves.
+struct NoisyPair {
+  NoisyPair() : w(dup_link(), 7) {
+    w.a->entity.bind(1, &src_user);
+    w.b->entity.bind(2, &dst_user);
+  }
+  static net::LinkConfig dup_link() {
+    net::LinkConfig cfg = lan_link();
+    cfg.dup_rate = 0.05;
+    return cfg;
+  }
+  void noisy(bool on) {
+    for (auto [x, y] : {std::pair{w.a->id, w.b->id}, std::pair{w.b->id, w.a->id}}) {
+      w.platform.network().link(x, y)->set_loss_rate(on ? 0.1 : 0.0);
+      w.platform.network().link(x, y)->set_bit_error_rate(on ? 2e-6 : 0.0);
+    }
+  }
+  void run_for(Duration d) { w.platform.run_until(w.platform.scheduler().now() + d); }
+  /// Opens VC number `i` from a to b and streams 12 two-fragment OSDUs
+  /// over the noisy link (odd VCs also repair losses); returns once the
+  /// link is clean again and the sink has read everything.
+  transport::VcId stream(int i) {
+    auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 100.0, 2400);
+    req.service_class.error_control = i % 2 == 0
+                                          ? transport::ErrorControl::kIndicate
+                                          : transport::ErrorControl::kCorrectAndIndicate;
+    req.sample_period = 100 * kMillisecond;
+    const transport::VcId vc = w.a->entity.t_connect_request(req);
+    run_for(100 * kMillisecond);
+    transport::Connection* src = w.a->entity.source(vc);
+    if (src == nullptr) return vc;
+    noisy(true);
+    for (int k = 0; k < 12; ++k) src->submit(std::vector<std::uint8_t>(2400, 1));
+    run_for(400 * kMillisecond);
+    noisy(false);
+    run_for(200 * kMillisecond);
+    if (transport::Connection* sink = w.b->entity.sink(vc))
+      while (sink->receive()) {
+      }
+    return vc;
+  }
+
+  PairPlatform w;
+  ScriptedUser src_user{w.a->entity};
+  ScriptedUser dst_user{w.b->entity};
+};
+
+/// Opens, streams over and closes `n` VCs one after another on one pair.
+/// Adds each endpoint's counters, read just before its close, to `closed`
+/// and returns the registry's series count once all are closed.
+std::size_t churn_pair(int n, std::map<std::string, std::int64_t>& closed) {
+  NoisyPair p;
+  for (int i = 0; i < n; ++i) {
+    const transport::VcId vc = p.stream(i);
+    const transport::Connection* src = p.w.a->entity.source(vc);
+    const transport::Connection* sink = p.w.b->entity.sink(vc);
+    EXPECT_NE(src, nullptr) << "VC " << i;
+    EXPECT_NE(sink, nullptr) << "VC " << i;
+    if (src == nullptr || sink == nullptr) continue;
+    for (const auto* c : {src, sink})
+      for (const auto& [name, v] : vc_counters(*c)) closed[name] += v;
+    // The sink releases: its endpoint goes at once, and the idle source,
+    // whose counters no longer move, when the DR arrives.
+    p.w.b->entity.t_disconnect_request(vc);
+    p.run_for(50 * kMillisecond);
+    EXPECT_EQ(p.w.a->entity.source(vc), nullptr) << "VC " << i;
+  }
+  return Registry::global().size();
+}
+
+TEST(ObsVcMetrics, ClosedVcsFoldIntoNodeTotalsAndLeaveNoSeries) {
+  const Registry& reg = Registry::global();
+  // The registry is process-wide and keeps owned series, so the larger run
+  // goes first: any fault-labelled series it creates exist before the
+  // smaller run measures, and only per-VC series could tell them apart.
+  std::vector<std::size_t> series;
+  for (const int n : {200, 50}) {
+    std::map<std::string, std::int64_t> before;
+    for (const char* name : kVcCounterNames) before[name] = reg.total(name);
+    std::map<std::string, std::int64_t> closed;
+    series.push_back(churn_pair(n, closed));
+    for (const char* name : kVcCounterNames)
+      EXPECT_EQ(reg.total(name) - before[name], closed[name]) << name << " at N=" << n;
+    for (const char* name : {"transport.tpdus_lost", "transport.tpdus_corrupt",
+                             "transport.dup_dropped", "qos.violation_periods"})
+      EXPECT_GT(closed[name], 0) << name << " never moved at N=" << n;
+  }
+  EXPECT_EQ(series[0], series[1]);
+}
+
+/// The snapshot line of one pulled series.
+std::string series_line(const std::string& name, const Labels& labels, const std::string& type,
+                        const std::string& value) {
+  std::string line = "{\"name\": \"" + name + "\", \"labels\": {";
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    line += (i ? ", \"" : "\"") + labels[i].first + "\": \"" + labels[i].second + "\"";
+  return line + "}, \"type\": \"" + type + "\", \"value\": " + value + "}";
+}
+
+TEST(ObsVcMetrics, OpenVcSeriesMatchStatsAndLastReport) {
+  NoisyPair p;
+  const transport::VcId vc = p.stream(1);
+  const transport::Connection* src = p.w.a->entity.source(vc);
+  const transport::Connection* sink = p.w.b->entity.sink(vc);
+  ASSERT_NE(src, nullptr);
+  ASSERT_NE(sink, nullptr);
+  ASSERT_GT(src->stats().tpdus_retransmitted, 0);
+
+  const std::string snap = Registry::global().to_json();
+  ASSERT_TRUE(json_valid(snap));
+  const std::string id = std::to_string(vc);
+  for (const auto* c : {src, sink}) {
+    const Labels labels = {{"vc", id},
+                           {"node", std::to_string(c->local_node())},
+                           {"role", c == src ? "source" : "sink"}};
+    for (const auto& [name, v] : vc_counters(*c)) {
+      if (name == "qos.violation_periods") continue;
+      const std::string line = series_line(name, labels, "counter", std::to_string(v));
+      EXPECT_NE(snap.find(line), std::string::npos) << line;
+    }
+  }
+  const transport::QosMonitor& m = *sink->monitor();
+  const transport::QosReport& rep = m.last_report();
+  EXPECT_GT(rep.sample_period, 0);
+  const Labels vc_only = {{"vc", id}};
+  const std::pair<const char*, double> gauges[] = {
+      {"qos.osdu_rate", rep.measured_osdu_rate},
+      {"qos.mean_delay_ms", to_millis(rep.measured_mean_delay)},
+      {"qos.jitter_ms", to_millis(rep.measured_jitter)},
+      {"qos.packet_error_rate", rep.measured_packet_error_rate},
+      {"qos.bit_error_rate", rep.measured_bit_error_rate}};
+  for (const auto& [name, v] : gauges) {
+    const std::string line = series_line(name, vc_only, "gauge", json_number(v));
+    EXPECT_NE(snap.find(line), std::string::npos) << line;
+  }
+  const std::string violations = series_line("qos.violation_periods", vc_only, "counter",
+                                             std::to_string(m.violation_periods()));
+  EXPECT_NE(snap.find(violations), std::string::npos) << violations;
+  // The source has no monitor: the sink's six are the only per-VC qos series.
+  std::istringstream lines(snap);
+  std::size_t qos_series = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("\"name\": \"qos.") != std::string::npos &&
+        line.find("\"labels\": {\"vc\": ") != std::string::npos)
+      ++qos_series;
+  EXPECT_EQ(qos_series, 6u);
 }
 
 // --- tracer ---
