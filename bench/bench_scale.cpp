@@ -371,8 +371,8 @@ ChurnResult run_churn(std::size_t pairs, std::size_t vcs_per_pair, bool with_pum
 
   // Data-plane cost with every table at full population: 64 KiB OSDUs at
   // 250/s through the pump pair while the 10k background VCs stay resident.
-  // Idle and acknowledged, they send nothing and arm only their sinks' QoS
-  // monitor timers (feedback and liveness are per peer node).
+  // Idle and acknowledged, they send nothing and arm no timer (feedback
+  // and liveness are per peer node; QoS monitor periods close lazily).
   CountUser pump_src_user(w.pump_src->entity), pump_dst_user(w.pump_dst->entity);
   w.pump_src->entity.bind(1, &pump_src_user);
   w.pump_dst->entity.bind(2, &pump_dst_user);

@@ -146,7 +146,7 @@ void Connection::open() {
       }
     });
     monitor_->begin(entity_.local_now());
-    schedule_monitor();
+    monitor_boundary_ = sched_.now() + request_.sample_period;
   }
   entity_.heartbeat().attach(*this);
   watch_feedback();  // the first report
@@ -480,13 +480,14 @@ bool Connection::on_data(const net::Packet& pkt) {
   // sink opens on CR receipt, the source on CC receipt), so anything else
   // here is a late packet racing teardown: discard.
   if (role_ != VcRole::kSink || state_ != VcState::kOpen) return false;
+  feed_monitor();
   WireFault fault = WireFault::kNone;
   auto dt = DataTpdu::decode_packet(pkt, &fault);
   if (!dt) {
     ++stats_.tpdus_corrupt;
     // The corrupt TPDU's bytes still crossed the wire; they belong in the
     // BER denominator.
-    if (monitor_) monitor_->on_tpdu_corrupt(static_cast<std::int64_t>(pkt.wire_size()));
+    monitor_->on_tpdu_corrupt(static_cast<std::int64_t>(pkt.wire_size()));
     // On the packet path, kBadLength means the attached frame was cut or
     // padded in flight — line damage, same as a checksum failure.  Only a
     // CRC-valid header with structural nonsense (kBadType) is the peer's
@@ -503,10 +504,8 @@ bool Connection::on_data(const net::Packet& pkt) {
   }
   ++stats_.tpdus_received;
   obs::Tracer::global().instant("TPDU.rx", trace_pid_, trace_tid_);
-  if (monitor_) {
-    monitor_->on_tpdu_received(static_cast<std::int64_t>(pkt.wire_size()));
-    monitor_->on_osdu_seen(dt->osdu_seq);
-  }
+  monitor_->on_tpdu_received(static_cast<std::int64_t>(pkt.wire_size()));
+  monitor_->on_osdu_seen(dt->osdu_seq);
 
   const bool window = request_.service_class.profile == ProtocolProfile::kWindowBased;
   if (window) {
@@ -787,7 +786,8 @@ void Connection::give_up_on_holes() {
       entity_.send_tpdu(peer_node(), net::Proto::kTransportData, nak.encode());
     if (abandoned > 0) {
       stats_.tpdus_lost += abandoned;
-      if (monitor_) monitor_->on_tpdu_lost(abandoned);
+      feed_monitor();
+      monitor_->on_tpdu_lost(abandoned);
       obs::Tracer::global().instant("TPDU.loss", trace_pid_, trace_tid_);
     }
   }
@@ -839,11 +839,36 @@ void Connection::watch_feedback() {
   entity_.heartbeat().watch(*this);
 }
 
-void Connection::schedule_monitor() {
-  monitor_event_ = sched_.after(request_.sample_period, [this] {
-    if (state_ != VcState::kOpen) return;
-    monitor_->end_period(entity_.local_now());
-    schedule_monitor();
+void Connection::feed_monitor() {
+  close_monitor_periods();
+  if (!monitor_event_.pending()) arm_monitor();
+}
+
+void Connection::close_monitor_periods() {
+  // A feed at exactly a boundary instant lands in the next period: the
+  // boundary closes first, as a timer armed a period earlier would fire
+  // first.
+  const Time now = sched_.now();
+  if (now < monitor_boundary_) return;
+  const Duration period = request_.sample_period;
+  const std::int64_t n = (now - monitor_boundary_) / period + 1;
+  monitor_boundary_ += n * period;
+  const Time last = monitor_boundary_ - period;
+  // Only the period ending at the first elapsed boundary can have been
+  // fed (its timer is still pending at this same instant); once more than
+  // one has elapsed, all of them are empty.
+  if (n == 1) {
+    monitor_->end_period(entity_.local_time(last));
+  } else {
+    monitor_->end_idle_periods(n, entity_.local_time(last - period), entity_.local_time(last));
+  }
+}
+
+void Connection::arm_monitor() {
+  monitor_event_ = sched_.at(monitor_boundary_, [this] {
+    const bool fed = !monitor_->idle();
+    close_monitor_periods();
+    if (fed) arm_monitor();
   });
 }
 

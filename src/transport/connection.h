@@ -10,11 +10,13 @@
 // delivers them in sequence order into the shared receive ring, runs the
 // QoS monitor, and generates rate feedback).
 //
-// The only periodic timer a Connection arms itself is the sink's QoS
-// monitor.  Rate feedback, NAK retry / hole skipping and peer liveness run
-// from the entity's per-peer heartbeat (transport/heartbeat.h): a sink asks
-// for attention with watch_feedback() whenever its feedback may have
-// changed, and an idle, acknowledged VC costs no events and no packets.
+// A Connection arms no periodic timer of its own.  Rate feedback, NAK retry
+// / hole skipping and peer liveness run from the entity's per-peer
+// heartbeat (transport/heartbeat.h): a sink asks for attention with
+// watch_feedback() whenever its feedback may have changed.  The sink's QoS
+// monitor closes its sample periods lazily, arming a boundary timer only
+// while data arrives, so an idle, acknowledged VC costs no events and no
+// packets.
 //
 // The low-level orchestrator attaches here: delivery hold (prime / stop),
 // drop-at-source, pause, flush, position queries and per-OSDU hooks are all
@@ -177,8 +179,9 @@ class CMTOS_SHARD_AFFINE Connection {
   // ------------------------------------------------------------------
 
   /// Transitions kConnecting -> kOpen, joins the entity's per-peer
-  /// heartbeat record and starts the pacer (source) or the monitor timer
-  /// (sink; a rate-based sink also queues its first feedback report).
+  /// heartbeat record and starts the pacer (source) or the monitor's first
+  /// sample period (sink; a rate-based sink also queues its first feedback
+  /// report).
   void open();
 
   /// Stops all activity; the entity removes the connection afterwards.
@@ -255,7 +258,16 @@ class CMTOS_SHARD_AFFINE Connection {
   void send_feedback();
   /// Rate-based sink: asks the peer's heartbeat tick to look at this VC.
   void watch_feedback();
-  void schedule_monitor();
+  /// QoS monitor sample periods.  Boundaries stay on the grid open + k *
+  /// sample_period, but only a period that is fed costs an event:
+  /// feed_monitor() runs before every monitor feed, closes the boundaries
+  /// that have elapsed (in O(1), however many) and arms the boundary timer
+  /// if none is pending.  The timer re-arms only after closing a fed
+  /// period, so the first empty period still closes on time and the next
+  /// ones close at the next feed.
+  void feed_monitor();
+  void close_monitor_periods();
+  void arm_monitor();
 
   TransportEntity& entity_;
   /// The owning node's shard runtime: every data-plane timer of this
@@ -316,6 +328,7 @@ class CMTOS_SHARD_AFFINE Connection {
   std::uint32_t recv_window_granted_ = 8;
   FeedbackReport fb_report_;
   sim::EventHandle monitor_event_;
+  Time monitor_boundary_ = 0;  // true time of the next unclosed period boundary
   std::unique_ptr<QosMonitor> monitor_;
   // Load shedding: when the receive ring holds at least this many OSDUs and
   // a new one cannot be pushed, the oldest are shed (0 = shedding disabled;

@@ -284,9 +284,12 @@ void ConnectionManager::handle_cr(const ControlTpdu& t) {
   reply.initiator = req.initiator;
   reply.src = req.src;
   reply.dst = req.dst;
-  if (user == nullptr) {
+  // The sink's QoS monitor steps its boundaries by the sample period, so a
+  // period that is not positive is refused before any endpoint exists.
+  if (user == nullptr || req.sample_period <= 0) {
     reply.accepted = 0;
-    reply.reason = static_cast<std::uint8_t>(DisconnectReason::kNoSuchTsap);
+    reply.reason = static_cast<std::uint8_t>(user == nullptr ? DisconnectReason::kNoSuchTsap
+                                                             : DisconnectReason::kProtocolError);
     ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, reply.encode());
     return;
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/trace.h"
+#include "util/contract.h"
 
 namespace cmtos::transport {
 
@@ -145,7 +146,6 @@ void QosMonitor::end_period(Time local_now) {
   rep.coalesced_periods = coalesced_;
 
   publish(rep);
-  if (on_sample_) on_sample_(rep);
   if (warmup_left_ > 0) {
     --warmup_left_;
   } else if (emit) {
@@ -169,6 +169,22 @@ void QosMonitor::end_period(Time local_now) {
   tpdus_lost_ = 0;
   tpdus_corrupt_ = 0;
   bits_corrupt_ = 0;
+}
+
+void QosMonitor::end_idle_periods(std::int64_t n, Time local_last_start, Time local_end) {
+  CMTOS_DCHECK(n >= 1 && idle());
+  // An empty window never violates: with no samples every measured value
+  // (rate, mean delay, jitter, packet and bit error rates) and the offered
+  // load are zero, and no tolerance is negative, so no comparison in
+  // end_period can trip.  Closing one therefore only ticks the warmup
+  // countdown, ends any violation run (once warmup is over; no run exists
+  // before) and replaces last_report_ with an all-zero report.  The last
+  // close below does the latter two itself, so each earlier period reduces
+  // to the countdown.
+  const std::int64_t earlier = n - 1;
+  warmup_left_ -= static_cast<int>(std::min<std::int64_t>(earlier, warmup_left_));
+  period_start_ = local_last_start;
+  end_period(local_end);
 }
 
 }  // namespace cmtos::transport

@@ -121,7 +121,7 @@ struct QosReport {
   QosViolation violations;   // which tolerance levels were violated
   /// True while the monitor is still in its warmup window: measurements are
   /// distorted by pipeline fill and any violations were *not* reported via
-  /// T-QoS.indication.  Time-series consumers (on_sample) use this to
+  /// T-QoS.indication.  Readers of the monitor's last report use this to
   /// separate fill artifacts from real degradation.
   bool warmup = false;
   /// Length of the current run of back-to-back violating periods, this one

@@ -8,19 +8,21 @@ namespace cmtos::transport {
 namespace {
 
 /// Measures the blocking time of a semaphore acquire.  A fast path tries
-/// try_acquire first so uncontended operation costs no clock reads.
-/// Returns true when the wait was contended (fast path missed), with the
-/// measured wait in *waited_ns.
+/// try_acquire first so uncontended operation costs no clock reads.  A
+/// contended wait is counted in `blocks` before it starts, so once the
+/// count rises this side is committed to waiting and the peer's next
+/// release ends that wait; the wait time goes to `blocked_ns` afterwards.
+/// Returns true when the wait was contended (fast path missed).
 template <typename Sem>
-bool timed_acquire(Sem& sem, std::int64_t* waited_ns) {
-  if (sem.try_acquire()) {
-    *waited_ns = 0;
-    return false;
-  }
+bool timed_acquire(Sem& sem, std::atomic<std::int64_t>& blocks,
+                   std::atomic<std::int64_t>& blocked_ns) {
+  if (sem.try_acquire()) return false;
   const auto t0 = std::chrono::steady_clock::now();
+  blocks.fetch_add(1, std::memory_order_release);
   sem.acquire();
   const auto t1 = std::chrono::steady_clock::now();
-  *waited_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+  blocked_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
+                       std::memory_order_relaxed);
   return true;
 }
 
@@ -34,12 +36,8 @@ ThreadedStreamBuffer::ThreadedStreamBuffer(std::size_t capacity)
 }
 
 void ThreadedStreamBuffer::push(Osdu&& osdu) {
-  std::int64_t waited = 0;
-  if (timed_acquire(free_slots_, &waited)) {
-    producer_blocked_ns_.fetch_add(waited, std::memory_order_relaxed);
-    producer_blocks_.fetch_add(1, std::memory_order_relaxed);
+  if (timed_acquire(free_slots_, producer_blocks_, producer_blocked_ns_))
     obs::Tracer::global().instant("ThreadedBuffer.producer_wait");
-  }
   CMTOS_DCHECK(tail_ < slots_.size());
   slots_[tail_] = std::move(osdu);
   tail_ = (tail_ + 1) % slots_.size();
@@ -47,12 +45,8 @@ void ThreadedStreamBuffer::push(Osdu&& osdu) {
 }
 
 Osdu* ThreadedStreamBuffer::acquire() {
-  std::int64_t waited = 0;
-  if (timed_acquire(filled_slots_, &waited)) {
-    consumer_blocked_ns_.fetch_add(waited, std::memory_order_relaxed);
-    consumer_blocks_.fetch_add(1, std::memory_order_relaxed);
+  if (timed_acquire(filled_slots_, consumer_blocks_, consumer_blocked_ns_))
     obs::Tracer::global().instant("ThreadedBuffer.consumer_wait");
-  }
   // acquire/release must alternate strictly: a second acquire would hand
   // out the same slot twice (consumer-thread state, so no atomics needed).
   CMTOS_ASSERT(!consumer_holds_slot_, "tbuf.acquire_unpaired");

@@ -62,7 +62,8 @@ class ThreadedStreamBuffer {
   std::int64_t consumer_blocked_ns() const { return consumer_blocked_ns_.load(); }
 
   /// Number of contended waits (operations that did not take the
-  /// try_acquire fast path) per side.
+  /// try_acquire fast path) per side.  A wait is counted when it starts,
+  /// so a count that has risen means that side is waiting for the peer.
   std::int64_t producer_blocks() const { return producer_blocks_.load(); }
   std::int64_t consumer_blocks() const { return consumer_blocks_.load(); }
 

@@ -100,6 +100,7 @@ QosReport read_report(ByteReader& r) {
 
 std::vector<std::uint8_t> ControlTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(kControlWireBytes);
   ByteWriter w(out);
   w.u8(wire_enum(type));
   w.u64(vc);

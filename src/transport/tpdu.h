@@ -47,6 +47,11 @@ enum class TpduType : std::uint8_t {
   kHB = 22,   // per-peer heartbeat: batched feedback + liveness (no VC id)
 };
 
+/// Encoded size of a ControlTpdu: every type writes every field, so the
+/// size is fixed (fields 304 + CRC trailer 4).  The encoder reserves
+/// exactly this much.
+inline constexpr std::size_t kControlWireBytes = 308;
+
 /// Connection-management TPDU.  One struct covers CR/CC/DR/DC/RCR/RCC/RDR/
 /// RN/RNC/QI; unused fields are ignored for a given type.
 struct ControlTpdu {

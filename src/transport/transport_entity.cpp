@@ -47,8 +47,10 @@ TransportEntity::TransportEntity(net::Network& network, net::NodeId node)
                                    [this](net::Packet&& p) { on_data_packet(std::move(p)); });
 }
 
-Time TransportEntity::local_now() const {
-  return network_.node(node_).clock().local_time(network_.scheduler().now());
+Time TransportEntity::local_now() const { return local_time(network_.scheduler().now()); }
+
+Time TransportEntity::local_time(Time t) const {
+  return network_.node(node_).clock().local_time(t);
 }
 
 Duration TransportEntity::to_true(Duration local) const {

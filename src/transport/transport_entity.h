@@ -85,8 +85,9 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// runs here, never on another node's shard.
   sim::NodeRuntime& runtime() { return network_.node(node_).runtime(); }
   net::NodeId node_id() const { return node_; }
-  /// This node's local (skewed) clock reading.
+  /// This node's local (skewed) clock reading, now or at true time `t`.
   Time local_now() const;
+  Time local_time(Time t) const;
   /// Converts a locally-timed duration (e.g. a pacing interval measured by
   /// this node's crystal) into true simulation time.  Protocol timers run
   /// off the node's hardware clock, so its drift distorts them — the §3.6

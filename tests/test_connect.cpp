@@ -121,6 +121,26 @@ TEST(Connect, NoSuchTsapAtDestination) {
   EXPECT_EQ(src_user.disconnects[0].second, DisconnectReason::kNoSuchTsap);
 }
 
+TEST(Connect, NonPositiveSamplePeriodIsRefused) {
+  // The sink's QoS monitor steps by the sample period: a CR carrying a zero
+  // or negative one is refused at the destination, not opened.
+  for (const Duration period : {Duration{0}, -kMillisecond}) {
+    ThreeHosts w;
+    ScriptedUser src_user(w.h(0).entity);
+    ScriptedUser dst_user(w.h(1).entity);
+    w.h(0).entity.bind(10, &src_user);
+    w.h(1).entity.bind(20, &dst_user);
+    auto req = basic_request({w.h(0).id, 10}, {w.h(1).id, 20});
+    req.sample_period = period;
+    const VcId vc = w.h(0).entity.t_connect_request(req);
+    w.p().run_until(kSecond);
+    EXPECT_TRUE(dst_user.connect_indications.empty());
+    EXPECT_EQ(w.h(1).entity.sink(vc), nullptr);
+    ASSERT_EQ(src_user.disconnects.size(), 1u);
+    EXPECT_EQ(src_user.disconnects[0].second, DisconnectReason::kProtocolError);
+  }
+}
+
 TEST(Connect, NoSuchTsapAtSourceForRemoteConnect) {
   ThreeHosts w;
   ScriptedUser initiator(w.h(2).entity);

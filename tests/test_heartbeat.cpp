@@ -215,7 +215,7 @@ TEST(HeartbeatFeedback, LostResumeIsNotAckedByTheSinkSidesOwnHeartbeats) {
 }
 
 // ====================================================================
-// Idle cost: nothing per VC but the QoS monitor
+// Idle cost: nothing per VC
 // ====================================================================
 
 /// One pair with `vcs` idle rate-based VCs (1 OSDU/s contract, nothing
@@ -268,8 +268,8 @@ TEST(HeartbeatIdleCost, IdleVcsSendNothingWithLivenessOff) {
   const auto [ab, ba] = idle.packets_over_one_second();
   EXPECT_EQ(ab, 0);
   EXPECT_EQ(ba, 0);
-  // The sinks' QoS monitors are the only per-VC events left.
-  EXPECT_LE(idle.w.platform.scheduler().pending(), kVcs);
+  // Nothing per VC, and with liveness off nothing per peer either.
+  EXPECT_EQ(idle.w.platform.scheduler().pending(), 0u);
 }
 
 TEST(HeartbeatIdleCost, LivenessHeartbeatsDoNotScaleWithVcCount) {
@@ -290,7 +290,8 @@ TEST(HeartbeatIdleCost, LivenessHeartbeatsDoNotScaleWithVcCount) {
   EXPECT_EQ(many_ba, one_ba);
   EXPECT_TRUE(many.src.disconnects.empty());
   EXPECT_TRUE(many.dst.disconnects.empty());
-  EXPECT_LE(many.w.platform.scheduler().pending(), 1000u + 2u);
+  // One heartbeat timer per peer direction, whatever the VC count.
+  EXPECT_LE(many.w.platform.scheduler().pending(), 2u);
 }
 
 }  // namespace

@@ -28,16 +28,16 @@ QosParams contract() {
 
 TEST(QosMonitorUnit, CleanPeriodNoViolation) {
   QosMonitor m(1, contract(), 1 * kSecond);
-  int violations = 0, samples = 0;
+  int violations = 0;
   m.set_on_violation([&](const QosReport&) { ++violations; });
-  m.set_on_sample([&](const QosReport&) { ++samples; });
   m.begin(0);
   for (int i = 0; i < 50; ++i) {
     m.on_osdu_completed(50 * kMillisecond);
     m.on_tpdu_received(1100);
   }
   m.end_period(1 * kSecond);
-  EXPECT_EQ(samples, 1);
+  EXPECT_EQ(m.last_report().sample_period, 1 * kSecond);
+  EXPECT_NEAR(m.last_report().measured_osdu_rate, 50.0, 1e-9);
   EXPECT_EQ(violations, 0);
 }
 
@@ -140,8 +140,7 @@ TEST(QosMonitorSeqWrap, WrapInsidePeriodDoesNotInflateOfferedLoad) {
 
 TEST(QosMonitorSeqWrap, ReorderingAcrossWrapKeepsTrueSpan) {
   QosMonitor m(1, contract(), 1 * kSecond);
-  QosReport last;
-  m.set_on_sample([&](const QosReport& r) { last = r; });
+  const QosReport& last = m.last_report();
   m.begin(0);
   for (std::uint32_t seq : {0xFFFFFFFEu, 1u, 0xFFFFFFFFu, 0u, 2u}) {
     m.on_osdu_seen(seq);
@@ -267,6 +266,80 @@ TEST(QosMonitorCoalescing, RenegotiationRestartsTheRun) {
   EXPECT_EQ(emitted[1].consecutive_violation_periods, 1u);
 }
 
+// --- lazy period closing: the O(1) catch-up equals closing every boundary ---
+
+void expect_same_report(const QosReport& ref, const QosReport& lazy) {
+  EXPECT_EQ(ref.sample_period, lazy.sample_period);
+  EXPECT_EQ(ref.measured_osdu_rate, lazy.measured_osdu_rate);
+  EXPECT_EQ(ref.measured_mean_delay, lazy.measured_mean_delay);
+  EXPECT_EQ(ref.measured_jitter, lazy.measured_jitter);
+  EXPECT_EQ(ref.measured_packet_error_rate, lazy.measured_packet_error_rate);
+  EXPECT_EQ(ref.measured_bit_error_rate, lazy.measured_bit_error_rate);
+  EXPECT_TRUE(ref.violations == lazy.violations);
+  EXPECT_EQ(ref.warmup, lazy.warmup);
+  EXPECT_EQ(ref.consecutive_violation_periods, lazy.consecutive_violation_periods);
+  EXPECT_EQ(ref.coalesced_periods, lazy.coalesced_periods);
+}
+
+/// `fed` violating periods, then `idle` periods with nothing fed, then one
+/// more violating period.  `ref` closes every idle boundary with
+/// end_period; `lazy` closes them all with one end_idle_periods call, as a
+/// sink does at its next feed.  Boundaries are read off a drifting clock,
+/// so the periods' local lengths differ.
+void expect_catch_up_matches(int warmup, int fed, std::int64_t idle) {
+  SCOPED_TRACE("warmup=" + std::to_string(warmup) + " fed=" + std::to_string(fed) +
+               " idle=" + std::to_string(idle));
+  const Duration period = 500 * kMillisecond;
+  const sim::LocalClock clock(3 * kMillisecond, 150.0);
+  auto boundary = [&](std::int64_t k) { return clock.local_time(k * period); };
+  QosMonitor ref(1, contract(), period);
+  QosMonitor lazy(1, contract(), period);
+  int ref_indications = 0, lazy_indications = 0;
+  ref.set_on_violation([&](const QosReport&) { ++ref_indications; });
+  lazy.set_on_violation([&](const QosReport&) { ++lazy_indications; });
+  for (QosMonitor* m : {&ref, &lazy}) {
+    m->set_warmup_periods(warmup);
+    m->begin(boundary(0));
+  }
+  // 25 offered and 10 served at 150 ms against 50/s and 100 ms: throughput
+  // and delay both violate.
+  std::int64_t k = 0;
+  auto violating_period = [&] {
+    for (QosMonitor* m : {&ref, &lazy}) {
+      for (std::uint32_t s = 0; s < 25; ++s) m->on_osdu_seen(static_cast<std::uint32_t>(k * 25) + s);
+      for (int i = 0; i < 10; ++i) {
+        m->on_tpdu_received(1000);
+        m->on_osdu_completed(150 * kMillisecond);
+      }
+      m->end_period(boundary(k + 1));
+    }
+    ++k;
+  };
+  for (int i = 0; i < fed; ++i) violating_period();
+
+  for (std::int64_t i = 1; i <= idle; ++i) ref.end_period(boundary(k + i));
+  if (idle > 0) lazy.end_idle_periods(idle, boundary(k + idle - 1), boundary(k + idle));
+  k += idle;
+  expect_same_report(ref.last_report(), lazy.last_report());
+  EXPECT_EQ(ref.violation_periods(), lazy.violation_periods());
+  EXPECT_EQ(ref_indications, lazy_indications);
+
+  // The next period starts at the last boundary: same span, same rate.
+  violating_period();
+  expect_same_report(ref.last_report(), lazy.last_report());
+  EXPECT_GT(lazy.last_report().measured_osdu_rate, 0.0);
+  EXPECT_EQ(ref.violation_periods(), lazy.violation_periods());
+  EXPECT_EQ(ref_indications, lazy_indications);
+}
+
+TEST(QosMonitorLazy, CatchUpWithWarmupPendingMatchesStepping) {
+  for (std::int64_t idle : {0, 1, 2, 1000}) expect_catch_up_matches(3, 0, idle);
+}
+
+TEST(QosMonitorLazy, CatchUpAfterWarmupMatchesStepping) {
+  for (std::int64_t idle : {0, 1, 2, 1000}) expect_catch_up_matches(1, 2, idle);
+}
+
 // --- end-to-end indication delivery ---
 
 struct MonitoredWorld {
@@ -326,6 +399,60 @@ TEST(QosIndication, DegradationReachesSinkAndSourceUsers) {
   // Relay to the source user over the QI control TPDU (§4.1.2 lists the
   // source address in the primitive).
   EXPECT_FALSE(w.src_user->qos_reports.empty());
+}
+
+/// A sink user that records when the VC opened and when each
+/// T-QoS.indication arrived.
+class TimedSinkUser : public ScriptedUser {
+ public:
+  TimedSinkUser(transport::TransportEntity& entity, sim::Scheduler& sched)
+      : ScriptedUser(entity), sched_(sched) {}
+  void t_connect_indication(VcId vc, const transport::ConnectRequest& req) override {
+    opened_at = sched_.now();  // the sink endpoint opens inside the response
+    ScriptedUser::t_connect_indication(vc, req);
+  }
+  void t_qos_indication(VcId vc, const QosReport& report) override {
+    indicated_at.push_back(sched_.now());
+    ScriptedUser::t_qos_indication(vc, report);
+  }
+  Time opened_at = -1;
+  std::vector<Time> indicated_at;
+
+ private:
+  sim::Scheduler& sched_;
+};
+
+TEST(QosIndication, IdleVcIndicatesOnThePeriodGrid) {
+  // The sink's monitor arms no timer while its VC is idle.  After 2.2 s of
+  // silence a burst arrives that the contract rate drains at 25/s, so the
+  // queueing delay breaks the 50 ms bound: the indication still lands
+  // exactly on the grid open + n * sample_period, at the boundary closing
+  // the first fed period (2.5 s).
+  PairPlatform w(lan_link(), 42, {}, sim::LocalClock(0, 200.0));
+  ScriptedUser src(w.a->entity);
+  TimedSinkUser dst(w.b->entity, w.platform.scheduler());
+  w.a->entity.bind(10, &src);
+  w.b->entity.bind(20, &dst);
+  const Duration period = 500 * kMillisecond;
+  auto req = basic_request({w.a->id, 10}, {w.b->id, 20}, 25.0, 512);
+  req.sample_period = period;
+  req.service_class.error_control = ErrorControl::kIndicate;
+  req.qos.preferred.end_to_end_delay = 50 * kMillisecond;
+  const VcId vc = w.a->entity.t_connect_request(req);
+  w.platform.run_until(100 * kMillisecond);
+  transport::Connection* source = w.a->entity.source(vc);
+  ASSERT_NE(source, nullptr);
+  ASSERT_GE(dst.opened_at, 0);
+
+  w.platform.run_until(dst.opened_at + 2200 * kMillisecond);
+  EXPECT_TRUE(dst.indicated_at.empty());
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(source->submit(std::vector<std::uint8_t>(400, 1)));
+  w.platform.run_until(dst.opened_at + 4 * kSecond);
+
+  ASSERT_FALSE(dst.indicated_at.empty());
+  EXPECT_TRUE(dst.qos_reports.front().violations.delay);
+  EXPECT_EQ(dst.indicated_at.front(), dst.opened_at + 5 * period);
+  for (Time t : dst.indicated_at) EXPECT_EQ((t - dst.opened_at) % period, 0) << t;
 }
 
 TEST(QosIndication, DistinctInitiatorAlsoNotified) {

@@ -401,8 +401,7 @@ TEST(QosMonitorBer, HighCorruptionStaysInPerBitMagnitude) {
   // (993 / 7e4 ~ 1.4e-2), a factor ~30 off and trending to infinity as the
   // good-packet count shrinks.
   transport::QosMonitor m(1, monitor_contract(), 1 * kSecond);
-  transport::QosReport rep;
-  m.set_on_sample([&](const transport::QosReport& r) { rep = r; });
+  const transport::QosReport& rep = m.last_report();
   m.begin(0);
   for (int i = 0; i < 7; ++i) m.on_tpdu_received(1250);
   for (int i = 0; i < 993; ++i) m.on_tpdu_corrupt(1250);
@@ -415,8 +414,7 @@ TEST(QosMonitorBer, HighCorruptionStaysInPerBitMagnitude) {
 TEST(QosMonitorBer, LowCorruptionMatchesOneFlippedBitPerTpdu) {
   // Small-f limit: f/B, i.e. ~one flipped bit per corrupt TPDU.
   transport::QosMonitor m(1, monitor_contract(), 1 * kSecond);
-  transport::QosReport rep;
-  m.set_on_sample([&](const transport::QosReport& r) { rep = r; });
+  const transport::QosReport& rep = m.last_report();
   m.begin(0);
   for (int i = 0; i < 999; ++i) m.on_tpdu_received(1250);
   m.on_tpdu_corrupt(1250);
@@ -426,8 +424,7 @@ TEST(QosMonitorBer, LowCorruptionMatchesOneFlippedBitPerTpdu) {
 
 TEST(QosMonitorBer, AllCorruptPeriodStaysFinite) {
   transport::QosMonitor m(1, monitor_contract(), 1 * kSecond);
-  transport::QosReport rep;
-  m.set_on_sample([&](const transport::QosReport& r) { rep = r; });
+  const transport::QosReport& rep = m.last_report();
   m.begin(0);
   for (int i = 0; i < 50; ++i) m.on_tpdu_corrupt(1250);
   m.end_period(1 * kSecond);
@@ -437,9 +434,7 @@ TEST(QosMonitorBer, AllCorruptPeriodStaysFinite) {
 
 TEST(QosMonitorBer, CleanPeriodIsZero) {
   transport::QosMonitor m(1, monitor_contract(), 1 * kSecond);
-  transport::QosReport rep;
-  rep.measured_bit_error_rate = 1.0;
-  m.set_on_sample([&](const transport::QosReport& r) { rep = r; });
+  const transport::QosReport& rep = m.last_report();
   m.begin(0);
   for (int i = 0; i < 50; ++i) m.on_tpdu_received(1250);
   m.end_period(1 * kSecond);
@@ -451,7 +446,6 @@ TEST(QosMonitorWarmup, ReportsAreFlaggedAndSuppressed) {
   m.set_warmup_periods(1);
   std::vector<transport::QosReport> samples;
   int violations = 0;
-  m.set_on_sample([&](const transport::QosReport& r) { samples.push_back(r); });
   m.set_on_violation([&](const transport::QosReport&) { ++violations; });
   m.begin(0);
 
@@ -461,8 +455,10 @@ TEST(QosMonitorWarmup, ReportsAreFlaggedAndSuppressed) {
   };
   violate();
   m.end_period(1 * kSecond);  // warmup period: flagged, not indicated
+  samples.push_back(m.last_report());
   violate();
   m.end_period(2 * kSecond);  // live period: indicated
+  samples.push_back(m.last_report());
 
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_TRUE(samples[0].warmup);

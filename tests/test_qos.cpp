@@ -302,6 +302,7 @@ TEST(Tpdu, ReservedSizesMatchWhatTheWritersEmit) {
   dt.encode_onto(pkt);
   EXPECT_EQ(pkt.payload.size(), kDtPacketHeaderBytes);
   EXPECT_EQ(FeedbackTpdu{}.encode().size(), kFeedbackWireBytes);
+  EXPECT_EQ(ControlTpdu{}.encode().size(), kControlWireBytes);
 }
 
 TEST(Tpdu, PeekTypeAndVc) {

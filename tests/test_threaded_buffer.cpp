@@ -19,6 +19,19 @@ Osdu make(std::uint32_t seq, std::size_t bytes = 64) {
   return o;
 }
 
+/// Spins until `count()` reaches `n`: the peer has missed the fast path and
+/// is committed to waiting.  Gives up after 10 s, so a broken counter
+/// fails the test (the caller still releases the peer) instead of hanging.
+template <typename Count>
+bool waiting(Count count, std::int64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (count() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST(ThreadedBuffer, SingleThreadedFifo) {
   ThreadedStreamBuffer b(4);
   // One thread playing both SPSC roles: hold both role capabilities.
@@ -68,26 +81,25 @@ TEST(ThreadedBuffer, BlockingTimeAccumulatesForSlowConsumer) {
   // Deterministic form of "the producer outpaces the consumer": each
   // episode fills the ring uncontended, then the next push must block on
   // the full ring until a pop frees a slot (the statistic the orchestration
-  // service consumes, §3.7/§6.3.1.2).  Assertions are on the contended-wait
-  // counter and monotone accumulation, never on wall-clock thresholds,
-  // which made the previous version flaky on loaded CI machines.
+  // service consumes, §3.7/§6.3.1.2).  The pop is gated on the producer
+  // having missed the fast path (its contended-wait count rose), so however
+  // the threads are scheduled the push really waits.  Assertions are on the
+  // counter and monotone accumulation, never on wall-clock thresholds.
   ThreadedStreamBuffer b(2);
   // The main thread seeds the ring (producer role) and drains it (consumer
   // role); the spawned thread takes over the producer role for the one
-  // contended push per episode, after the handshake.
+  // contended push per episode.
   ThreadRoleGuard prod(b.producer_role());
   ThreadRoleGuard cons(b.consumer_role());
   std::int64_t prev_ns = 0;
   for (int episode = 1; episode <= 3; ++episode) {
     b.push(make(0));
     b.push(make(1));  // ring now full, both pushes uncontended
-    std::atomic<bool> pushing{false};
     std::thread producer([&] {
       ThreadRoleGuard thread_prod(b.producer_role());
-      pushing.store(true);
       b.push(make(2));  // full ring: must wait for the pop below
     });
-    while (!pushing.load()) std::this_thread::yield();
+    EXPECT_TRUE(waiting([&] { return b.producer_blocks(); }, episode));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_EQ(b.pop().seq, 0u);  // frees a slot, releases the producer
     producer.join();
@@ -102,18 +114,16 @@ TEST(ThreadedBuffer, BlockingTimeAccumulatesForSlowConsumer) {
 
 TEST(ThreadedBuffer, BlockingTimeAccumulatesForSlowProducer) {
   // Mirror image: each episode the consumer waits on the empty ring until
-  // the delayed push arrives.  Same deterministic handshake-gated pattern.
+  // the delayed push arrives, gated on the consumer's contended-wait count.
   ThreadedStreamBuffer b(2);
   ThreadRoleGuard prod(b.producer_role());
   std::int64_t prev_ns = 0;
   for (int episode = 1; episode <= 3; ++episode) {
-    std::atomic<bool> popping{false};
     std::thread consumer([&] {
       ThreadRoleGuard cons(b.consumer_role());
-      popping.store(true);
       EXPECT_EQ(b.pop().seq, static_cast<std::uint32_t>(episode));  // empty ring: must wait
     });
-    while (!popping.load()) std::this_thread::yield();
+    EXPECT_TRUE(waiting([&] { return b.consumer_blocks(); }, episode));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     b.push(make(static_cast<std::uint32_t>(episode)));
     consumer.join();
@@ -126,19 +136,17 @@ TEST(ThreadedBuffer, BlockingTimeAccumulatesForSlowProducer) {
 
 TEST(ThreadedBuffer, ConsumerContendedWaitIsCounted) {
   // The semaphore's try_acquire fast path spins briefly, so contention
-  // only registers when the peer is genuinely absent.  Gate the pop on a
-  // handshake flag and delay the push well past the spin window; assert on
-  // the contended-wait *counter* (not a wall-clock threshold), which stays
-  // robust on loaded CI machines.
+  // only registers when the peer is genuinely absent.  Push only once the
+  // consumer has missed the fast path (its contended-wait count rose) and
+  // assert on that counter, not on a wall-clock threshold, so the result
+  // does not depend on how the threads are scheduled.
   ThreadedStreamBuffer b(2);
   ThreadRoleGuard prod(b.producer_role());
-  std::atomic<bool> popping{false};
   std::thread consumer([&] {
     ThreadRoleGuard cons(b.consumer_role());
-    popping.store(true);
     EXPECT_EQ(b.pop().seq, 7u);
   });
-  while (!popping.load()) std::this_thread::yield();
+  EXPECT_TRUE(waiting([&] { return b.consumer_blocks(); }, 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   b.push(make(7));
   consumer.join();
@@ -154,13 +162,11 @@ TEST(ThreadedBuffer, ProducerContendedWaitIsCounted) {
     ThreadRoleGuard seed_prod(b.producer_role());
     b.push(make(0));  // fills the ring uncontended
   }
-  std::atomic<bool> pushing{false};
   std::thread producer([&] {
     ThreadRoleGuard prod(b.producer_role());
-    pushing.store(true);
     b.push(make(1));  // ring full: must wait for the pop
   });
-  while (!pushing.load()) std::this_thread::yield();
+  EXPECT_TRUE(waiting([&] { return b.producer_blocks(); }, 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(b.pop().seq, 0u);
   producer.join();
