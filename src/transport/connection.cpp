@@ -684,6 +684,11 @@ void Connection::complete_osdu(std::int64_t osdu_seq) {
   if (monitor_) monitor_->on_osdu_completed(entity_.local_now() - p.src_timestamp);
   if (on_osdu_arrival_) on_osdu_arrival_(osdu);
 
+  // Delivery stalls behind a hole only once an OSDU waits past it: the
+  // hole timeout and the NAK retry clock run from then, not from the last
+  // in-order delivery, so a repair that is already on its way (NAK sent
+  // when the gap showed, retransmission a pacer tick later) is not skipped.
+  if (completed_.empty()) last_hole_progress_ = sched_.now();
   completed_.emplace(osdu_seq, std::move(osdu));
   deliver_ready();
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "fixtures.h"
+#include "transport/tpdu.h"
 
 namespace cmtos::test {
 namespace {
@@ -266,6 +269,53 @@ TEST(ErrorControl, NakRecoveryDeliversEverythingDespiteLoss) {
   // With NAK recovery everything (or nearly everything — retries are
   // bounded) arrives.
   EXPECT_GE(wire.sink->stats().osdus_delivered, kCount * 95 / 100);
+}
+
+// A correcting VC carrying one-TPDU OSDUs (audio blocks) only learns of a
+// lost TPDU when the next one arrives, one OSDU period later; the repair
+// then waits up to one more pacer period at the source.  The hole timeout
+// must run from when delivery stalls (an OSDU queued behind the hole), not
+// from the last in-order delivery, or every such repair arrives after the
+// sink has already skipped the hole.
+TEST(ErrorControl, NakRepairBeatsHoleTimeoutAtLowOsduRate) {
+  PairPlatform w(lan_link(), 3);
+  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 30.0, 300);
+  req.qos.preferred.delay_jitter = 10 * kMillisecond;  // hole timeout 50 ms
+  req.service_class.error_control = ErrorControl::kCorrect;
+  req.buffer_osdus = 32;
+  Wire wire(w, req);
+  ASSERT_NE(wire.source, nullptr);
+
+  // Drop the first transmission of five TPDUs spread over the run.
+  const std::set<std::uint32_t> victims = {5, 11, 19, 26, 40};
+  int dropped = 0;
+  net::Node& node_b = w.platform.network().node(w.b->id);
+  net::Node::Handler data = node_b.handler(net::Proto::kTransportData);
+  node_b.set_handler(net::Proto::kTransportData, [&, data](net::Packet&& pkt) {
+    if (auto dt = transport::DataTpdu::decode_packet(pkt)) {
+      if ((dt->flags & transport::kDtRetransmission) == 0 && victims.count(dt->tpdu_seq) > 0) {
+        ++dropped;
+        return;
+      }
+    }
+    data(std::move(pkt));
+  });
+
+  // Paced like a live source: one OSDU per 1/30 s.
+  int submitted = 0;
+  std::size_t delivered = 0;
+  for (int i = 0; i < 60; ++i) {
+    submitted += wire.source->submit(payload(300, 5));
+    w.platform.run_until(w.platform.scheduler().now() + 33 * kMillisecond);
+    delivered += drain(*wire.sink).size();
+  }
+  w.platform.run_until(w.platform.scheduler().now() + kSecond);
+  delivered += drain(*wire.sink).size();
+
+  EXPECT_EQ(dropped, 5);
+  EXPECT_EQ(wire.source->stats().tpdus_retransmitted, 5);
+  EXPECT_EQ(wire.sink->stats().osdus_skipped, 0);
+  EXPECT_EQ(delivered, static_cast<std::size_t>(submitted));
 }
 
 TEST(ErrorControl, CorruptionDetectedByCrc) {

@@ -9,8 +9,8 @@
 // per-fragment copy or per-packet buffer shows up here as a step in the
 // allocs-per-OSDU curve long before it shows up in a wall-clock bench.
 //
-// This file replaces global operator new (alloc_hooks.h), so it must stay
-// a single-TU binary of its own.
+// The binary links bench/alloc_hooks.cpp, which replaces the global
+// operator new with a counting one.
 
 #include "alloc_hooks.h"
 
