@@ -308,7 +308,6 @@ class StallSink : public platform::DeviceUser {
  public:
   StallSink(platform::Platform& platform, platform::Host& host, net::Tsap tsap)
       : DeviceUser(host.entity, tsap), platform_(platform) {}
-  ~StallSink() override { tick_.cancel(); }
 
   void set_stalled(bool stalled) { stalled_ = stalled; }
   transport::Connection* conn() { return conn_; }
@@ -331,7 +330,7 @@ class StallSink : public platform::DeviceUser {
     if (conn_ != nullptr && !stalled_) {
       if (conn_->receive()) ++consumed_;
     }
-    tick_ = platform_.scheduler().after(period_, [this] { tick(); });
+    tick_.after(platform_.scheduler(), period_, [this] { tick(); });
   }
 
   platform::Platform& platform_;
@@ -339,7 +338,7 @@ class StallSink : public platform::DeviceUser {
   Duration period_ = 40 * kMillisecond;
   bool stalled_ = false;
   std::int64_t consumed_ = 0;
-  sim::EventHandle tick_;
+  sim::Timer tick_;
 };
 
 bool consumer_stall(std::uint64_t seed, unsigned threads) {

@@ -6,8 +6,6 @@ LiveSource::LiveSource(platform::Platform& platform, platform::Host& host, net::
                        LiveConfig config)
     : DeviceUser(host.entity, tsap), platform_(platform), host_(host), config_(config) {}
 
-LiveSource::~LiveSource() { tick_.cancel(); }
-
 void LiveSource::switch_on() {
   on_ = true;
   if (!conns_.empty() && !capturing_) {
@@ -55,7 +53,7 @@ void LiveSource::tick() {
   // buffer, so the tick never needs a serialised executor round.
   auto& node = platform_.network().node(host_.id);
   const Duration local_period = static_cast<Duration>(1e9 / config_.rate);
-  tick_ = node.runtime().after(node.clock().true_duration(local_period), [this] { tick(); });
+  tick_.after(node.runtime(), node.clock().true_duration(local_period), [this] { tick(); });
 }
 
 }  // namespace cmtos::media

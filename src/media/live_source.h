@@ -31,7 +31,6 @@ class CMTOS_SHARD_AFFINE LiveSource : public platform::DeviceUser {
  public:
   LiveSource(platform::Platform& platform, platform::Host& host, net::Tsap tsap,
              LiveConfig config);
-  ~LiveSource() override;
 
   struct Stats {
     std::int64_t frames_captured = 0;
@@ -60,7 +59,7 @@ class CMTOS_SHARD_AFFINE LiveSource : public platform::DeviceUser {
   bool on_ = true;
   bool capturing_ = false;
   std::uint32_t index_ = 0;
-  sim::EventHandle tick_;
+  sim::Timer tick_;
   Stats stats_;
 };
 

@@ -9,7 +9,6 @@ RenderingSink::RenderingSink(platform::Platform& platform, platform::Host& host,
     : DeviceUser(host.entity, tsap), platform_(platform), host_(host), config_(config) {}
 
 RenderingSink::~RenderingSink() {
-  tick_.cancel();
   if (vc_ != transport::kInvalidVc) host_.app_mux.detach(vc_);
 }
 
@@ -76,8 +75,8 @@ void RenderingSink::render_tick() {
   // Rendering cadence is node-local, like the capture tick.
   auto& node = platform_.network().node(host_.id);
   const Duration local_period = static_cast<Duration>(1e9 / rate_);
-  tick_ = node.runtime().after(node.clock().true_duration(local_period),
-                               [this] { render_tick(); });
+  tick_.after(node.runtime(), node.clock().true_duration(local_period),
+              [this] { render_tick(); });
 }
 
 }  // namespace cmtos::media

@@ -101,7 +101,7 @@ class CMTOS_SHARD_AFFINE RenderingSink : public platform::DeviceUser, public orc
   std::int64_t last_seq_ = -1;
   std::int64_t base_seq_ = -1;
   Time last_render_true_time_ = 0;
-  sim::EventHandle tick_;
+  sim::Timer tick_;
   Stats stats_;
   std::vector<DeliveryRecord> records_;
 };

@@ -16,7 +16,6 @@ class StoredMediaServer::TrackEndpoint : public DeviceUser, public orch::OrchApp
         config_(config) {}
 
   ~TrackEndpoint() override {
-    tick_.cancel();
     if (vc_ != transport::kInvalidVc) server_.host_.app_mux.detach(vc_);
   }
 
@@ -100,7 +99,7 @@ class StoredMediaServer::TrackEndpoint : public DeviceUser, public orch::OrchApp
     auto& node = server_.platform_.network().node(server_.host_.id);
     const auto& clock = node.clock();
     const Duration local_period = static_cast<Duration>(1e9 / config_.paced_rate);
-    tick_ = node.runtime().after(clock.true_duration(local_period), [this] {
+    tick_.after(node.runtime(), clock.true_duration(local_period), [this] {
       if (!producing_ || conn_ == nullptr || stats.end_of_track) return;
       if (!submit_next()) ++stats.production_blocked_events;  // frame skipped this period
       schedule_paced_tick();
@@ -129,7 +128,7 @@ class StoredMediaServer::TrackEndpoint : public DeviceUser, public orch::OrchApp
   VcId vc_ = transport::kInvalidVc;
   Connection* conn_ = nullptr;
   bool producing_ = false;
-  sim::EventHandle tick_;
+  sim::Timer tick_;
 };
 
 StoredMediaServer::StoredMediaServer(platform::Platform& platform, platform::Host& host,

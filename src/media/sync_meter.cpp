@@ -7,7 +7,7 @@ namespace cmtos::media {
 void SyncMeter::begin(Duration period) { sample_tick(period); }
 
 void SyncMeter::sample_tick(Duration period) {
-  tick_ = sched_.after(period, [this, period] {
+  tick_.after(sched_, period, [this, period] {
     Sample s;
     s.t = sched_.now();
     s.positions_s.reserve(streams_.size());

@@ -29,7 +29,6 @@ namespace cmtos::media {
 class SyncMeter {
  public:
   explicit SyncMeter(sim::Scheduler& sched) : sched_(sched) {}
-  ~SyncMeter() { tick_.cancel(); }
 
   void add_stream(const std::string& name, const RenderingSink* sink) {
     streams_.push_back({name, sink});
@@ -67,7 +66,7 @@ class SyncMeter {
   sim::Scheduler& sched_;
   std::vector<StreamRef> streams_;
   std::vector<Sample> samples_;
-  sim::EventHandle tick_;
+  sim::Timer tick_;
 };
 
 }  // namespace cmtos::media

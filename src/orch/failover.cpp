@@ -19,11 +19,6 @@ FailoverSupervisor::FailoverSupervisor(sim::Scheduler& sched, Orchestrator& orch
       alive_(std::move(alive)),
       cfg_(cfg) {}
 
-FailoverSupervisor::~FailoverSupervisor() {
-  timer_.cancel();
-  retry_timer_.cancel();
-}
-
 void FailoverSupervisor::watch(std::unique_ptr<OrchSession> session) {
   session_ = std::move(session);
   policy_ = session_->agent().policy();
@@ -35,7 +30,7 @@ void FailoverSupervisor::watch(std::unique_ptr<OrchSession> session) {
 
 void FailoverSupervisor::check() {
   poll();
-  if (!polled_) timer_ = sched_.after(cfg_.check_interval, [this] { check(); });
+  if (!polled_) timer_.after(sched_, cfg_.check_interval, [this] { check(); });
 }
 
 void FailoverSupervisor::poll() {
@@ -204,7 +199,7 @@ void FailoverSupervisor::retry_or_orphan() {
   obs::Registry::global().counter("orch.failover_retries", {}).add();
   CMTOS_WARN("failover", "rebuild attempt %d failed; retrying in %lld us", recovery_.attempt,
              static_cast<long long>(backoff));
-  retry_timer_ = sched_.after(backoff, [this, gen = generation_] {
+  retry_timer_.after(sched_, backoff, [this, gen = generation_] {
     if (gen != generation_ || !failing_over_) return;
     attempt_rebuild();
   });
@@ -221,8 +216,6 @@ FailoverFleet::FailoverFleet(sim::Scheduler& sched, Orchestrator& orch,
       alive_(std::move(alive)),
       cfg_(cfg) {}
 
-FailoverFleet::~FailoverFleet() { timer_.cancel(); }
-
 FailoverSupervisor& FailoverFleet::watch(std::unique_ptr<OrchSession> session) {
   const std::size_t idx = entries_.size();
   auto sup = std::unique_ptr<FailoverSupervisor>(
@@ -232,7 +225,7 @@ FailoverSupervisor& FailoverFleet::watch(std::unique_ptr<OrchSession> session) {
   entries_.push_back(Entry{std::move(sup), net::kInvalidNode});
   entries_[idx].sup->watch(std::move(session));  // indexes via the hook
   if (!timer_.pending())
-    timer_ = sched_.after(cfg_.check_interval, [this] { tick(); });
+    timer_.after(sched_, cfg_.check_interval, [this] { tick(); });
   return *entries_[idx].sup;
 }
 
@@ -286,7 +279,7 @@ void FailoverFleet::tick() {
   last_tick_polls_ = polls;
   obs::Registry::global().set_gauge("orch.failover_poll_len",
                                     static_cast<double>(polls));
-  timer_ = sched_.after(cfg_.check_interval, [this] { tick(); });
+  timer_.after(sched_, cfg_.check_interval, [this] { tick(); });
 }
 
 int FailoverFleet::failovers() const {

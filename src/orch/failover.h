@@ -74,7 +74,6 @@ class CMTOS_CONTROL_PLANE FailoverSupervisor {
   FailoverSupervisor(sim::Scheduler& sched, Orchestrator& orch,
                      Orchestrator::LloResolver resolver, NodeAliveFn alive,
                      FailoverConfig cfg = {});
-  ~FailoverSupervisor();
 
   FailoverSupervisor(const FailoverSupervisor&) = delete;
   FailoverSupervisor& operator=(const FailoverSupervisor&) = delete;
@@ -163,8 +162,8 @@ class CMTOS_CONTROL_PLANE FailoverSupervisor {
   };
   Recovery recovery_;
   OrchPolicy policy_;
-  sim::EventHandle timer_;
-  sim::EventHandle retry_timer_;
+  sim::Timer timer_;
+  sim::Timer retry_timer_;
   std::uint32_t epoch_ = 1;  // epoch of the current incarnation
   int failovers_ = 0;
   int retries_ = 0;
@@ -204,7 +203,6 @@ class CMTOS_CONTROL_PLANE FailoverFleet {
   FailoverFleet(sim::Scheduler& sched, Orchestrator& orch,
                 Orchestrator::LloResolver resolver, NodeAliveFn alive,
                 FailoverConfig cfg = {});
-  ~FailoverFleet();
 
   FailoverFleet(const FailoverFleet&) = delete;
   FailoverFleet& operator=(const FailoverFleet&) = delete;
@@ -248,7 +246,7 @@ class CMTOS_CONTROL_PLANE FailoverFleet {
   FlatMap<net::NodeId, Bucket> by_node_;
   std::vector<FailoverSupervisor*> recovering_;
   std::size_t last_tick_polls_ = 0;
-  sim::EventHandle timer_;
+  sim::Timer timer_;
 };
 
 }  // namespace cmtos::orch

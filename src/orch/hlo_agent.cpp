@@ -31,7 +31,6 @@ HloAgent::HloAgent(Llo& llo, OrchSessionId session, std::vector<OrchStreamSpec> 
 }
 
 HloAgent::~HloAgent() {
-  tick_.cancel();
   llo_.set_regulate_callback(session_, nullptr);
   llo_.set_event_callback(session_, nullptr);
   llo_.set_vc_dead_callback(session_, nullptr);
@@ -283,8 +282,8 @@ void HloAgent::interval_tick() {
   // reference), not ideal simulation time.  It is a node-local event: the
   // tick only reads agent state and issues regulate() fan-outs, so
   // steady-state orchestration never forces a serial executor round.
-  tick_ = llo_.entity().runtime().after(llo_.entity().to_true(policy_.interval),
-                                        [this] { interval_tick(); });
+  tick_.after(llo_.entity().runtime(), llo_.entity().to_true(policy_.interval),
+              [this] { interval_tick(); });
 }
 
 void HloAgent::on_regulate(const RegulateIndication& ind) {

@@ -245,7 +245,7 @@ class HloAgent {
   Time start_master_time_ = 0;
   Time last_report_ = 0;
   std::uint32_t next_interval_id_ = 1;
-  sim::EventHandle tick_;
+  sim::Timer tick_;
   // Ordered per-stream iteration feeds interval_tick and status(); the
   // federation bounds a domain agent to tens of VCs, never the 10k table.
   std::map<transport::VcId, VcStatus> status_;  // cmtos-analyze: allow(hot-path-map)

@@ -74,8 +74,7 @@ Llo::Llo(net::Network& network, net::NodeId node, transport::TransportEntity& en
     : network_(network),
       node_(node),
       entity_(entity),
-      timers_(network.node(node).runtime()),
-      table_(*this, timers_),
+      table_(*this),
       reg_(*this) {
   network_.node(node_).set_handler(net::Proto::kOrch,
                                    [this](net::Packet&& p) { on_opdu_packet(std::move(p)); });
@@ -100,7 +99,6 @@ void Llo::send_opdu(net::NodeId dst, const Opdu& o) {
 void Llo::crash() {
   table_.crash();
   reg_.crash();
-  timers_.cancel_all();
   clock_probes_.clear();
   down_ = true;
   CMTOS_WARN("llo", "node %u: LLO crashed, all orchestration state dropped", node_);
@@ -131,10 +129,10 @@ void Llo::estimate_clock_offset(net::NodeId peer, int probes,
     o.t_origin = entity_.local_now();
     send_opdu(peer, o);
   }
-  // Unanswered probes are abandoned after a generous deadline.  The timer
-  // deliberately stays outside timers_: a crash must not cancel it, so the
-  // caller's estimate still completes (with the probes it got) even after
-  // the node drops its orchestration state.
+  // Unanswered probes are abandoned after a generous deadline.  The event
+  // is deliberately unowned: a crash must not cancel it, so the caller's
+  // estimate still completes (with the probes it got) even after the node
+  // drops its orchestration state.
   rt().after_global(2 * kSecond, [this, session, ids] {
     session->finish();
     for (auto id : ids) clock_probes_.erase(id);

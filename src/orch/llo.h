@@ -40,7 +40,6 @@
 #include "orch/orch_types.h"
 #include "orch/regulation_engine.h"
 #include "orch/session_table.h"
-#include "transport/timer_set.h"
 #include "transport/transport_entity.h"
 #include "util/thread_annotations.h"
 
@@ -236,9 +235,6 @@ class CMTOS_SHARD_AFFINE Llo {
   OrchAppHandler* app_ = nullptr;
   bool down_ = false;
 
-  /// Orchestration timers that die as a unit on crash() (currently the
-  /// group-operation timeouts; see SessionTable).
-  transport::TimerSet timers_;
   SessionTable table_;   // orchestrating role
   RegulationEngine reg_; // endpoint role
 

@@ -20,10 +20,6 @@ RegulationEngine::VcLocal* RegulationEngine::local(LocalKey key) {
 }
 
 void RegulationEngine::crash() {
-  for (auto& [k, st] : locals_) {
-    st.slot_timer.cancel();
-    st.src_timer.cancel();
-  }
   locals_.clear();
   vc_epoch_.clear();
   vc_regulator_.clear();
@@ -119,8 +115,6 @@ void RegulationEngine::attach_endpoint(OrchSessionId s, const OrchVcInfo& info,
 void RegulationEngine::detach_endpoint(LocalKey key) {
   VcLocal* st = local(key);
   if (st == nullptr) return;
-  st->slot_timer.cancel();
-  st->src_timer.cancel();
   if (st->is_sink) {
     if (Connection* conn = llo_.entity_.sink(key.second)) {
       conn->set_on_osdu_arrival(nullptr);
@@ -395,7 +389,7 @@ void RegulationEngine::handle_regulate_sink(const Opdu& o) {
   conn->buffer().reset_window(st->interval_start);
 
   const Duration slot_len = std::max<Duration>(1, o.interval / kSlotsPerInterval);
-  st->slot_timer = llo_.rt().after(slot_len, [this, key] { regulation_slot(key); });
+  st->slot_timer.after(llo_.rt(), slot_len, [this, key] { regulation_slot(key); });
 }
 
 void RegulationEngine::regulation_slot(LocalKey key) {
@@ -449,7 +443,7 @@ void RegulationEngine::regulation_slot(LocalKey key) {
     return;
   }
   const Duration slot_len = std::max<Duration>(1, st->interval / kSlotsPerInterval);
-  st->slot_timer = llo_.rt().after(slot_len, [this, key] { regulation_slot(key); });
+  st->slot_timer.after(llo_.rt(), slot_len, [this, key] { regulation_slot(key); });
 }
 
 void RegulationEngine::finish_sink_interval(LocalKey key) {
@@ -495,7 +489,7 @@ void RegulationEngine::handle_regulate_src(const Opdu& o) {
   st->src_dropped = 0;
   st->src_interval_id = o.interval_id;
   conn->buffer().reset_window(llo_.rt().now());
-  st->src_timer = llo_.rt().after(o.interval, [this, key] { finish_src_interval(key); });
+  st->src_timer.after(llo_.rt(), o.interval, [this, key] { finish_src_interval(key); });
 }
 
 void RegulationEngine::finish_src_interval(LocalKey key) {

@@ -103,12 +103,12 @@ class CMTOS_SHARD_AFFINE RegulationEngine {
     std::uint32_t drops_requested = 0;
     int slot = 0;
     net::NodeId drop_target = net::kInvalidNode;
-    sim::EventHandle slot_timer;
+    sim::Timer slot_timer;
     // Source-side regulation:
     std::uint32_t src_budget = 0;
     std::uint32_t src_dropped = 0;
     std::uint32_t src_interval_id = 0;
-    sim::EventHandle src_timer;
+    sim::Timer src_timer;
     // Prime:
     bool primed_reported = false;
     // Events:

@@ -10,7 +10,6 @@
 
 namespace cmtos::orch {
 
-using transport::TimerKind;
 using transport::VcId;
 
 SessionTable::Session* SessionTable::session(OrchSessionId s) {
@@ -76,7 +75,6 @@ void SessionTable::orch_release(OrchSessionId s) {
   Session* sess = session(s);
   if (sess == nullptr) return;
   release_remote(s, sess->vcs);
-  timers_.cancel(TimerKind::kOpTimeout, s);
   sessions_.erase(s);
   session_epochs_.erase(s);
 }
@@ -120,8 +118,6 @@ void SessionTable::note_malformed_opdu(net::NodeId peer) {
 }
 
 void SessionTable::crash() {
-  for (auto& [s, sess] : sessions_)
-    for (auto& [k, merge] : sess.reg_merge) merge.timeout.cancel();
   sessions_.clear();
   session_epochs_.clear();
   on_regulate_.clear();
@@ -155,7 +151,7 @@ void SessionTable::fan_out(OrchSessionId sid, Session& sess, OpduType type, std:
   }
   // The timeout path delivers failure to (possibly facade-side) callers,
   // so it runs as a global event.
-  timers_.arm_global(TimerKind::kOpTimeout, sid, op_timeout_, [this, sid] {
+  op->timeout.after_global(llo_.rt(), op_timeout_, [this, sid] {
     Session* se = session(sid);
     if (se == nullptr || se->op == nullptr) return;
     auto timed_out = std::move(se->op);
@@ -338,8 +334,8 @@ void SessionTable::regulate(OrchSessionId s, VcId vc, std::int64_t target_seq,
   // A fired merge window hands a (partial) indication to the HLO agent; it
   // is scheduled far beyond any round horizon and cancelled on the happy
   // path, so declaring it global costs no parallel rounds.
-  merge.timeout = llo_.rt().after_global(
-      interval + interval / 2 + 100 * kMillisecond, [this, s, key] {
+  merge.timeout.after_global(
+      llo_.rt(), interval + interval / 2 + 100 * kMillisecond, [this, s, key] {
         Session* se = session(s);
         if (se == nullptr) return;
         auto mit = se->reg_merge.find(key);
@@ -450,7 +446,6 @@ void SessionTable::finish_op(OrchSessionId s, Session& sess) {
   PendingOp& op = *sess.op;
   if (op.awaiting > 0) return;
   if (!op.failed && !op.primed_wanted.empty()) return;  // prime: wait for buffers to fill
-  timers_.cancel(TimerKind::kOpTimeout, s);
   auto finished = std::move(sess.op);
   set_phase(s, sess, finished->failed ? finished->revert_phase : finished->commit_phase);
   if (finished->span_id != 0)
@@ -472,7 +467,6 @@ void SessionTable::emit_regulate_ind(OrchSessionId s, std::pair<VcId, std::uint3
   if (sess == nullptr) return;
   auto it = sess->reg_merge.find(key);
   if (it == sess->reg_merge.end()) return;
-  it->second.timeout.cancel();
   if (it->second.span_id != 0)
     obs::Tracer::global().async_end("Orch.Regulate", it->second.span_id,
                                     static_cast<int>(llo_.node_),
@@ -560,7 +554,6 @@ void SessionTable::handle_vc_dead(const Opdu& o) {
   // Orphan any in-flight regulation merges for the dead VC.
   for (auto mit = sess->reg_merge.begin(); mit != sess->reg_merge.end();) {
     if (mit->first.first == o.vc) {
-      mit->second.timeout.cancel();
       if (mit->second.span_id != 0)
         obs::Tracer::global().async_end("Orch.Regulate", mit->second.span_id,
                                         static_cast<int>(llo_.node_),

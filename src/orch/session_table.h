@@ -7,11 +7,10 @@
 // Orch.Regulate.indication handed to the HLO agent.
 //
 // The table shares the Llo's wire I/O and node identity through a back
-// reference; its group-operation timeouts live in the Llo's TimerSet
-// (TimerKind::kOpTimeout, keyed by session id) so a node crash drops them
-// with every other orchestration timer.  Regulate-merge windows keep raw
-// EventHandles: their (vc, interval_id) key does not fit a TimerSet slot,
-// and two windows for the same VC legitimately overlap.
+// reference.  Each pending group operation owns its timeout and each
+// regulate-merge window its close timer, so finishing the operation,
+// closing the window, releasing the session or a node crash (which clears
+// the table) cancels them with the record.
 
 #pragma once
 
@@ -23,7 +22,6 @@
 
 #include "orch/orch_types.h"
 #include "sim/node_runtime.h"
-#include "transport/timer_set.h"
 #include "util/slot_table.h"
 #include "util/quarantine.h"
 #include "util/thread_annotations.h"
@@ -34,7 +32,7 @@ class Llo;
 
 class CMTOS_SHARD_AFFINE SessionTable {
  public:
-  SessionTable(Llo& llo, transport::TimerSet& timers) : llo_(llo), timers_(timers) {}
+  explicit SessionTable(Llo& llo) : llo_(llo) {}
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
 
@@ -110,9 +108,8 @@ class CMTOS_SHARD_AFFINE SessionTable {
     auto it = sessions_.find(s);
     return it == sessions_.end() ? SessionPhase::kEstablishing : it->second.phase;
   }
-  /// Drops every orchestrating-side structure: sessions, pending ops,
-  /// merge windows, registered callbacks.  The op timeouts die when the
-  /// Llo cancels the shared TimerSet.
+  /// Drops every orchestrating-side structure, with its timers: sessions,
+  /// pending ops, merge windows, registered callbacks.
   void crash();
 
  private:
@@ -131,12 +128,13 @@ class CMTOS_SHARD_AFFINE SessionTable {
     // Tracing: open async span for this op (0 = none).
     std::uint64_t span_id = 0;
     const char* span_name = nullptr;
+    sim::Timer timeout;
   };
   struct RegMerge {
     RegulateIndication ind;
     bool have_sink = false;
     bool have_src = false;
-    sim::EventHandle timeout;
+    sim::Timer timeout;
     std::uint64_t span_id = 0;  // open "Orch.Regulate" interval span
   };
   struct Session {
@@ -160,7 +158,6 @@ class CMTOS_SHARD_AFFINE SessionTable {
   void emit_regulate_ind(OrchSessionId s, std::pair<transport::VcId, std::uint32_t> key);
 
   Llo& llo_;
-  transport::TimerSet& timers_;
   Duration op_timeout_ = 5 * kSecond;
   PeerQuarantine quarantine_;
 

@@ -143,11 +143,10 @@ void LadderState::note_applied(Action act, bool ok) {
 QosManager::QosManager(Platform& platform) : QosManager(platform, Config{}) {}
 
 QosManager::QosManager(Platform& platform, Config cfg) : platform_(platform), cfg_(cfg) {
-  tick_event_ = platform_.scheduler().after(cfg_.tick_period, [this] { tick(); });
+  tick_event_.after(platform_.scheduler(), cfg_.tick_period, [this] { tick(); });
 }
 
 QosManager::~QosManager() {
-  tick_event_.cancel();
   for (auto& m : managed_) m->stream->set_on_qos_degraded(nullptr);
 }
 
@@ -236,7 +235,7 @@ void QosManager::tick() {
     const auto act = m->state.on_clean_tick();
     if (act != LadderState::Action::kNone) apply(*m, act);
   }
-  tick_event_ = platform_.scheduler().after(cfg_.tick_period, [this] { tick(); });
+  tick_event_.after(platform_.scheduler(), cfg_.tick_period, [this] { tick(); });
 }
 
 void QosManager::on_escalation(transport::VcId vc, orch::MissDiagnosis diagnosis) {

@@ -205,7 +205,7 @@ class CMTOS_CONTROL_PLANE QosManager {
   Config cfg_;
   std::vector<std::unique_ptr<Managed>> managed_;
   orch::HloAgent* agent_ = nullptr;
-  sim::EventHandle tick_event_;
+  sim::Timer tick_event_;
   Totals totals_;
   std::function<void(Stream&)> on_floor_unachievable_;
   std::function<void(transport::VcId, double)> on_rate_changed_;

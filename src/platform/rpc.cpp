@@ -102,7 +102,6 @@ RpcRuntime::RpcRuntime(net::Network& network, net::NodeId node)
 }
 
 void RpcRuntime::crash() {
-  for (auto& [id, p] : pending_) p.timeout.cancel();
   pending_.clear();
   down_ = true;
   CMTOS_WARN("rpc", "node %u: RPC runtime crashed, pending calls dropped", node_);
@@ -163,7 +162,7 @@ void RpcRuntime::arm_timeout(std::uint64_t call_id) {
   // Call timeouts run on the caller node's shard but as global events: the
   // reply callback may touch facade-side state.
   auto& rt = network_.node(node_).runtime();
-  it->second.timeout = rt.after_global(it->second.delay_bound, [this, call_id] {
+  it->second.timeout.after_global(rt, it->second.delay_bound, [this, call_id] {
     auto pit = pending_.find(call_id);
     if (pit == pending_.end()) return;
     if (pit->second.attempts_left > 0) {
@@ -182,8 +181,8 @@ void RpcRuntime::arm_timeout(std::uint64_t call_id) {
       CMTOS_INFO("rpc", "node %u: call %llu attempt timed out, retry %d in %lld ns", node_,
                  static_cast<unsigned long long>(call_id), retry_no,
                  static_cast<long long>(backoff));
-      pit->second.timeout = network_.node(node_).runtime().after_global(
-          backoff, [this, call_id] { send_attempt(call_id); });
+      pit->second.timeout.after_global(network_.node(node_).runtime(), backoff,
+                                       [this, call_id] { send_attempt(call_id); });
       return;
     }
     ReplyFn fn = std::move(pit->second.reply);
@@ -235,7 +234,6 @@ void RpcRuntime::on_packet(net::Packet&& pkt) {
   // Reply.
   auto it = pending_.find(m->call_id);
   if (it == pending_.end()) return;  // late reply after timeout: dropped
-  it->second.timeout.cancel();
   ReplyFn fn = std::move(it->second.reply);
   pending_.erase(it);
   if (fn) fn(m->outcome, m->body);

@@ -106,7 +106,7 @@ class RpcRuntime {
  private:
   struct PendingCall {
     ReplyFn reply;
-    sim::EventHandle timeout;
+    sim::Timer timeout;
     // Retry state: the encoded request is kept for retransmission.
     net::NodeId dst = net::kInvalidNode;
     std::vector<std::uint8_t> wire;

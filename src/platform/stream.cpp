@@ -13,7 +13,6 @@ Stream::Stream(Platform& platform, Host& home, std::string name)
 }
 
 Stream::~Stream() {
-  qos_poll_.cancel();
   home_.entity.unbind(tsap_);
 }
 
@@ -92,7 +91,7 @@ void Stream::change_qos(const MediaQos& media, const transport::QosTolerance& to
 // events are global, so the poll lambda never races the source shard.
 CMTOS_CONTROL_PLANE
 void Stream::poll_qos_change(int tries_left) {
-  qos_poll_ = platform_.scheduler().after(50 * kMillisecond, [this, tries_left] {
+  qos_poll_.after(platform_.scheduler(), 50 * kMillisecond, [this, tries_left] {
     Host& src_host = platform_.host(src_.node);
     transport::Connection* conn = src_host.entity.source(vc_);
     if (conn == nullptr) {

@@ -122,7 +122,7 @@ class Stream : public transport::TransportUser {
   ConnectFn connect_done_;
   QosChangeFn qos_change_done_;
   transport::QosParams qos_change_goal_;
-  sim::EventHandle qos_poll_;
+  sim::Timer qos_poll_;
 
   std::function<void(const transport::QosReport&)> on_qos_degraded_;
   std::function<void(transport::DisconnectReason)> on_disconnected_;

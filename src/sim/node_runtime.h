@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.h"
@@ -49,6 +50,7 @@ namespace cmtos::sim {
 
 class Executor;
 class NodeRuntime;
+class Scheduler;
 
 /// Handle to a scheduled event; allows cancellation.  Cheap to copy.
 /// A default-constructed handle is inert.  Handles must only be used from
@@ -240,6 +242,54 @@ class NodeRuntime {
   Rng rng_;
 
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
+};
+
+/// The owning protocol timer: at most one pending event, cancelled when the
+/// Timer is re-armed, move-assigned over or destroyed.  Put it in the record
+/// whose lifetime it guards (a pending handshake, a peer, an endpoint), and
+/// erasing the record or clearing its table cancels the timer with no extra
+/// line.  Outside src/sim this is the only way to hold an event.  Like
+/// EventHandle, it must only be used from the shard that armed it (or while
+/// the executor is not in a parallel round), and the runtime must outlive it.
+class Timer {
+ public:
+  Timer() = default;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  Timer(Timer&& other) noexcept : h_(std::exchange(other.h_, EventHandle{})) {}
+  Timer& operator=(Timer&& other) noexcept {
+    if (this != &other) {
+      h_.cancel();
+      h_ = std::exchange(other.h_, EventHandle{});
+    }
+    return *this;
+  }
+  ~Timer() { h_.cancel(); }
+
+  /// Arms a local event on `rt` at absolute time `t` / `d` from now.
+  void at(NodeRuntime& rt, Time t, EventFn fn) {
+    h_.cancel();
+    h_ = rt.at(t, std::move(fn));
+  }
+  void after(NodeRuntime& rt, Duration d, EventFn fn) {
+    h_.cancel();
+    h_ = rt.after(d, std::move(fn));
+  }
+  /// Arms a global event on `rt`: its expiry may touch shared state.
+  void after_global(NodeRuntime& rt, Duration d, EventFn fn) {
+    h_.cancel();
+    h_ = rt.after_global(d, std::move(fn));
+  }
+  /// Arms a global control-shard event through the facade (Scheduler::after).
+  void after(Scheduler& sched, Duration d, EventFn fn);
+
+  /// Cancels the pending event, if any.  Idempotent.
+  void cancel() { h_.cancel(); }
+  /// True while the armed event has neither fired nor been cancelled.
+  bool pending() const { return h_.pending(); }
+
+ private:
+  EventHandle h_;
 };
 
 }  // namespace cmtos::sim

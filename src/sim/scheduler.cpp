@@ -22,6 +22,11 @@ EventHandle Scheduler::after(Duration d, EventFn fn) {
   return control_->at_global(now() + d, std::move(fn));
 }
 
+void Timer::after(Scheduler& sched, Duration d, EventFn fn) {
+  h_.cancel();
+  h_ = sched.after(d, std::move(fn));
+}
+
 std::size_t Scheduler::run(std::size_t limit) { return exec_->run(limit); }
 
 std::size_t Scheduler::run_until(Time t) { return exec_->run_until(t); }

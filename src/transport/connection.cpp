@@ -86,10 +86,7 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
 
 Connection::~Connection() {
   entity_.retire_metrics(*this);
-  pacer_event_.cancel();
-  rto_event_.cancel();
-  monitor_event_.cancel();
-  if (state_ == VcState::kOpen) entity_.heartbeat().detach(*this);
+  if (state_ == VcState::kOpen) entity_.endpoint_closed(*this);
 }
 
 net::NodeId Connection::local_node() const {
@@ -158,12 +155,9 @@ void Connection::close() {
     obs::Tracer::global().async_end(role_ == VcRole::kSource ? "VC.source" : "VC.sink",
                                     id_, trace_pid_, trace_tid_);
     set_state(VcState::kClosing);
-    entity_.heartbeat().detach(*this);
+    entity_.endpoint_closed(*this);
   }
   set_state(VcState::kClosed);
-  pacer_event_.cancel();
-  rto_event_.cancel();
-  monitor_event_.cancel();
 }
 
 void Connection::apply_new_qos(const QosParams& agreed) {
@@ -352,7 +346,7 @@ void Connection::schedule_pacer(Duration delay) {
   pacer_armed_ = true;
   // The pacing interval is timed by the source node's hardware clock, so
   // its drift skews the actual transmission rate (§3.6).
-  pacer_event_ = sched_.after(entity_.to_true(delay), [this] { pacer_tick(); });
+  pacer_event_.after(sched_, entity_.to_true(delay), [this] { pacer_tick(); });
 }
 
 void Connection::pacer_tick() {
@@ -404,7 +398,7 @@ void Connection::window_try_send() {
 
 void Connection::arm_retransmit_timer() {
   if (rto_event_.pending()) return;
-  rto_event_ = sched_.after(rto_, [this] { on_retransmit_timeout(); });
+  rto_event_.after(sched_, rto_, [this] { on_retransmit_timeout(); });
 }
 
 void Connection::on_retransmit_timeout() {
@@ -420,7 +414,7 @@ void Connection::on_retransmit_timeout() {
     ++resent;
   }
   rto_ = std::min<Duration>(rto_ * 2, kSecond);
-  if (resent > 0) rto_event_ = sched_.after(rto_, [this] { on_retransmit_timeout(); });
+  if (resent > 0) rto_event_.after(sched_, rto_, [this] { on_retransmit_timeout(); });
 }
 
 void Connection::on_ack(const AckTpdu& ack) {
@@ -870,7 +864,7 @@ void Connection::close_monitor_periods() {
 }
 
 void Connection::arm_monitor() {
-  monitor_event_ = sched_.at(monitor_boundary_, [this] {
+  monitor_event_.at(sched_, monitor_boundary_, [this] {
     const bool fed = !monitor_->idle();
     close_monitor_periods();
     if (fed) arm_monitor();

@@ -184,7 +184,9 @@ class CMTOS_SHARD_AFFINE Connection {
   /// report).
   void open();
 
-  /// Stops all activity; the entity removes the connection afterwards.
+  /// Leaves the open state: drops the heartbeat record and any in-flight
+  /// renegotiation.  The entity destroys the connection in the same event,
+  /// which cancels its timers.
   void close();
 
   /// Applies a renegotiated contract (keeps buffers, seq numbers, state).
@@ -295,11 +297,11 @@ class CMTOS_SHARD_AFFINE Connection {
   std::size_t retain_limit_ = 512;
   double rate_factor_ = 1.0;            // receiver-feedback modulation (rate profile)
   bool receiver_full_ = false;
-  sim::EventHandle pacer_event_;
+  sim::Timer pacer_event_;
   // window profile:
   std::uint32_t send_base_ = 0;         // oldest unacked TPDU seq
   std::uint32_t window_credit_ = 8;     // receiver-granted window (TPDUs)
-  sim::EventHandle rto_event_;
+  sim::Timer rto_event_;
   Duration rto_ = 200 * kMillisecond;
 
   // === sink state ===
@@ -327,7 +329,7 @@ class CMTOS_SHARD_AFFINE Connection {
   Time last_hole_progress_ = 0;
   std::uint32_t recv_window_granted_ = 8;
   FeedbackReport fb_report_;
-  sim::EventHandle monitor_event_;
+  sim::Timer monitor_event_;
   Time monitor_boundary_ = 0;  // true time of the next unclosed period boundary
   std::unique_ptr<QosMonitor> monitor_;
   // Load shedding: when the receive ring holds at least this many OSDUs and

@@ -15,8 +15,7 @@ namespace {
 constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
 }  // namespace
 
-ConnectionManager::ConnectionManager(TransportEntity& entity, TimerSet& timers)
-    : ent_(entity), timers_(timers) {}
+ConnectionManager::ConnectionManager(TransportEntity& entity) : ent_(entity) {}
 
 // ====================================================================
 // Connection establishment (Table 1, Fig 3)
@@ -63,8 +62,9 @@ VcId ConnectionManager::t_connect_request(const ConnectRequest& req) {
 }
 
 void ConnectionManager::arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire) {
-  if (!pending_initiated_.contains(vc)) return;
-  timers_.arm_global(TimerKind::kRcrRetransmit, vc, ent_.handshake_delay(), [this, vc, wire] {
+  auto rec = pending_initiated_.find(vc);
+  if (rec == pending_initiated_.end()) return;
+  rec->second.retransmit.after_global(ent_.runtime(), ent_.handshake_delay(), [this, vc, wire] {
     auto it = pending_initiated_.find(vc);
     if (it == pending_initiated_.end()) return;
     if (it->second.retries_left-- > 0) {
@@ -79,8 +79,9 @@ void ConnectionManager::arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire) {
 }
 
 void ConnectionManager::arm_cr_timer(VcId vc) {
-  if (!pending_cc_.contains(vc)) return;
-  timers_.arm_global(TimerKind::kCrRetransmit, vc, ent_.handshake_delay(), [this, vc] {
+  auto rec = pending_cc_.find(vc);
+  if (rec == pending_cc_.end()) return;
+  rec->second.retransmit.after_global(ent_.runtime(), ent_.handshake_delay(), [this, vc] {
     auto it = pending_cc_.find(vc);
     if (it == pending_cc_.end()) return;
     if (it->second.retries_left-- > 0) {
@@ -369,7 +370,6 @@ void ConnectionManager::handle_cc(const ControlTpdu& t) {
     return;
   }
   PendingCc pend = std::move(it->second);
-  timers_.cancel(TimerKind::kCrRetransmit, t.vc);
   pending_cc_.erase(it);
 
   if (!t.accepted) {
@@ -409,10 +409,7 @@ void ConnectionManager::notify_initiator(VcId vc, const ConnectRequest& req, boo
     // retransmit loop keeps replaying the connect, and a replay landing
     // after the VC is gone (e.g. preempted) re-runs admission and delivers
     // stale failure indications.
-    if (auto it = pending_initiated_.find(vc); it != pending_initiated_.end()) {
-      timers_.cancel(TimerKind::kRcrRetransmit, vc);
-      pending_initiated_.erase(it);
-    }
+    pending_initiated_.erase(vc);
     if (TransportUser* u = ent_.user_at(req.initiator.tsap)) {
       if (accepted) {
         u->t_connect_confirm(vc, agreed);
@@ -438,7 +435,6 @@ void ConnectionManager::handle_rcc(const ControlTpdu& t) {
   auto it = pending_initiated_.find(t.vc);
   if (it == pending_initiated_.end()) return;
   const ConnectRequest req = it->second.req;
-  timers_.cancel(TimerKind::kRcrRetransmit, t.vc);
   pending_initiated_.erase(it);
 
   if (TransportUser* u = ent_.user_at(req.initiator.tsap)) {
@@ -678,7 +674,6 @@ void ConnectionManager::preempt_vc(VcId vc) {
     // Still in the CR handshake: abort the pending connect.
     PendingCc pend = std::move(it->second);
     pending_cc_.erase(it);
-    timers_.cancel(TimerKind::kCrRetransmit, vc);
     if (pend.reservation != net::kNoReservation) ent_.network_.release(pend.reservation);
     if (pend.reverse_reservation != net::kNoReservation)
       ent_.network_.release(pend.reverse_reservation);

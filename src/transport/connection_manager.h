@@ -11,9 +11,9 @@
 // bindings and wire I/O stay on the TransportEntity; this engine reaches
 // them through the entity it serves.
 //
-// Handshake retransmission timers live in the entity's shared TimerSet and
-// are armed *global*: their exhaustion paths release network reservations
-// and notify (possibly facade-side) users.
+// Each pending handshake record owns its retransmission timer, armed
+// *global*: the exhaustion paths release network reservations and notify
+// (possibly facade-side) users.  Erasing the record cancels the timer.
 
 #pragma once
 
@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "net/network.h"
+#include "sim/node_runtime.h"
 #include "transport/service.h"
-#include "transport/timer_set.h"
 #include "transport/tpdu.h"
 #include "util/quarantine.h"
 #include "util/slot_table.h"
@@ -35,7 +35,7 @@ class TransportEntity;
 
 class CMTOS_SHARD_AFFINE ConnectionManager {
  public:
-  ConnectionManager(TransportEntity& entity, TimerSet& timers);
+  explicit ConnectionManager(TransportEntity& entity);
   ConnectionManager(const ConnectionManager&) = delete;
   ConnectionManager& operator=(const ConnectionManager&) = delete;
 
@@ -88,6 +88,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
     ConnectRequest req;
     bool remote = false;  // true: RCR sent, waiting for RCC
     int retries_left = 3;
+    sim::Timer retransmit;  // RCR retransmission
   };
   struct PendingSourceAccept {  // at the source: user asked (remote connect)
     ConnectRequest req;
@@ -99,6 +100,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
     net::ReservationId reverse_reservation = net::kNoReservation;
     int retries_left = 3;
     std::vector<std::uint8_t> cr_wire;  // for retransmission
+    sim::Timer retransmit;              // CR retransmission
   };
   struct PendingDestAccept {  // at the destination: user asked
     ConnectRequest req;
@@ -124,7 +126,6 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
   void quarantine_peer(net::NodeId peer);
 
   TransportEntity& ent_;
-  TimerSet& timers_;
   PeerQuarantine quarantine_;
 
   // Flat tables: handshake state is keyed by VC and churned on every

@@ -38,10 +38,7 @@ void HeartbeatEngine::detach(const Connection& c) {
   Peer& p = it->second;
   --p.vc_count;
   p.digest ^= vc_digest(c.id());
-  if (p.vc_count == 0) {
-    p.tick.cancel();
-    peers_.erase(it);
-  }
+  if (p.vc_count == 0) peers_.erase(it);
 }
 
 void HeartbeatEngine::watch(Connection& sink) {
@@ -60,16 +57,10 @@ void HeartbeatEngine::heard_from(net::NodeId peer) {
   if (Peer* p = find(peer)) p->last_heard = ent_.runtime().now();
 }
 
-void HeartbeatEngine::crash() {
-  for (auto& [node, p] : peers_) p.tick.cancel();
-  peers_.clear();
-}
-
 void HeartbeatEngine::arm(net::NodeId node, Peer& p, Time at) {
   if (p.tick.pending() && p.tick_at <= at) return;
-  p.tick.cancel();
   p.tick_at = at;
-  p.tick = ent_.runtime().at(at, [this, node] { on_tick(node); });
+  p.tick.at(ent_.runtime(), at, [this, node] { on_tick(node); });
 }
 
 void HeartbeatEngine::on_tick(net::NodeId node) {

@@ -63,7 +63,6 @@ class CMTOS_SHARD_AFFINE HeartbeatEngine {
   explicit HeartbeatEngine(TransportEntity& entity) : ent_(entity) {}
   HeartbeatEngine(const HeartbeatEngine&) = delete;
   HeartbeatEngine& operator=(const HeartbeatEngine&) = delete;
-  ~HeartbeatEngine() { crash(); }
 
   /// An endpoint opened / closed: updates the count and digest of the VCs
   /// held with its peer, creating the peer record on first use and dropping
@@ -80,8 +79,6 @@ class CMTOS_SHARD_AFFINE HeartbeatEngine {
 
   void on_heartbeat(net::NodeId src, const HeartbeatTpdu& hb);
 
-  /// Node crash: every record and tick dies with the stack.
-  void crash();
   /// Restart: later heartbeats carry a new incarnation.
   void restart() { ++incarnation_; }
 
@@ -100,7 +97,7 @@ class CMTOS_SHARD_AFFINE HeartbeatEngine {
     Time mismatch_since = -1;        // first mismatching digest (-1: none)
     Time next_keepalive = 0;
     Time tick_at = 0;
-    sim::EventHandle tick;
+    sim::Timer tick;
   };
 
   Peer* find(net::NodeId node);

@@ -14,8 +14,7 @@ namespace {
 constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
 }  // namespace
 
-RenegotiationEngine::RenegotiationEngine(TransportEntity& entity, TimerSet& timers)
-    : ent_(entity), timers_(timers) {}
+RenegotiationEngine::RenegotiationEngine(TransportEntity& entity) : ent_(entity) {}
 
 // ====================================================================
 // QoS renegotiation (Table 3)
@@ -82,7 +81,7 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     pend.rn_wire = t.encode();
     pend.peer = conn->peer_node();
     pend.retries_left = ent_.config_.handshake_retries;
-    pending_reneg_[vc] = pend;
+    pending_reneg_[vc] = std::move(pend);
     ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
     arm_rn_timer(vc);
     return;
@@ -102,7 +101,7 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     pend.rn_wire = t.encode();
     pend.peer = conn->peer_node();
     pend.retries_left = ent_.config_.handshake_retries;
-    pending_reneg_[vc] = pend;
+    pending_reneg_[vc] = std::move(pend);
     ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
     arm_rn_timer(vc);
     return;
@@ -112,8 +111,9 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
 }
 
 void RenegotiationEngine::arm_rn_timer(VcId vc) {
-  if (!pending_reneg_.contains(vc)) return;
-  timers_.arm_global(TimerKind::kRenegRetransmit, vc, ent_.handshake_delay(), [this, vc] {
+  auto rec = pending_reneg_.find(vc);
+  if (rec == pending_reneg_.end()) return;
+  rec->second.retransmit.after_global(ent_.runtime(), ent_.handshake_delay(), [this, vc] {
     auto it = pending_reneg_.find(vc);
     if (it == pending_reneg_.end()) return;
     if (it->second.retries_left-- > 0) {
@@ -271,7 +271,6 @@ void RenegotiationEngine::handle_rnc(const ControlTpdu& t) {
   if (it == pending_reneg_.end()) return;  // duplicate RNC: already settled
   PendingReneg pend = std::move(it->second);
   pending_reneg_.erase(it);
-  timers_.cancel(TimerKind::kRenegRetransmit, t.vc);
 
   if (pend.at_source) {
     Connection* conn = ent_.source(t.vc);
@@ -348,10 +347,10 @@ void RenegotiationEngine::handle_qi(const ControlTpdu& t) {
   }
 }
 
-void RenegotiationEngine::crash() {
-  pending_reneg_.clear();
-  pending_reneg_peer_.clear();
-  peer_tentative_.clear();
+void RenegotiationEngine::on_close(VcId vc) {
+  pending_reneg_.erase(vc);
+  pending_reneg_peer_.erase(vc);
+  peer_tentative_.erase(vc);
 }
 
 }  // namespace cmtos::transport

@@ -11,8 +11,10 @@
 // Established endpoints, reservations and wire I/O stay on the
 // TransportEntity.
 //
-// RN retransmission timers live in the entity's shared TimerSet, armed
-// *global*: exhaustion rolls back reservations and notifies users.
+// Each requester-side record owns its RN retransmission timer, armed
+// *global*: exhaustion rolls back reservations and notifies users.  All
+// state of a VC is dropped when the VC closes (on_close), so a closed VC
+// retransmits nothing.
 
 #pragma once
 
@@ -21,8 +23,8 @@
 #include <vector>
 
 #include "net/network.h"
+#include "sim/node_runtime.h"
 #include "transport/service.h"
-#include "transport/timer_set.h"
 #include "transport/tpdu.h"
 #include "util/thread_annotations.h"
 
@@ -33,7 +35,7 @@ class TransportEntity;
 
 class CMTOS_SHARD_AFFINE RenegotiationEngine {
  public:
-  RenegotiationEngine(TransportEntity& entity, TimerSet& timers);
+  explicit RenegotiationEngine(TransportEntity& entity);
   RenegotiationEngine(const RenegotiationEngine&) = delete;
   RenegotiationEngine& operator=(const RenegotiationEngine&) = delete;
 
@@ -50,9 +52,9 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
   /// `conn`.  Notifies local users and relays QI to source/initiator.
   void on_qos_violation(Connection& conn, const QosReport& report);
 
-  /// Drops all in-flight renegotiation state (node crash).  The VCs
-  /// themselves are torn down by the entity.
-  void crash();
+  /// A local endpoint of `vc` closed: drops the VC's in-flight
+  /// renegotiation on either side, cancelling its RN retransmissions.
+  void on_close(VcId vc);
 
  private:
   struct PendingReneg {  // requester side: RN sent, waiting for RNC
@@ -64,6 +66,7 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
     std::vector<std::uint8_t> rn_wire;  // for retransmission
     net::NodeId peer = net::kInvalidNode;
     int retries_left = 3;
+    sim::Timer retransmit;
   };
   struct PendingRenegPeer {  // responder side: user asked
     QosTolerance proposed;
@@ -75,7 +78,6 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
   void arm_rn_timer(VcId vc);
 
   TransportEntity& ent_;
-  TimerSet& timers_;
 
   // One entry per in-flight renegotiation handshake (rare, short-lived).
   std::map<VcId, PendingReneg> pending_reneg_;  // cmtos-analyze: allow(hot-path-map)

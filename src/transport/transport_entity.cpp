@@ -35,9 +35,8 @@ TransportEntity::TransportEntity(net::Network& network, net::NodeId node)
     : network_(network),
       node_(node),
       rng_(0x7c3a9d5b11ull + node),
-      timers_(network.node(node).runtime()),
-      conn_mgr_(*this, timers_),
-      reneg_(*this, timers_),
+      conn_mgr_(*this),
+      reneg_(*this),
       heartbeat_(*this),
       metrics_(obs::Registry::global().attach(
           [this](obs::Emitter& out) { collect_metrics(out); })) {
@@ -213,10 +212,9 @@ void TransportEntity::crash() {
   }
   sinks_.clear();
 
+  // Closing the endpoints dropped every heartbeat record and in-flight
+  // renegotiation with them.
   for (const auto& [vc, tsap] : conn_mgr_.crash()) lost.emplace_back(vc, tsap);
-  reneg_.crash();
-  heartbeat_.crash();
-  timers_.cancel_all();
   // users_ and next_vc_ survive: TSAP bindings belong to the applications
   // (which outlive the stack), and VC ids must stay unique across
   // incarnations of this node.  Deliver last, against emptied maps, so a

@@ -18,9 +18,11 @@
 //
 // The entity keeps what the engines (and the data plane) need: TSAP
 // bindings, the sources_/sinks_ endpoint maps, reverse-path reservations,
-// timing config, wire I/O, the crash/restart fault model, and a shared
-// TimerSet holding every protocol timer.  Incoming control TPDUs are
-// demultiplexed through a dispatch table indexed by TPDU type.
+// timing config, wire I/O and the crash/restart fault model.  Protocol
+// timers are sim::Timers inside the records they guard (a pending
+// handshake, a peer, an endpoint), so dropping a record cancels its timers.
+// Incoming control TPDUs are demultiplexed through a dispatch table indexed
+// by TPDU type.
 //
 // The entity also publishes its endpoints' metrics.  It is the registry's
 // collector for the per-VC `transport.*`, `buffer.shed` ({vc,node,role})
@@ -43,7 +45,6 @@
 #include "transport/heartbeat.h"
 #include "transport/renegotiation_engine.h"
 #include "transport/service.h"
-#include "transport/timer_set.h"
 #include "transport/tpdu.h"
 #include "util/rng.h"
 #include "util/slot_table.h"
@@ -197,6 +198,14 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// to report their feedback (see transport/heartbeat.h).
   HeartbeatEngine& heartbeat() { return heartbeat_; }
 
+  /// An open endpoint closes (Connection::close or its destruction): it
+  /// leaves its peer's heartbeat record and drops its VC's in-flight
+  /// renegotiation.
+  void endpoint_closed(const Connection& conn) {
+    heartbeat_.detach(conn);
+    reneg_.on_close(conn.id());
+  }
+
   /// Adds a closing endpoint's counters to this node's totals of closed
   /// endpoints ({node,role} labels; {node} for qos.violation_periods).
   /// ~Connection calls it: the one point where an endpoint's stats leave
@@ -232,8 +241,8 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   // ------------------------------------------------------------------
 
   /// Node crash: drops every per-node transport state — open VCs (closed
-  /// without DR handshakes; reservations released), pending connects and
-  /// renegotiations (timers cancelled) — and ignores all traffic until
+  /// without DR handshakes; reservations released, renegotiations dropped)
+  /// and pending connects, with their timers — and ignores all traffic until
   /// restart().  TSAP bindings and the VC-id counter survive: applications
   /// outlive the protocol stack, and VC ids must never collide across
   /// incarnations.
@@ -282,13 +291,10 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   std::function<void(VcId, DisconnectReason)> on_vc_closed_;
   std::uint32_t next_vc_ = 1;
 
-  /// Every handshake timer of this entity (CR/RCR retransmits, RN
-  /// retries), shared by both engines; dies as a unit on crash().
-  TimerSet timers_;
   ConnectionManager conn_mgr_;
+  /// Declared before the endpoint maps: ~Connection leaves its peer record
+  /// and drops its renegotiation, so both engines outlive sources_/sinks_.
   RenegotiationEngine reneg_;
-  /// Declared before the endpoint maps: ~Connection leaves its peer record,
-  /// so the heartbeat must outlive sources_/sinks_.
   HeartbeatEngine heartbeat_;
   /// Handles of the closed-endpoint totals, indexed by role, resolved on
   /// the first close; like the heartbeat, ~Connection needs them.

@@ -222,6 +222,36 @@ TEST(RenegotiateLoss, SustainedLossFailsAfterRetriesButVcSurvives) {
   EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 20.0, 1e-9);
 }
 
+TEST(Renegotiate, CloseDropsTheInFlightRenegotiation) {
+  // The sink user never answers the RN indication, then the source
+  // disconnects.  Closing the VC must drop its renegotiation at both ends:
+  // no RN retransmission outlives the VC and no timer stays armed.
+  struct SilentUser : ScriptedUser {
+    using ScriptedUser::ScriptedUser;
+    void t_renegotiate_indication(VcId vc, const QosTolerance& proposed) override {
+      reneg_indications.emplace_back(vc, proposed);
+    }
+  };
+  RenegWorld w;
+  SilentUser silent(w.h1->entity);
+  w.h1->entity.bind(20, &silent);
+  auto& sched = w.star.platform.scheduler();
+  w.h0->entity.t_renegotiate_request(w.vc, w.tol(20.0, 2048));
+  w.star.platform.run_until(sched.now() + 100 * kMillisecond);
+  ASSERT_EQ(silent.reneg_indications.size(), 1u);
+
+  w.h0->entity.t_disconnect_request(w.vc);
+  w.star.platform.run_until(sched.now() + 100 * kMillisecond);
+  ASSERT_EQ(w.h0->entity.source(w.vc), nullptr);
+  ASSERT_EQ(w.h1->entity.sink(w.vc), nullptr);
+  EXPECT_EQ(sched.pending(), 0u);
+
+  const auto& link = w.star.platform.network().link(w.h0->id, w.star.hub->id)->stats();
+  const std::int64_t sent_at_close = link.packets_sent;
+  w.star.platform.run_until(sched.now() + 6 * kSecond);
+  EXPECT_EQ(link.packets_sent - sent_at_close, 0);
+}
+
 TEST(Renegotiate, UnknownVcIsIgnoredSafely) {
   RenegWorld w;
   w.h0->entity.t_renegotiate_request(0xdeadbeef, w.tol(20.0, 2048));

@@ -1,11 +1,15 @@
-// Unit tests for the discrete-event scheduler and skewed local clocks.
+// Unit tests for the discrete-event scheduler, the owning sim::Timer and
+// skewed local clocks.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/clock.h"
 #include "sim/scheduler.h"
+#include "util/slot_table.h"
 
 namespace cmtos::sim {
 namespace {
@@ -103,6 +107,254 @@ TEST(Scheduler, NegativeDelayClampsToNow) {
   s.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(s.now(), 100);
+}
+
+// --- sim::Timer: at most one pending event, cancelled by re-arm, move-assign
+// and destruction, so the record that owns it needs no cancel of its own ---
+
+class TimerTest : public ::testing::Test {
+ protected:
+  TimerTest() : rt_(sched_.executor().add_shard()) {}
+
+  /// A protocol record owning two timers (e.g. a retransmit and a timeout).
+  struct Record {
+    Timer retx;
+    Timer timeout;
+  };
+
+  Scheduler sched_;
+  NodeRuntime& rt_;
+};
+
+TEST_F(TimerTest, LocalArmFiresOnceAtDeadline) {
+  int fired = 0;
+  Timer t;
+  t.after(rt_, 100, [&] { ++fired; });
+  EXPECT_TRUE(t.pending());
+  sched_.run_until(99);
+  EXPECT_EQ(fired, 0);
+  sched_.run_until(100);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(t.pending());
+  sched_.run_until(1000);
+  EXPECT_EQ(fired, 1);  // one-shot
+}
+
+TEST_F(TimerTest, GlobalArmFires) {
+  int fired = 0;
+  Timer node_timer;
+  Timer facade_timer;
+  node_timer.after_global(rt_, 50, [&] { ++fired; });
+  facade_timer.after(sched_, 60, [&] { fired += 10; });
+  EXPECT_TRUE(node_timer.pending());
+  EXPECT_TRUE(facade_timer.pending());
+  sched_.run_until(50);
+  EXPECT_EQ(fired, 1);
+  sched_.run_until(60);
+  EXPECT_EQ(fired, 11);
+}
+
+TEST_F(TimerTest, RearmReplacesThePendingEvent) {
+  int first = 0;
+  int second = 0;
+  Timer t;
+  t.after(rt_, 10, [&] { ++first; });
+  t.after(rt_, 500, [&] { ++second; });
+  EXPECT_EQ(rt_.live(), 1u);
+  sched_.run_until(10);
+  EXPECT_EQ(first, 0);  // the replaced deadline passes silently
+  sched_.run_until(500);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+TEST_F(TimerTest, RepeatedRearmKeepsExactlyOnePendingEvent) {
+  int fired = 0;
+  Timer t;
+  for (int i = 0; i < 100; ++i) {
+    t.after(rt_, 100 + i, [&] { ++fired; });
+    EXPECT_EQ(rt_.live(), 1u);
+  }
+  sched_.run_until(10'000);
+  EXPECT_EQ(fired, 1);  // only the last arm fires
+}
+
+TEST_F(TimerTest, CancelIsIdempotent) {
+  int fired = 0;
+  Timer t;
+  t.cancel();  // never armed: no effect
+  t.after(rt_, 10, [&] { ++fired; });
+  t.cancel();
+  t.cancel();
+  EXPECT_FALSE(t.pending());
+  EXPECT_EQ(rt_.live(), 0u);
+  sched_.run_until(100);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST_F(TimerTest, CancelThenRearmStartsAFreshEvent) {
+  int first = 0;
+  int second = 0;
+  Timer t;
+  t.after(rt_, 10, [&] { ++first; });
+  t.cancel();
+  t.after(rt_, 50, [&] { ++second; });  // a cancelled timer re-arms afresh
+  EXPECT_TRUE(t.pending());
+  EXPECT_EQ(rt_.live(), 1u);
+  sched_.run_until(100);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+TEST_F(TimerTest, CancelAtTheDeadlineWins) {
+  // The cancel runs at the timestamp the timer is due; scheduled first, it
+  // executes first (ties break by insertion order) and the timer never fires.
+  int fired = 0;
+  Timer t;
+  rt_.at(100, [&] { t.cancel(); });
+  t.after(rt_, 100, [&] { ++fired; });
+  sched_.run_until(200);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST_F(TimerTest, RearmAtTheDeadlineSupersedesTheDueEvent) {
+  int old_fired = 0;
+  int new_fired = 0;
+  Timer t;
+  rt_.at(100, [&] { t.after(rt_, 50, [&] { ++new_fired; }); });
+  t.after(rt_, 100, [&] { ++old_fired; });
+  sched_.run_until(1000);
+  EXPECT_EQ(old_fired, 0);
+  EXPECT_EQ(new_fired, 1);
+}
+
+TEST_F(TimerTest, TimersInOneRecordAreIndependent) {
+  std::vector<int> fired(2, 0);
+  Record rec;
+  rec.retx.after(rt_, 10, [&] { ++fired[0]; });
+  rec.timeout.after(rt_, 20, [&] { ++fired[1]; });
+  EXPECT_EQ(rt_.live(), 2u);
+  rec.timeout.cancel();
+  EXPECT_TRUE(rec.retx.pending());
+  sched_.run_until(100);
+  EXPECT_EQ(fired, (std::vector<int>{1, 0}));
+}
+
+TEST_F(TimerTest, TimersInDistinctRecordsAreIndependent) {
+  int a_fired = 0;
+  int b_fired = 0;
+  Record a;
+  Record b;
+  a.retx.after(rt_, 10, [&] { ++a_fired; });
+  b.retx.after(rt_, 10, [&] { ++b_fired; });
+  EXPECT_EQ(rt_.live(), 2u);
+  EXPECT_TRUE(a.retx.pending());
+  EXPECT_TRUE(b.retx.pending());
+  sched_.run_until(10);
+  EXPECT_EQ(a_fired, 1);
+  EXPECT_EQ(b_fired, 1);
+}
+
+TEST_F(TimerTest, ErasingARecordCancelsItsTimers) {
+  int torn_down = 0;
+  int other = 0;
+  FlatMap<int, Record> table;
+  table[1].retx.after(rt_, 10, [&] { ++torn_down; });
+  table[1].timeout.after_global(rt_, 30, [&] { ++torn_down; });
+  table[2].retx.after(rt_, 40, [&] { ++other; });
+  table.erase(1);  // VC teardown
+  EXPECT_EQ(rt_.live(), 1u);
+  sched_.run_until(100);
+  EXPECT_EQ(torn_down, 0);
+  EXPECT_EQ(other, 1);
+}
+
+TEST_F(TimerTest, ClearingATableCancelsEveryTimer) {
+  int fired = 0;
+  FlatMap<int, Record> table;
+  for (int key = 0; key < 8; ++key) {
+    table[key].retx.after(rt_, 10 + key, [&] { ++fired; });
+    table[key].timeout.after_global(rt_, 20 + key, [&] { ++fired; });
+  }
+  EXPECT_EQ(rt_.live(), 16u);
+  table.clear();  // crash: every protocol timer dies with the node
+  EXPECT_EQ(rt_.live(), 0u);
+  sched_.run_until(1000);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST_F(TimerTest, DestructionCancels) {
+  int fired = 0;
+  {
+    Timer doomed;
+    doomed.after(rt_, 100, [&] { ++fired; });
+    EXPECT_EQ(rt_.live(), 1u);
+  }
+  EXPECT_EQ(rt_.live(), 0u);
+  sched_.run_until(1000);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST_F(TimerTest, CallbackMayRearmItsOwnTimer) {
+  // The retransmit pattern: each expiry re-arms the same timer from inside
+  // the firing event.
+  int tries = 0;
+  Timer t;
+  std::function<void()> retransmit = [&] {
+    if (++tries < 5) {
+      t.after(rt_, 100, retransmit);
+      EXPECT_EQ(rt_.live(), 1u);
+    }
+  };
+  t.after(rt_, 100, retransmit);
+  sched_.run_until(10'000);
+  EXPECT_EQ(tries, 5);
+  EXPECT_FALSE(t.pending());
+}
+
+TEST_F(TimerTest, MoveTransfersThePendingEvent) {
+  int fired = 0;
+  Timer src;
+  src.after(rt_, 100, [&] { ++fired; });
+  Timer dst(std::move(src));
+  EXPECT_TRUE(dst.pending());
+  // The moved-from Timer is inert: cancelling or destroying it leaves the
+  // event with its new owner.
+  EXPECT_FALSE(src.pending());
+  src.cancel();
+  { Timer gone(std::move(src)); }
+  EXPECT_EQ(rt_.live(), 1u);
+  sched_.run_until(100);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST_F(TimerTest, MoveAssignCancelsTheOverwrittenEvent) {
+  int overwritten = 0;
+  int moved = 0;
+  Timer dst;
+  Timer src;
+  dst.after(rt_, 10, [&] { ++overwritten; });
+  src.after(rt_, 20, [&] { ++moved; });
+  dst = std::move(src);
+  EXPECT_EQ(rt_.live(), 1u);
+  sched_.run_until(100);
+  EXPECT_EQ(overwritten, 0);
+  EXPECT_EQ(moved, 1);
+}
+
+TEST_F(TimerTest, DestroyingTheOwnerInItsCallbackIsSafe) {
+  // A timeout that drops its own record (op timed out, peer declared dead).
+  int fired = 0;
+  auto rec = std::make_unique<Record>();
+  rec->timeout.after(rt_, 10, [&] {
+    ++fired;
+    rec.reset();
+  });
+  rec->retx.after(rt_, 20, [&] { ++fired; });
+  sched_.run_until(100);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec, nullptr);
+  EXPECT_EQ(rt_.live(), 0u);
 }
 
 TEST(LocalClock, PerfectClockIsIdentity) {

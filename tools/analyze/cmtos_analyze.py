@@ -39,14 +39,18 @@ Two fact providers feed one shared set of checks:
 Checks
 ------
   callback-liveness     A scheduler/timer callback (.after/.at/.after_global/
-                        .at_global/defer_global/arm_local/arm_global) whose
-                        lambda captures a raw conn/node/link/host/peer pointer
-                        — by name, or by *type* when the pointer declaration
-                        is visible — may fire after fault injection has torn
-                        the object down.  The body must re-validate liveness
-                        (null check, alive oracle, map lookup) before
-                        dereferencing; prefer capturing `this` + an id and
-                        resolving at fire time.  Unlike the retired lint rule,
+                        .at_global/defer_global, on a NodeRuntime, the
+                        Scheduler or a sim::Timer) whose lambda captures a
+                        raw conn/node/link/host/peer pointer — by name, or by
+                        *type* when the pointer declaration is visible — may
+                        fire after fault injection has torn the object down.
+                        The body must re-validate liveness (null check,
+                        alive oracle, map lookup) before dereferencing;
+                        prefer capturing `this` + an id and resolving at
+                        fire time.  A name-matched capture whose nearest
+                        declaration is a plain value (a `net::NodeId node`
+                        parameter) is a copied id, not a pointer, and
+                        passes.  Unlike the retired lint rule,
                         capture lists spanning multiple lines and init-
                         captures are analyzed.
   dataplane-payload-copy
@@ -85,6 +89,12 @@ Checks
                         PayloadView/FrameLease member outside the data-plane
                         dirs — or in any CMTOS_CONTROL_PLANE class — pins
                         pooled frames from control-plane lifetimes.
+  timer-idiom           Outside src/sim/, a timer is a sim::Timer held by the
+                        record whose lifetime it guards, so erasing the
+                        record or destroying its owner cancels it.  A
+                        sim::EventHandle data member anywhere else in src/
+                        is a timer nothing cancels when its record goes: the
+                        silent leak the owning Timer exists to rule out.
   hot-path-map          Per-entity lookup state in the scale-critical layers
                         (src/{transport,orch,net}) must live in the flat
                         open-addressed structures (util::FlatMap /
@@ -140,6 +150,7 @@ CHECKS = (
     "frame-lifecycle",
     "epoch-check",
     "decode-totality",
+    "timer-idiom",
     "hot-path-map",
 )
 
@@ -325,10 +336,12 @@ class Capture:
 
 
 class Callback:
-    """A lambda handed to a scheduler/timer call."""
+    """A lambda handed to a scheduler/timer call at code offset `offset`."""
 
-    def __init__(self, line: int, method: str, captures: list[Capture], body: str):
+    def __init__(self, line: int, offset: int, method: str, captures: list[Capture],
+                 body: str):
         self.line = line
+        self.offset = offset
         self.method = method
         self.captures = captures
         self.body = body
@@ -365,7 +378,7 @@ class Facts:
 # -- structural engine ------------------------------------------------------
 
 SCHED_CALL_RE = re.compile(
-    r"(?:(?:\.|->)\s*(after_global|at_global|after|at|arm_local|arm_global)"
+    r"(?:(?:\.|->)\s*(after_global|at_global|after|at)"
     r"|\b(defer_global))\s*\(")
 PTR_NAME_RE = re.compile(r"^(?:conn(?:ection)?|link|node|host|peer)(?:_?ptr)?_?$")
 LIVENESS_HINT_RE = re.compile(
@@ -493,8 +506,8 @@ def gather_facts_structural(sf: SourceFile) -> Facts:
         cap_open, cap_close, body_open, body_close = lam
         caps = [Capture(c) for c in split_top_level(code[cap_open + 1 : cap_close])]
         body = code[body_open + 1 : body_close]
-        facts.callbacks.append(
-            Callback(sf.line_of(m.start()), m.group(1) or m.group(2), caps, body))
+        facts.callbacks.append(Callback(sf.line_of(m.start()), m.start(),
+                                        m.group(1) or m.group(2), caps, body))
 
     # FrameLease freeze sites: (line, lease var, end of enclosing block).
     for m in FREEZE_RE.finditer(code):
@@ -641,6 +654,24 @@ class Finding:
         return f"{self.rel}:{self.line}: [{self.check}] {self.message}"
 
 
+DECL_KEYWORDS = {"return", "case", "else", "new", "delete", "throw", "goto", "sizeof",
+                 "typename", "operator", "co_return", "co_yield"}
+ENTITY_TYPE_RE = re.compile(r"(?:^|::)(?:Connection|Node|Link|Host|Llo)$")
+
+
+def value_typed(code: str, name: str, before: int) -> bool:
+    """True when the nearest declaration of `name` before offset `before`
+    gives it a plain value type: no pointer or reference declarator, not
+    `auto`, not an entity class (e.g. a `net::NodeId node` parameter)."""
+    decl = None
+    for m in re.finditer(rf"\b([A-Za-z_][\w:]*)\s*([*&]*)\s*\b{re.escape(name)}\s*[,)=;{{]",
+                         code[:before]):
+        if m.group(1) not in DECL_KEYWORDS:
+            decl = m
+    return (decl is not None and not decl.group(2) and decl.group(1) != "auto"
+            and ENTITY_TYPE_RE.search(decl.group(1)) is None)
+
+
 def check_callback_liveness(sf: SourceFile, facts: Facts) -> list[Finding]:
     out = []
     for cb in facts.callbacks:
@@ -648,9 +679,11 @@ def check_callback_liveness(sf: SourceFile, facts: Facts) -> list[Finding]:
         for cap in cb.captures:
             if cap.name in ("", "=", "&", "this", "*this"):
                 continue
-            # A capture is a raw entity pointer when its *name* says so, its
-            # declared *type* says so, or an init-capture aliases one.
-            ptrish = (PTR_NAME_RE.match(cap.name) is not None
+            # A capture is a raw entity pointer when its *name* says so (and
+            # its declaration does not make it a plain value), its declared
+            # *type* says so, or an init-capture aliases one.
+            ptrish = ((PTR_NAME_RE.match(cap.name) is not None
+                       and (cap.init or not value_typed(sf.code, cap.name, cb.offset)))
                       or cap.name in facts.raw_ptr_vars
                       or (cap.init and any(
                           re.search(rf"\b{re.escape(v)}\b", cap.init)
@@ -1058,6 +1091,31 @@ def check_hot_path_map(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
+TIMER_IDIOM_DIR_RE = re.compile(r"(^|/)src/(?!sim/)")
+EVENT_HANDLE_RE = re.compile(r"\bEventHandle\b")
+MEMBER_FN_RE = re.compile(r"^[\s>]*[*&]*\s*\w+\s*\(")
+
+
+def check_timer_idiom(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags sim::EventHandle data members in src/ outside src/sim/.  Member
+    functions taking or returning a handle are not stored state: the check
+    skips a match inside a parameter list or followed by `name(`."""
+    if not TIMER_IDIOM_DIR_RE.search(sf.rel):
+        return []
+    out = []
+    for ci in facts.classes:
+        for line, text in ci.member_lines:
+            m = EVENT_HANDLE_RE.search(text)
+            if m is None or "(" in text[:m.start()] or MEMBER_FN_RE.match(text[m.end():]):
+                continue
+            out.append(Finding(
+                sf.rel, line, "timer-idiom",
+                f"sim::EventHandle member in {ci.name}: nothing cancels it when "
+                "the record goes; hold a sim::Timer in the record whose lifetime "
+                "it guards (re-arm, erase and destruction cancel it)"))
+    return out
+
+
 ALL_CHECKS = (
     check_callback_liveness,
     check_dataplane_payload_copy,
@@ -1065,6 +1123,7 @@ ALL_CHECKS = (
     check_frame_lifecycle,
     check_epoch_fencing,
     check_decode_totality,
+    check_timer_idiom,
     check_hot_path_map,
 )
 
@@ -1093,7 +1152,7 @@ CB_PROBE = """\
 #include "transport/connection.h"
 void f(cmtos::transport::Connection* conn, cmtos::net::Link* wire) {
   sched.after(d, [conn] { conn->send(); });
-  timers.arm_global(TimerKind::kOpTimeout, key, d,
+  retx.after_global(rt, d,
                     [this,
                      wire] { wire->pump(); });
   sched.after(d, [conn] { if (conn != nullptr) conn->send(); });
@@ -1101,11 +1160,16 @@ void f(cmtos::transport::Connection* conn, cmtos::net::Link* wire) {
   sched.after(d, [&ent] { ent.tick(); });
   sched.after(d, [conn] { conn->send(); });  // cmtos-analyze: allow(callback-liveness)
 }
+void g(cmtos::net::NodeId node, cmtos::net::Node* host) {
+  tick.at(rt, t, [this, node] { on_tick(node); });
+  tick.at(rt, t, [host] { host->poll(); });
+}
 """
 CB_EXPECT = {
     (3, "callback-liveness"),   # classic name-based raw capture
-    (4, "callback-liveness"),   # multi-line capture list, type-resolved 'wire'
-}
+    (4, "callback-liveness"),   # Timer arm, multi-line capture list, typed 'wire'
+    (14, "callback-liveness"),  # Timer arm capturing a typed entity pointer
+}                               # (line 13: a NodeId value named 'node' passes)
 
 DP_PROBE = """\
 #include "util/frame_pool.h"
@@ -1272,6 +1336,36 @@ HM_EXPECT = {
     (10, "hot-path-map"),   # std::unordered_map member likewise
 }
 
+TI_PROBE = """\
+#include "sim/node_runtime.h"
+class Poller {
+ public:
+  sim::EventHandle arm(Duration d);
+  void rearm(sim::EventHandle h);
+
+ private:
+  struct Pending {
+    sim::EventHandle timeout;
+  };
+  sim::EventHandle tick_;
+  std::vector<sim::EventHandle> retries_;
+  sim::Timer poll_;
+};
+"""
+TI_EXPECT = {
+    (9, "timer-idiom"),    # handle stored in a nested record
+    (11, "timer-idiom"),   # handle member
+    (12, "timer-idiom"),   # container of handles
+}
+
+# The primitive's own home: src/sim/ stores raw handles (Timer wraps one).
+TI_SIM_PROBE = """\
+class Timer {
+ private:
+  EventHandle h_;
+};
+"""
+
 PROBES = (
     # (relative path the dir-scoped checks see, source, expected findings)
     ("src/transport/probe_callbacks.cpp", CB_PROBE, CB_EXPECT),
@@ -1282,6 +1376,8 @@ PROBES = (
     ("src/platform/probe_members.h", FL_MEMBER_PROBE, FL_MEMBER_EXPECT),
     ("src/orch/probe_epoch.cpp", EP_PROBE, EP_EXPECT),
     ("src/transport/probe_decode.cpp", DT_PROBE, DT_EXPECT),
+    ("src/platform/probe_timers.h", TI_PROBE, TI_EXPECT),
+    ("src/sim/probe_timer.h", TI_SIM_PROBE, set()),
 )
 
 
