@@ -1,5 +1,7 @@
 #include "media/live_source.h"
 
+#include "media/content.h"
+
 namespace cmtos::media {
 
 LiveSource::LiveSource(platform::Platform& platform, platform::Host& host, net::Tsap tsap,
@@ -38,11 +40,9 @@ void LiveSource::on_disconnected(transport::VcId vc, transport::DisconnectReason
 
 void LiveSource::tick() {
   if (!capturing_ || conns_.empty()) return;
-  const std::size_t size = config_.vbr_enabled
-                               ? config_.vbr.frame_bytes(index_)
-                               : static_cast<std::size_t>(config_.frame_bytes);
   // One pooled frame, written once; every connection shares it by refcount.
-  const auto frame = make_frame_view(config_.track_id, index_, size);
+  const auto frame = make_frame_view(config_.track_id, index_,
+                                     static_cast<std::size_t>(config_.frame_bytes));
   ++stats_.frames_captured;
   for (auto* conn : conns_) {
     if (!conn->submit(frame)) ++stats_.frames_dropped_at_capture;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 
-#include "media/content.h"
 #include "platform/device_user.h"
 #include "platform/host.h"
 #include "util/thread_annotations.h"
@@ -23,8 +22,6 @@ struct LiveConfig {
   std::uint32_t track_id = 0;
   double rate = 25.0;            // frames per second, by the local clock
   std::int64_t frame_bytes = 4096;
-  VbrModel vbr;                  // used when vbr_enabled
-  bool vbr_enabled = false;
 };
 
 class CMTOS_SHARD_AFFINE LiveSource : public platform::DeviceUser {

@@ -69,7 +69,7 @@ void RenderingSink::render_tick() {
     } else {
       rec.frame_index = header->index;
     }
-    if (config_.keep_records) records_.push_back(rec);
+    records_.push_back(rec);
   }
 
   // Rendering cadence is node-local, like the capture tick.

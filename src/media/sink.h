@@ -28,8 +28,6 @@ struct RenderConfig {
   double rate = 0.0;
   /// Expected track id (integrity checking); 0 disables the check.
   std::uint32_t expect_track = 0;
-  /// Keep per-frame delivery records (benches); stats are always kept.
-  bool keep_records = true;
 };
 
 struct DeliveryRecord {

@@ -51,8 +51,6 @@ struct LinkConfig {
   Duration reorder_window = 0;
   /// Output queue bound; packets arriving to a full queue are dropped.
   std::size_t queue_limit_packets = 128;
-  /// Fraction of bandwidth the reservation manager may hand out.
-  double reservable_fraction = 0.9;
   /// Optional Gilbert–Elliott burst-loss model.  When enabled it replaces
   /// the Bernoulli model above.
   bool burst_loss = false;
@@ -114,9 +112,11 @@ class Link {
 
   // --- reservation accounting (used by ReservationManager) ---
   std::int64_t reserved_bps() const { return reserved_bps_; }
+  /// Share of the link's bandwidth the reservation manager may hand out.
+  static constexpr double kReservableFraction = 0.9;
   std::int64_t reservable_bps() const {
     return static_cast<std::int64_t>(static_cast<double>(cfg_.bandwidth_bps) *
-                                     cfg_.reservable_fraction);
+                                     kReservableFraction);
   }
   void add_reservation(std::int64_t bps) { reserved_bps_ += bps; }
   void release_reservation(std::int64_t bps) { reserved_bps_ -= bps; }

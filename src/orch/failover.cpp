@@ -184,7 +184,7 @@ void FailoverSupervisor::attempt_rebuild() {
 }
 
 void FailoverSupervisor::retry_or_orphan() {
-  if (recovery_.attempt > cfg_.max_rebuild_retries) {
+  if (recovery_.attempt > kMaxRebuildRetries) {
     CMTOS_WARN("failover", "rebuild failed %d time(s); session orphaned", recovery_.attempt);
     orphaned_ = true;
     failing_over_ = false;
@@ -192,9 +192,8 @@ void FailoverSupervisor::retry_or_orphan() {
     if (on_failover_) on_failover_(recovery_.old_node, net::kInvalidNode);
     return;
   }
-  Duration backoff = cfg_.retry_backoff;
-  for (int i = 1; i < recovery_.attempt; ++i)
-    backoff = std::min(backoff * 2, cfg_.retry_backoff_max);
+  Duration backoff = kRetryBackoff;
+  for (int i = 1; i < recovery_.attempt; ++i) backoff = std::min(backoff * 2, kRetryBackoffMax);
   ++retries_;
   obs::Registry::global().counter("orch.failover_retries", {}).add();
   CMTOS_WARN("failover", "rebuild attempt %d failed; retrying in %lld us", recovery_.attempt,

@@ -58,13 +58,6 @@ struct FailoverConfig {
   /// dead.  Should be several regulation intervals: one lost report is
   /// routine (RegMerge already degrades to a partial indication).
   Duration agent_dead_after = 2 * kSecond;
-  /// Rebuild attempts after the first failed one before the session is
-  /// declared orphaned (a survivor endpoint may itself be briefly
-  /// unreachable when recovery starts).
-  int max_rebuild_retries = 4;
-  /// Backoff before the first retry; doubles per retry up to the cap.
-  Duration retry_backoff = 500 * kMillisecond;
-  Duration retry_backoff_max = 4 * kSecond;
 };
 
 class CMTOS_CONTROL_PLANE FailoverSupervisor {
@@ -86,7 +79,7 @@ class CMTOS_CONTROL_PLANE FailoverSupervisor {
   OrchSession* session() { return session_.get(); }
   int failovers() const { return failovers_; }
   /// True when recovery gave up: no stream survived, or every rebuild
-  /// attempt (initial + max_rebuild_retries) failed.
+  /// attempt (initial + kMaxRebuildRetries) failed.
   bool orphaned() const { return orphaned_; }
   /// Rebuild attempts beyond the first across all failovers.
   int rebuild_retries() const { return retries_; }
@@ -133,7 +126,14 @@ class CMTOS_CONTROL_PLANE FailoverSupervisor {
 
   void fail_over(const char* cause, bool node_dead);
   void attempt_rebuild();
+  /// Retries a failed rebuild up to kMaxRebuildRetries times (a survivor
+  /// endpoint may itself be briefly unreachable when recovery starts),
+  /// backing off kRetryBackoff, doubled per retry up to kRetryBackoffMax;
+  /// then declares the session orphaned.
   void retry_or_orphan();
+  static constexpr int kMaxRebuildRetries = 4;
+  static constexpr Duration kRetryBackoff = 500 * kMillisecond;
+  static constexpr Duration kRetryBackoffMax = 4 * kSecond;
 
   sim::Scheduler& sched_;
   Orchestrator& orch_;

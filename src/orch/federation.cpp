@@ -203,10 +203,10 @@ void FederatedHlo::root_pass() {
     if (n < 2) continue;  // nothing to align against
     HloAgent* a = agent(i);
     if (a == nullptr) continue;
-    // Remove align_gain of the deviation over the next interval, bent at
-    // most max_rate_scale_dev so media rates never visibly warp.
-    const double bend = std::clamp(policy_.align_gain * dev / interval_s,
-                                   -policy_.max_rate_scale_dev, policy_.max_rate_scale_dev);
+    // Remove kAlignGain of the deviation over the next interval, bent at
+    // most kMaxRateScaleDev so media rates never visibly warp.
+    const double bend =
+        std::clamp(kAlignGain * dev / interval_s, -kMaxRateScaleDev, kMaxRateScaleDev);
     a->set_rate_scale(1.0 + bend);
   }
   max_domain_skew_s_ = worst;

@@ -50,12 +50,6 @@ namespace cmtos::orch {
 struct FederationPolicy {
   /// Policy every domain agent runs (interval, tolerance, pacing...).
   OrchPolicy domain;
-  /// Fraction of a domain's inter-domain skew the root removes per
-  /// interval (the outer loop's gain; the inner per-VC loop uses 0.5).
-  double align_gain = 0.5;
-  /// Bound on |rate_scale - 1|: the root may bend a domain's media rate by
-  /// at most this fraction, so alignment is gradual and invisible.
-  double max_rate_scale_dev = 0.05;
 };
 
 /// A two-level orchestration tree: N domain HLO agents, one root.
@@ -120,8 +114,14 @@ class CMTOS_CONTROL_PLANE FederatedHlo {
   void wire(std::size_t i);
   /// Serial-round ingestion of one domain aggregate.
   void ingest(std::size_t i, std::uint64_t gen, const DomainAggregate& agg);
-  /// The root's whole interval workload: O(domains) arithmetic.
+  /// The root's whole interval workload: O(domains) arithmetic.  It
+  /// removes kAlignGain of each domain's inter-domain skew per interval
+  /// (the outer loop's gain; the inner per-VC loop also uses 0.5), bending
+  /// the domain's media rate by at most kMaxRateScaleDev so alignment is
+  /// gradual and invisible.
   void root_pass();
+  static constexpr double kAlignGain = 0.5;
+  static constexpr double kMaxRateScaleDev = 0.05;
 
   Orchestrator& orch_;
   FederationPolicy policy_;

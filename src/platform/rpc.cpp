@@ -1,9 +1,5 @@
 #include "platform/rpc.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "obs/metrics.h"
 #include "obs/wire_stats.h"
 #include "util/byte_io.h"
 #include "util/checksum.h"
@@ -96,7 +92,7 @@ std::string to_string(RpcOutcome o) {
 }
 
 RpcRuntime::RpcRuntime(net::Network& network, net::NodeId node)
-    : network_(network), node_(node), rng_(0x5eb0ff5731ull + node) {
+    : network_(network), node_(node) {
   network_.node(node_).set_handler(net::Proto::kRpc,
                                    [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
@@ -128,65 +124,28 @@ void RpcRuntime::invoke(net::NodeId node, const std::string& interface, const st
   m.op = op;
   m.body = std::move(args);
 
-  PendingCall pend;
-  pend.reply = std::move(reply);
-  pend.dst = node;
-  pend.wire = m.encode();
-  pend.delay_bound = delay_bound;
-  // Unbounded calls never time out, so they never retry either.
-  pend.attempts_left = delay_bound == kTimeNever ? 0 : std::max(1, retry_.max_attempts) - 1;
-  const std::uint64_t call_id = m.call_id;
-  pending_.emplace(call_id, std::move(pend));
-  send_attempt(call_id);
-}
-
-void RpcRuntime::send_attempt(std::uint64_t call_id) {
-  auto it = pending_.find(call_id);
-  if (it == pending_.end()) return;  // completed while a retry was backing off
   net::Packet pkt;
   pkt.src = node_;
-  pkt.dst = it->second.dst;
+  pkt.dst = node;
   pkt.proto = net::Proto::kRpc;
   pkt.priority = net::Priority::kControl;
   // RPC handlers are registered by facade-side services (orchestrator
   // registry, failover control): deliver globally so those rounds serialise.
   pkt.global_delivery = true;
-  pkt.payload = it->second.wire;
+  pkt.payload = m.encode();
   network_.send(std::move(pkt));
-  arm_timeout(call_id);
-}
 
-void RpcRuntime::arm_timeout(std::uint64_t call_id) {
-  auto it = pending_.find(call_id);
-  if (it == pending_.end() || it->second.delay_bound == kTimeNever) return;
+  const std::uint64_t call_id = m.call_id;
+  PendingCall& pend = pending_[call_id];
+  pend.reply = std::move(reply);
+  if (delay_bound == kTimeNever) return;
   // Call timeouts run on the caller node's shard but as global events: the
   // reply callback may touch facade-side state.
-  auto& rt = network_.node(node_).runtime();
-  it->second.timeout.after_global(rt, it->second.delay_bound, [this, call_id] {
-    auto pit = pending_.find(call_id);
-    if (pit == pending_.end()) return;
-    if (pit->second.attempts_left > 0) {
-      --pit->second.attempts_left;
-      // Capped exponential backoff with jitter; this retry's ordinal (1-based)
-      // sets the exponent.
-      const int retry_no = std::max(1, retry_.max_attempts) - 1 - pit->second.attempts_left;
-      double d = static_cast<double>(retry_.base) *
-                 std::pow(retry_.multiplier, static_cast<double>(retry_no - 1));
-      d = std::min(d, static_cast<double>(retry_.cap));
-      if (retry_.jitter_frac > 0) d *= 1.0 + rng_.uniform_real(0.0, retry_.jitter_frac);
-      const Duration backoff = static_cast<Duration>(d);
-      obs::Registry::global()
-          .counter("rpc.retries", {{"node", std::to_string(node_)}})
-          .add();
-      CMTOS_INFO("rpc", "node %u: call %llu attempt timed out, retry %d in %lld ns", node_,
-                 static_cast<unsigned long long>(call_id), retry_no,
-                 static_cast<long long>(backoff));
-      pit->second.timeout.after_global(network_.node(node_).runtime(), backoff,
-                                       [this, call_id] { send_attempt(call_id); });
-      return;
-    }
-    ReplyFn fn = std::move(pit->second.reply);
-    pending_.erase(pit);
+  pend.timeout.after_global(network_.node(node_).runtime(), delay_bound, [this, call_id] {
+    auto it = pending_.find(call_id);
+    if (it == pending_.end()) return;
+    ReplyFn fn = std::move(it->second.reply);
+    pending_.erase(it);
     if (fn) fn(RpcOutcome::kTimeout, {});
   });
 }

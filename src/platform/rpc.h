@@ -25,7 +25,6 @@
 
 #include "net/network.h"
 #include "sim/scheduler.h"
-#include "util/rng.h"
 #include "util/time.h"
 
 namespace cmtos::platform {
@@ -47,26 +46,6 @@ using OpHandler =
 
 /// Reply callback at the invoker.
 using ReplyFn = std::function<void(RpcOutcome, std::span<const std::uint8_t> reply)>;
-
-/// Retry policy for control-path invocations.  REX operations are
-/// idempotent control calls, so a timed-out attempt may be retried with
-/// capped exponential backoff: transient partitions then heal transparently
-/// while hard failures still surface kTimeout after the last attempt.  The
-/// call id is reused across attempts, so a late reply to an earlier attempt
-/// completes the call (and cancels the pending retry).
-struct RpcRetryPolicy {
-  /// Total send attempts (1 = no retry, the historical behaviour).
-  int max_attempts = 1;
-  /// Backoff before the first retry; doubles each further attempt.
-  Duration base = 100 * kMillisecond;
-  double multiplier = 2.0;
-  /// Ceiling on any single backoff.
-  Duration cap = 2 * kSecond;
-  /// Uniform random extension of each backoff, as a fraction of it:
-  /// delay = backoff * (1 + U[0, jitter_frac]).  Desynchronises retry
-  /// storms after a heal.
-  double jitter_frac = 0.2;
-};
 
 class RpcRuntime {
  public:
@@ -90,11 +69,6 @@ class RpcRuntime {
     invoke(node, interface, op, std::move(args), kTimeNever, std::move(reply));
   }
 
-  /// Retry policy applied to every bounded invoke from this runtime.  The
-  /// delay bound is per attempt.
-  void set_retry_policy(const RpcRetryPolicy& p) { retry_ = p; }
-  const RpcRetryPolicy& retry_policy() const { return retry_; }
-
   /// Node crash: every pending call is dropped (no reply callback will
   /// fire — the caller's process died with the node) and traffic is
   /// ignored until restart().  Registered interfaces survive, like TSAP
@@ -107,24 +81,14 @@ class RpcRuntime {
   struct PendingCall {
     ReplyFn reply;
     sim::Timer timeout;
-    // Retry state: the encoded request is kept for retransmission.
-    net::NodeId dst = net::kInvalidNode;
-    std::vector<std::uint8_t> wire;
-    Duration delay_bound = kTimeNever;
-    int attempts_left = 0;
   };
 
   void on_packet(net::Packet&& pkt);
-  void send_attempt(std::uint64_t call_id);
-  void arm_timeout(std::uint64_t call_id);
 
   net::Network& network_;
   net::NodeId node_;
   std::uint64_t next_call_ = 1;
-  RpcRetryPolicy retry_;
   bool down_ = false;
-  /// Deterministic per-runtime stream for retry-backoff jitter.
-  Rng rng_;
   std::map<std::string, std::map<std::string, OpHandler>> interfaces_;
   std::map<std::uint64_t, PendingCall> pending_;
 };

@@ -51,7 +51,7 @@ VcId ConnectionManager::t_connect_request(const ConnectRequest& req) {
     PendingInitiated pend;
     pend.req = req;
     pend.remote = true;
-    pend.retries_left = ent_.config_.handshake_retries;
+    pend.retries_left = kHandshakeRetries;
     pending_initiated_.emplace(vc, std::move(pend));
     ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, t.encode());
     // Handshake TPDUs are retransmitted a few times before the connect is
@@ -243,7 +243,7 @@ void ConnectionManager::source_connect(VcId vc, const ConnectRequest& req) {
   pend.offered = *offered;
   pend.reservation = resv;
   pend.reverse_reservation = reverse_resv;
-  pend.retries_left = ent_.config_.handshake_retries;
+  pend.retries_left = kHandshakeRetries;
   pend.cr_wire = t.encode();
   pending_cc_.emplace(vc, std::move(pend));
   ent_.send_tpdu(req.dst.node, net::Proto::kTransportControl, t.encode());

@@ -127,7 +127,7 @@ void QosMonitor::end_period(Time local_now) {
   // T-QoS.indication per sample period forever, flooding the control VC
   // and the HLO agent's report path.  Track the violation run and emit only
   // on the first violating period, when the violated parameter set changes,
-  // or as a periodic refresh every repeat_every_ periods.
+  // or as a periodic refresh every kRepeatEvery periods.
   bool emit = false;
   if (rep.warmup) {
     // Warmup periods neither report nor count toward a run.
@@ -135,7 +135,7 @@ void QosMonitor::end_period(Time local_now) {
     ++violation_run_;
     ++periods_since_emit_;
     emit = violation_run_ == 1 || !(rep.violations == last_emitted_set_) ||
-           periods_since_emit_ >= repeat_every_;
+           periods_since_emit_ >= kRepeatEvery;
   } else {
     violation_run_ = 0;
     coalesced_ = 0;

@@ -80,7 +80,7 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     t.agreed = *cand;
     pend.rn_wire = t.encode();
     pend.peer = conn->peer_node();
-    pend.retries_left = ent_.config_.handshake_retries;
+    pend.retries_left = kHandshakeRetries;
     pending_reneg_[vc] = std::move(pend);
     ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
     arm_rn_timer(vc);
@@ -100,7 +100,7 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     t.qos = proposed;
     pend.rn_wire = t.encode();
     pend.peer = conn->peer_node();
-    pend.retries_left = ent_.config_.handshake_retries;
+    pend.retries_left = kHandshakeRetries;
     pending_reneg_[vc] = std::move(pend);
     ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
     arm_rn_timer(vc);

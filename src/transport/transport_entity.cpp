@@ -122,12 +122,10 @@ VcId TransportEntity::alloc_vc() {
 }
 
 Duration TransportEntity::handshake_delay() {
-  const Duration base = config_.handshake_retransmit;
-  if (config_.handshake_jitter <= 0) return base;
   // Stretch only (never shrink): jitter must not tighten the overall
   // budget, only decorrelate simultaneous retries.
-  const double stretch = 1.0 + rng_.uniform_real(0.0, config_.handshake_jitter);
-  return static_cast<Duration>(static_cast<double>(base) * stretch);
+  const double stretch = 1.0 + rng_.uniform_real(0.0, kHandshakeJitter);
+  return static_cast<Duration>(static_cast<double>(kHandshakeRetransmit) * stretch);
 }
 
 void TransportEntity::send_tpdu(net::NodeId dst, net::Proto proto,

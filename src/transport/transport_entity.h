@@ -52,20 +52,19 @@
 
 namespace cmtos::transport {
 
-/// Control-path timing policy.  Previously hardcoded constants; a config
-/// struct so tests can tighten them and deployments can match their RTTs.
+/// Handshake (RCR/CR/RN) retransmission: each pending handshake TPDU is
+/// resent every kHandshakeRetransmit, stretched by a uniform draw of up to
+/// kHandshakeJitter of it, and given up on after kHandshakeRetries resends.
+/// A connect or renegotiation that hears nothing therefore fails after
+/// 1 + kHandshakeRetries sends, 2.0 to 2.4 s after the first.  The stretch
+/// desynchronises the retry storms that otherwise form when many
+/// connects race a healed partition.
+inline constexpr Duration kHandshakeRetransmit = 500 * kMillisecond;
+inline constexpr int kHandshakeRetries = 3;
+inline constexpr double kHandshakeJitter = 0.2;
+
+/// Peer-liveness policy; the soak and failover worlds tighten it.
 struct TransportConfig {
-  /// Overall connect-handshake budget before kUnreachable is reported.
-  Duration connect_timeout = 2 * kSecond;
-  /// Interval between handshake (RCR/CR) retransmissions.
-  Duration handshake_retransmit = 500 * kMillisecond;
-  /// Handshake retransmissions before giving up.
-  int handshake_retries = 3;
-  /// Uniform random extension of each retransmission interval, as a
-  /// fraction of it: delay = retransmit * (1 + U[0, jitter]).  Desynchronises
-  /// the retry storms that otherwise form when many connects race a healed
-  /// partition.
-  double handshake_jitter = 0.2;
   /// Cadence of the per-peer heartbeat while liveness is on: each entity
   /// sends one heartbeat per peer node it holds VCs with, however many.
   Duration keepalive_interval = 250 * kMillisecond;
@@ -229,13 +228,6 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   const TransportConfig& config() const { return config_; }
   void set_config(const TransportConfig& c) { config_ = c; }
 
-  /// Connect handshake timeout (kUnreachable failure).  Convenience that
-  /// keeps the historical interval relation (retransmit every quarter).
-  void set_connect_timeout(Duration d) {
-    config_.connect_timeout = d;
-    config_.handshake_retransmit = d / 4;
-  }
-
   // ------------------------------------------------------------------
   // Fault model
   // ------------------------------------------------------------------
@@ -278,7 +270,7 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   void deliver_disconnect(VcId vc, net::Tsap tsap, DisconnectReason reason);
   /// Releases (and forgets) the reverse-path control trickle of `vc`.
   void release_reverse_reservation(VcId vc);
-  /// Jittered handshake retransmission delay (see TransportConfig).
+  /// Jittered handshake retransmission delay (see kHandshakeRetransmit).
   Duration handshake_delay();
   VcId alloc_vc();
 

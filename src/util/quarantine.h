@@ -9,7 +9,8 @@
 // corruption storm (a CRC-valid structural refusal is a 2^-32 coincidence
 // for random damage, so the signal is clean).
 //
-// The helper is pure bookkeeping — thresholds in, escalation decision out.
+// The helper is pure bookkeeping — one malformed PDU in, escalation
+// decision out.
 // The owning layer (ConnectionManager on the transport side, SessionTable
 // on the orchestration side) performs the actual teardown.
 
@@ -28,10 +29,6 @@ class PeerQuarantine {
     kEscalate = 2,  // escalation threshold crossed: tear the peer down
   };
 
-  explicit PeerQuarantine(std::uint32_t warn_threshold = 4,
-                          std::uint32_t escalate_threshold = 16)
-      : warn_(warn_threshold), escalate_(escalate_threshold) {}
-
   /// Records one structurally-invalid (CRC-valid) PDU from `peer` and
   /// returns the action the owner should take.  kWarn and kEscalate each
   /// fire at most once per peer; counts are monotonic — a peer that
@@ -39,11 +36,11 @@ class PeerQuarantine {
   Action note_malformed(std::uint32_t peer) {
     Entry& e = peers_[peer];
     ++e.malformed;
-    if (!e.escalated && e.malformed >= escalate_) {
+    if (!e.escalated && e.malformed >= kEscalateAt) {
       e.escalated = true;
       return Action::kEscalate;
     }
-    if (!e.warned && e.malformed >= warn_) {
+    if (!e.warned && e.malformed >= kWarnAt) {
       e.warned = true;
       return Action::kWarn;
     }
@@ -68,8 +65,9 @@ class PeerQuarantine {
     bool warned = false;
     bool escalated = false;
   };
-  std::uint32_t warn_;
-  std::uint32_t escalate_;
+  /// Malformed-PDU counts at which a peer is warned about, then cut off.
+  static constexpr std::int64_t kWarnAt = 4;
+  static constexpr std::int64_t kEscalateAt = 16;
   std::map<std::uint32_t, Entry> peers_;
 };
 

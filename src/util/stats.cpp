@@ -90,38 +90,4 @@ double RateMeter::bit_rate(Time now) const {
   return static_cast<double>(bytes_ * 8) / to_seconds(span);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[idx];
-}
-
-std::string Histogram::render(int max_bar) const {
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[256];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const int bar = static_cast<int>(counts_[i] * max_bar / peak);
-    std::snprintf(line, sizeof line, "[%10.3f, %10.3f) %8lld |", bucket_lo(i), bucket_hi(i),
-                  static_cast<long long>(counts_[i]));
-    out += line;
-    out.append(static_cast<std::size_t>(bar), '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace cmtos

@@ -93,25 +93,4 @@ class RateMeter {
   std::int64_t bytes_ = 0;
 };
 
-/// Fixed-bucket histogram over [lo, hi); under/overflow tracked separately.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::int64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::int64_t underflow() const { return underflow_; }
-  std::int64_t overflow() const { return overflow_; }
-  std::int64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  double bucket_hi(std::size_t i) const { return bucket_lo(i) + width_; }
-  /// Renders a compact ASCII bar chart (one line per non-empty bucket).
-  std::string render(int max_bar = 40) const;
-
- private:
-  double lo_, width_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 }  // namespace cmtos

@@ -242,19 +242,33 @@ TEST(Connect, NarrowingOutsideToleranceIgnored) {
 }
 
 TEST(Connect, UnreachableDestinationTimesOut) {
-  // Destination island: no link.
+  // Two unreachable destinations.  An island with no route is refused at
+  // admission.  A crashed peer's link carries every CR: each retransmission
+  // waits kHandshakeRetransmit stretched by up to kHandshakeJitter, so the
+  // connect gives up after 1 + kHandshakeRetries CRs, within (2.0, 2.4) s:
+  // the stretch pushes it past the unstretched 2.0 s.
   platform::Platform p;
   auto& a = p.add_host("a");
   auto& island = p.add_host("island");
+  auto& b = p.add_host("b");
+  p.network().add_link(a.id, b.id, {});
   p.network().finalize_routes();
+  p.crash_node(b.id);
   ScriptedUser src_user(a.entity);
   a.entity.bind(10, &src_user);
-  a.entity.set_connect_timeout(500 * kMillisecond);
+  a.entity.bind(11, &src_user);
 
-  a.entity.t_connect_request(basic_request({a.id, 10}, {island.id, 20}));
-  p.run_until(2 * kSecond);
+  const VcId to_island = a.entity.t_connect_request(basic_request({a.id, 10}, {island.id, 20}));
+  const VcId to_b = a.entity.t_connect_request(basic_request({a.id, 11}, {b.id, 20}));
+  constexpr int kSends = 1 + transport::kHandshakeRetries;
+  p.run_until(kSends * transport::kHandshakeRetransmit);
   ASSERT_EQ(src_user.disconnects.size(), 1u);
-  EXPECT_EQ(src_user.disconnects[0].second, DisconnectReason::kUnreachable);
+  EXPECT_EQ(src_user.disconnects[0], std::pair(to_island, DisconnectReason::kUnreachable));
+  p.run_until(static_cast<Duration>(kSends * transport::kHandshakeRetransmit *
+                                    (1 + transport::kHandshakeJitter)));
+  ASSERT_EQ(src_user.disconnects.size(), 2u);
+  EXPECT_EQ(src_user.disconnects[1], std::pair(to_b, DisconnectReason::kUnreachable));
+  EXPECT_EQ(p.network().link(a.id, b.id)->stats().packets_sent, kSends);
 }
 
 TEST(Disconnect, SourceInitiatedReleasesBothEndsAndReservation) {

@@ -227,7 +227,7 @@ TEST(ErrorControl, LossWithoutCorrectionSkipsAndCounts) {
   req.service_class.error_control = ErrorControl::kIndicate;
   Wire wire(w, req);
   // A lossy link may eat the first CR/CC; handshake retransmission kicks
-  // in within connect_timeout/4 steps.
+  // in every transport::kHandshakeRetransmit (plus jitter).
   w.platform.run_until(3 * kSecond);
   wire.source = w.a->entity.source(wire.vc);
   wire.sink = w.b->entity.sink(wire.vc);

@@ -203,7 +203,6 @@ class CoalescingFeeder {
 
 TEST(QosMonitorCoalescing, SustainedRunEmitsFirstThenRefreshes) {
   QosMonitor m(1, contract(), 1 * kSecond);
-  m.set_indication_repeat_every(4);
   std::vector<QosReport> emitted;
   m.set_on_violation([&](const QosReport& r) { emitted.push_back(r); });
   m.begin(0);
@@ -222,7 +221,6 @@ TEST(QosMonitorCoalescing, SustainedRunEmitsFirstThenRefreshes) {
 
 TEST(QosMonitorCoalescing, ViolatedSetChangeBreaksSuppression) {
   QosMonitor m(1, contract(), 1 * kSecond);
-  m.set_indication_repeat_every(8);
   std::vector<QosReport> emitted;
   m.set_on_violation([&](const QosReport& r) { emitted.push_back(r); });
   m.begin(0);

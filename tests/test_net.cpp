@@ -330,7 +330,6 @@ TEST(Reservation, AdmitsUpToReservableFraction) {
   NetWorld w;
   LinkConfig cfg;
   cfg.bandwidth_bps = 10'000'000;
-  cfg.reservable_fraction = 0.9;
   const NodeId a = w.net.add_node("a");
   const NodeId b = w.net.add_node("b");
   w.net.add_link(a, b, cfg);
@@ -407,20 +406,19 @@ TEST(Reservation, AvailableBpsTracksPathMinimum) {
   NetWorld w;
   LinkConfig fat;
   fat.bandwidth_bps = 100'000'000;
-  fat.reservable_fraction = 1.0;
   LinkConfig thin;
   thin.bandwidth_bps = 2'000'000;
-  thin.reservable_fraction = 1.0;
   const NodeId a = w.net.add_node("a");
   const NodeId b = w.net.add_node("b");
   const NodeId c = w.net.add_node("c");
   w.net.add_link(a, b, fat);
   w.net.add_link(b, c, thin);
   w.net.finalize_routes();
-  EXPECT_EQ(w.net.available_bps(a, c), 2'000'000);
+  // The thin link's reservable 90 %.
+  EXPECT_EQ(w.net.available_bps(a, c), 1'800'000);
   auto r = w.net.reserve(a, c, 500'000);
   ASSERT_TRUE(r);
-  EXPECT_EQ(w.net.available_bps(a, c), 1'500'000);
+  EXPECT_EQ(w.net.available_bps(a, c), 1'300'000);
 }
 
 TEST(Link, MidRunDegradationTakesEffect) {

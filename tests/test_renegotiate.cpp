@@ -199,12 +199,21 @@ TEST(RenegotiateLoss, SustainedLossFailsAfterRetriesButVcSurvives) {
   const auto before = w.star.platform.network().reserved_on(w.h0->id, w.star.hub->id);
 
   // Every RN (initial + all retries) is lost: the renegotiation must give
-  // up with kRenegotiationFailed, the VC must survive under the old
-  // contract, and the pre-raised reservation must be rolled back.
+  // up with kRenegotiationFailed after 1 + kHandshakeRetries RNs, within
+  // the stretched handshake budget (2.0, 2.4) s; the VC must survive under
+  // the old contract, and the pre-raised reservation must be rolled back.
+  // The VC is idle, so the RNs are the only packets h0 sends.
   link->set_loss_rate(1.0);
+  const auto sent_before = link->stats().packets_sent;
+  const Time t0 = w.star.platform.scheduler().now();
   w.h0->entity.t_renegotiate_request(w.vc, w.tol(40.0, 2048));
-  w.star.platform.run_until(w.star.platform.scheduler().now() + 6 * kSecond);
+  constexpr int kSends = 1 + transport::kHandshakeRetries;
+  w.star.platform.run_until(t0 + kSends * transport::kHandshakeRetransmit);
+  EXPECT_TRUE(w.src_user->disconnects.empty());
+  w.star.platform.run_until(t0 + static_cast<Duration>(kSends * transport::kHandshakeRetransmit *
+                                                       (1 + transport::kHandshakeJitter)));
   link->set_loss_rate(0.0);
+  EXPECT_EQ(link->stats().packets_sent - sent_before, kSends);
 
   ASSERT_EQ(w.src_user->disconnects.size(), 1u);
   EXPECT_EQ(w.src_user->disconnects[0].second, DisconnectReason::kRenegotiationFailed);

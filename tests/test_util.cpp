@@ -229,22 +229,6 @@ TEST(RateMeter, RatesOverWindow) {
   EXPECT_EQ(m.event_rate(0), 0.0);  // zero-length window
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0, 10, 10);
-  h.add(-1);
-  h.add(0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10);
-  h.add(100);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 2);
-  EXPECT_EQ(h.bucket(0), 1);
-  EXPECT_EQ(h.bucket(5), 1);
-  EXPECT_EQ(h.bucket(9), 1);
-  EXPECT_EQ(h.total(), 6);
-}
-
 TEST(RingBuffer, FifoOrder) {
   RingBuffer<int> rb(4);
   rb.push(1);

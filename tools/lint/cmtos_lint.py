@@ -4,7 +4,7 @@
 Fast, dependency-free line checks that encode project rules clang-tidy
 cannot express.  Run from the repo root:
 
-    python3 tools/lint/cmtos_lint.py            # check src/ tests/ bench/ examples/
+    python3 tools/lint/cmtos_lint.py            # check src/ tests/ bench/ examples/ tools/ perfbench/
     python3 tools/lint/cmtos_lint.py src/orch   # restrict to a subtree
 
 Exit status is non-zero when any finding is reported, so CI can gate on it.
@@ -62,7 +62,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-DEFAULT_SCAN = ["src", "tests", "bench", "examples", "tools"]
+DEFAULT_SCAN = ["src", "tests", "bench", "examples", "tools", "perfbench"]
 CXX_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
 
 KNOWN_RULES = {
@@ -88,8 +88,9 @@ RAII_HINT_RE = re.compile(r"lock_guard|unique_lock|scoped_lock|shared_lock|std::
 CODEC_FILE_RE = re.compile(r"(tpdu|opdu|byte_io|codec|wire|rpc)[^/]*\.(h|hpp|cc|cpp)$")
 NARROW_CAST_RE = re.compile(r"static_cast<\s*(?:std::)?u?int(?:8|16|32)_t\s*>")
 
-# handler-state-check: transport primitive handler definitions.
-HANDLER_DEF_RE = re.compile(r"void\s+Connection::(on_data|on_ack|on_nak|on_feedback)\s*\(")
+# handler-state-check: transport primitive handler definitions, whatever
+# they return (on_data reports acceptance as a bool).
+HANDLER_DEF_RE = re.compile(r"\w\s+Connection::(on_data|on_ack|on_nak|on_feedback)\s*\(")
 STATE_CHECK_RE = re.compile(r"state_")
 
 # include-hygiene
@@ -273,6 +274,9 @@ void f() {
   mon.set_agreed(p);
   mon.set_agreed(p);  // cmtos-lint: allow(qos-set-agreed)
 }
+bool Connection::on_data(const net::Packet& pkt) {
+  return pkt.size() > 0;
+}
 """
 PROBE_EXPECT = {  # line -> rule
     (1, "include-hygiene"),
@@ -282,6 +286,7 @@ PROBE_EXPECT = {  # line -> rule
     (6, "banned-function"),  # raw assert (probe scans as src/)
     (8, "narrowing-in-codec"),  # probe scans as a codec file
     (9, "qos-set-agreed"),  # probe is src/ but not src/transport/; 10 allowed
+    (12, "handler-state-check"),  # a bool handler with no state_ guard
 }
 
 
