@@ -46,14 +46,14 @@ constexpr int kNakMaxTries = 3;
 
 Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
                        const ConnectRequest& request, const QosParams& agreed,
-                       net::ReservationId reservation)
+                       const VcReservations& reservations)
     : entity_(entity),
       sched_(entity.runtime()),
       id_(id),
       role_(role),
       request_(request),
       agreed_(agreed),
-      reservation_(reservation),
+      reservations_(reservations),
       buffer_(std::max<std::uint32_t>(2, request.buffer_osdus)) {
   trace_pid_ = static_cast<int>(local_node());
   trace_tid_ = static_cast<int>(id_ & 0xffffffffu);
@@ -95,6 +95,10 @@ net::NodeId Connection::local_node() const {
 
 net::NodeId Connection::peer_node() const {
   return role_ == VcRole::kSource ? request_.dst.node : request_.src.node;
+}
+
+net::Tsap Connection::local_tsap() const {
+  return role_ == VcRole::kSource ? request_.src.tsap : request_.dst.tsap;
 }
 
 // ====================================================================

@@ -88,10 +88,20 @@ struct VcStats {
   std::int64_t osdus_shed = 0;            // stale OSDUs dropped by load shedding
 };
 
+/// The substrate reservations of one source VC: the forward path (data
+/// rate plus the control-VC allowance) and the reverse control trickle
+/// (feedback TPDUs, orchestrator replies).  A pending connect holds them
+/// until its CC arrives, then hands them to the source endpoint; a sink
+/// holds none.  TransportEntity::release_reservations returns both.
+struct VcReservations {
+  net::ReservationId forward = net::kNoReservation;
+  net::ReservationId reverse = net::kNoReservation;
+};
+
 class CMTOS_SHARD_AFFINE Connection {
  public:
   Connection(TransportEntity& entity, VcId id, VcRole role, const ConnectRequest& request,
-             const QosParams& agreed, net::ReservationId reservation);
+             const QosParams& agreed, const VcReservations& reservations);
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -102,7 +112,9 @@ class CMTOS_SHARD_AFFINE Connection {
   VcState state() const { return state_; }
   const ConnectRequest& request() const { return request_; }
   const QosParams& agreed_qos() const { return agreed_; }
-  net::ReservationId reservation() const { return reservation_; }
+  /// The forward reservation, which renegotiation resizes.
+  net::ReservationId reservation() const { return reservations_.forward; }
+  const VcReservations& reservations() const { return reservations_; }
   const VcStats& stats() const { return stats_; }
   QosMonitor* monitor() { return monitor_.get(); }
   const QosMonitor* monitor() const { return monitor_.get(); }
@@ -111,6 +123,8 @@ class CMTOS_SHARD_AFFINE Connection {
   /// versa).
   net::NodeId peer_node() const;
   net::NodeId local_node() const;
+  /// The TSAP of this endpoint's user (source or destination address).
+  net::Tsap local_tsap() const;
 
   // ------------------------------------------------------------------
   // Application (user-thread) interface — the shared circular buffer.
@@ -281,7 +295,7 @@ class CMTOS_SHARD_AFFINE Connection {
   VcState state_ = VcState::kConnecting;
   ConnectRequest request_;
   QosParams agreed_;
-  net::ReservationId reservation_;
+  VcReservations reservations_;
   VcStats stats_;
 
   StreamBuffer buffer_;

@@ -11,8 +11,42 @@
 namespace cmtos::transport {
 
 namespace {
-/// Worst-case wire bytes of one data TPDU, for path latency estimation.
-constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
+
+/// The connect parameters a CR or RCR carries: the one ConnectRequest ->
+/// wire mapping (connect_request is its inverse), so a new connect field
+/// is added here, there and in the codec.
+ControlTpdu connect_tpdu(TpduType type, VcId vc, const ConnectRequest& req) {
+  ControlTpdu t;
+  t.type = type;
+  t.vc = vc;
+  t.initiator = req.initiator;
+  t.src = req.src;
+  t.dst = req.dst;
+  t.service_class = req.service_class;
+  t.qos = req.qos;
+  t.sample_period = req.sample_period;
+  t.buffer_osdus = req.buffer_osdus;
+  t.importance = req.importance;
+  t.shed_watermark_pct = req.shed_watermark_pct;
+  t.pacing_burst = req.pacing_burst;
+  return t;
+}
+
+ConnectRequest connect_request(const ControlTpdu& t) {
+  ConnectRequest req;
+  req.initiator = t.initiator;
+  req.src = t.src;
+  req.dst = t.dst;
+  req.service_class = t.service_class;
+  req.qos = t.qos;
+  req.sample_period = t.sample_period;
+  req.buffer_osdus = t.buffer_osdus;
+  req.importance = t.importance;
+  req.shed_watermark_pct = t.shed_watermark_pct;
+  req.pacing_burst = t.pacing_burst;
+  return req;
+}
+
 }  // namespace
 
 ConnectionManager::ConnectionManager(TransportEntity& entity) : ent_(entity) {}
@@ -35,23 +69,9 @@ VcId ConnectionManager::t_connect_request(const ConnectRequest& req) {
   } else {
     // Remote connect (§3.5): relay to the source entity, which asks the
     // application attached to the source TSAP.
-    ControlTpdu t;
-    t.type = TpduType::kRCR;
-    t.vc = vc;
-    t.initiator = req.initiator;
-    t.src = req.src;
-    t.dst = req.dst;
-    t.service_class = req.service_class;
-    t.qos = req.qos;
-    t.sample_period = req.sample_period;
-    t.buffer_osdus = req.buffer_osdus;
-    t.importance = req.importance;
-    t.shed_watermark_pct = req.shed_watermark_pct;
-  t.pacing_burst = req.pacing_burst;
+    const ControlTpdu t = connect_tpdu(TpduType::kRCR, vc, req);
     PendingInitiated pend;
     pend.req = req;
-    pend.remote = true;
-    pend.retries_left = kHandshakeRetries;
     pending_initiated_.emplace(vc, std::move(pend));
     ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, t.encode());
     // Handshake TPDUs are retransmitted a few times before the connect is
@@ -90,14 +110,17 @@ void ConnectionManager::arm_cr_timer(VcId vc) {
       arm_cr_timer(vc);
       return;
     }
-    const ConnectRequest req = it->second.req;
-    if (it->second.reservation != net::kNoReservation)
-      ent_.network_.release(it->second.reservation);
-    if (it->second.reverse_reservation != net::kNoReservation)
-      ent_.network_.release(it->second.reverse_reservation);
-    pending_cc_.erase(it);
-    fail_connect(vc, req, DisconnectReason::kUnreachable);
+    fail_connect(vc, abort_connect(vc), DisconnectReason::kUnreachable);
   });
+}
+
+ConnectRequest ConnectionManager::abort_connect(VcId vc) {
+  auto it = pending_cc_.find(vc);
+  CMTOS_DCHECK(it != pending_cc_.end());
+  ConnectRequest req = std::move(it->second.req);
+  ent_.release_reservations(it->second.resv);
+  pending_cc_.erase(it);
+  return req;
 }
 
 void ConnectionManager::handle_rcr(const ControlTpdu& t) {
@@ -116,18 +139,7 @@ void ConnectionManager::handle_rcr(const ControlTpdu& t) {
     ent_.send_tpdu(t.initiator.node, net::Proto::kTransportControl, rcc.encode());
     return;
   }
-  ConnectRequest req;
-  req.initiator = t.initiator;
-  req.src = t.src;
-  req.dst = t.dst;
-  req.service_class = t.service_class;
-  req.qos = t.qos;
-  req.sample_period = t.sample_period;
-  req.buffer_osdus = t.buffer_osdus;
-  req.importance = t.importance;
-  req.shed_watermark_pct = t.shed_watermark_pct;
-  req.pacing_burst = t.pacing_burst;
-
+  const ConnectRequest req = connect_request(t);
   TransportUser* user = ent_.user_at(req.src.tsap);
   if (user == nullptr) {
     notify_initiator(t.vc, req, false, {}, DisconnectReason::kNoSuchTsap);
@@ -137,51 +149,17 @@ void ConnectionManager::handle_rcr(const ControlTpdu& t) {
   user->t_connect_indication(t.vc, req);
 }
 
-std::optional<QosParams> ConnectionManager::admit(const ConnectRequest& req,
-                                                  DisconnectReason& reason) {
-  net::Network& network = ent_.network_;
-  const auto route = network.path(req.src.node, req.dst.node);
-  if (route.empty() && req.src.node != req.dst.node) {
-    reason = DisconnectReason::kUnreachable;
-    return std::nullopt;
-  }
-  std::optional<QosParams> cand;
-  if (req.src.node == req.dst.node) {
-    cand = req.qos.preferred;  // node-local VC: no network resources needed
-  } else if (!network.admission_control()) {
-    // No reservation substrate (the A4 ablation): accept the preference
-    // blindly and hope — exactly the failure mode the paper's assumed
-    // ST-II-style reservation exists to prevent.
-    cand = req.qos.preferred;
-  } else {
-    // The internal control VC's allowance comes off the top before the
-    // data rate is negotiated.
-    cand = degrade_to_bandwidth(req.qos, network.available_bps(req.src.node, req.dst.node) -
-                                             TransportEntity::kControlVcBps);
-    if (!cand) {
-      reason = DisconnectReason::kNoResources;
-      return std::nullopt;
-    }
-    const Duration est = network.path_delay_estimate(req.src.node, req.dst.node, kMaxWirePacket);
-    if (est > req.qos.worst.end_to_end_delay) {
-      reason = DisconnectReason::kQosUnachievable;
-      return std::nullopt;
-    }
-    // Offer an end-to-end delay bound that the path can plausibly meet:
-    // keep the preference when the path is comfortably faster, otherwise
-    // weaken toward the worst-acceptable bound.
-    cand->end_to_end_delay = std::max(cand->end_to_end_delay,
-                                      std::min(req.qos.worst.end_to_end_delay,
-                                               2 * est + 5 * kMillisecond));
-  }
-  return cand;
-}
-
 void ConnectionManager::source_connect(VcId vc, const ConnectRequest& req) {
   CMTOS_DCHECK(req.src.node == ent_.node_);
   net::Network& network = ent_.network_;
   DisconnectReason reason = DisconnectReason::kProtocolError;
-  auto offered = admit(req, reason);
+  // The internal control VC's allowance comes off the top before the data
+  // rate is negotiated.
+  const auto admit = [&] {
+    return ent_.admit(req.qos, req.src.node, req.dst.node, -TransportEntity::kControlVcBps,
+                      reason);
+  };
+  auto offered = admit();
   if (!offered && reason == DisconnectReason::kNoResources &&
       network.preempt_for(req.src.node, req.dst.node,
                           req.qos.worst.required_bps() + TransportEntity::kControlVcBps,
@@ -189,15 +167,14 @@ void ConnectionManager::source_connect(VcId vc, const ConnectRequest& req) {
     // Preemptive admission: lower-importance VCs on the contended path were
     // displaced (kPreempted); only enough for the worst-acceptable rate, so
     // the collateral damage is minimal.
-    offered = admit(req, reason);
+    offered = admit();
   }
   if (!offered) {
     fail_connect(vc, req, reason);
     return;
   }
 
-  net::ReservationId resv = net::kNoReservation;
-  net::ReservationId reverse_resv = net::kNoReservation;
+  VcReservations resv;
   if (req.src.node != req.dst.node) {
     auto r = network.reserve(req.src.node, req.dst.node,
                              offered->required_bps() + TransportEntity::kControlVcBps);
@@ -205,45 +182,31 @@ void ConnectionManager::source_connect(VcId vc, const ConnectRequest& req) {
       fail_connect(vc, req, DisconnectReason::kNoResources);
       return;
     }
-    resv = *r;
+    resv.forward = *r;
     // Reverse trickle for feedback TPDUs and orchestrator replies.
     auto rr = network.reserve(req.dst.node, req.src.node, TransportEntity::kControlVcBps);
     if (!rr && network.preempt_for(req.dst.node, req.src.node, TransportEntity::kControlVcBps,
                                    req.importance))
       rr = network.reserve(req.dst.node, req.src.node, TransportEntity::kControlVcBps);
     if (!rr) {
-      network.release(resv);
+      ent_.release_reservations(resv);
       fail_connect(vc, req, DisconnectReason::kNoResources);
       return;
     }
-    reverse_resv = *rr;
+    resv.reverse = *rr;
     // Register for preemptive admission: a later, more important connect on
     // a contended link may displace this VC through preempt_vc.
-    network.annotate_reservation(resv, req.importance, [this, vc] { preempt_vc(vc); });
+    network.annotate_reservation(resv.forward, req.importance, [this, vc] { preempt_vc(vc); });
   }
 
-  ControlTpdu t;
-  t.type = TpduType::kCR;
-  t.vc = vc;
-  t.initiator = req.initiator;
-  t.src = req.src;
-  t.dst = req.dst;
-  t.service_class = req.service_class;
+  ControlTpdu t = connect_tpdu(TpduType::kCR, vc, req);
   t.qos.preferred = *offered;  // the offer cannot exceed what was admitted
-  t.qos.worst = req.qos.worst;
   t.agreed = *offered;
-  t.sample_period = req.sample_period;
-  t.buffer_osdus = req.buffer_osdus;
-  t.importance = req.importance;
-  t.shed_watermark_pct = req.shed_watermark_pct;
-  t.pacing_burst = req.pacing_burst;
 
   PendingCc pend;
   pend.req = req;
   pend.offered = *offered;
-  pend.reservation = resv;
-  pend.reverse_reservation = reverse_resv;
-  pend.retries_left = kHandshakeRetries;
+  pend.resv = resv;
   pend.cr_wire = t.encode();
   pending_cc_.emplace(vc, std::move(pend));
   ent_.send_tpdu(req.dst.node, net::Proto::kTransportControl, t.encode());
@@ -266,18 +229,7 @@ void ConnectionManager::handle_cr(const ControlTpdu& t) {
     ent_.send_tpdu(t.src.node, net::Proto::kTransportControl, cc.encode());
     return;
   }
-  ConnectRequest req;
-  req.initiator = t.initiator;
-  req.src = t.src;
-  req.dst = t.dst;
-  req.service_class = t.service_class;
-  req.qos = t.qos;
-  req.sample_period = t.sample_period;
-  req.buffer_osdus = t.buffer_osdus;
-  req.importance = t.importance;
-  req.shed_watermark_pct = t.shed_watermark_pct;
-  req.pacing_burst = t.pacing_burst;
-
+  const ConnectRequest req = connect_request(t);
   TransportUser* user = ent_.user_at(req.dst.tsap);
   ControlTpdu reply;
   reply.type = TpduType::kCC;
@@ -344,9 +296,8 @@ void ConnectionManager::connect_response(VcId vc, bool accept,
       CMTOS_WARN("transport", "destination narrowing outside tolerance ignored");
     }
   }
-  ConnectRequest sink_req = req;
-  auto conn = std::make_unique<Connection>(ent_, vc, VcRole::kSink, sink_req, agreed,
-                                           net::kNoReservation);
+  auto conn = std::make_unique<Connection>(ent_, vc, VcRole::kSink, req, agreed,
+                                           VcReservations{});
   conn->open();
   ent_.sinks_.emplace(vc, std::move(conn));
 
@@ -360,37 +311,25 @@ void ConnectionManager::handle_cc(const ControlTpdu& t) {
   auto it = pending_cc_.find(t.vc);
   if (it == pending_cc_.end()) {
     // Late CC after timeout: tear the orphan sink down.
-    if (t.accepted) {
-      ControlTpdu dr;
-      dr.type = TpduType::kDR;
-      dr.vc = t.vc;
-      dr.reason = static_cast<std::uint8_t>(DisconnectReason::kProtocolError);
-      ent_.send_tpdu(t.dst.node, net::Proto::kTransportControl, dr.encode());
-    }
+    if (t.accepted) send_dr(t.dst.node, t.vc, DisconnectReason::kProtocolError);
+    return;
+  }
+  if (!t.accepted) {
+    fail_connect(t.vc, abort_connect(t.vc), static_cast<DisconnectReason>(t.reason));
     return;
   }
   PendingCc pend = std::move(it->second);
   pending_cc_.erase(it);
 
-  if (!t.accepted) {
-    if (pend.reservation != net::kNoReservation) ent_.network_.release(pend.reservation);
-    if (pend.reverse_reservation != net::kNoReservation)
-      ent_.network_.release(pend.reverse_reservation);
-    fail_connect(t.vc, pend.req, static_cast<DisconnectReason>(t.reason));
-    return;
-  }
-
-  QosParams agreed = t.agreed;
-  if (pend.reservation != net::kNoReservation &&
+  const QosParams agreed = t.agreed;
+  if (pend.resv.forward != net::kNoReservation &&
       agreed.required_bps() < pend.offered.required_bps()) {
     // The destination narrowed the contract; shrink the reservation.
-    ent_.network_.adjust_reservation(pend.reservation,
+    ent_.network_.adjust_reservation(pend.resv.forward,
                                      agreed.required_bps() + TransportEntity::kControlVcBps);
   }
-  if (pend.reverse_reservation != net::kNoReservation)
-    ent_.reverse_reservations_[t.vc] = pend.reverse_reservation;
   auto conn = std::make_unique<Connection>(ent_, t.vc, VcRole::kSource, pend.req, agreed,
-                                           pend.reservation);
+                                           pend.resv);
   conn->open();
   ent_.sources_.emplace(t.vc, std::move(conn));
 
@@ -460,51 +399,31 @@ void ConnectionManager::fail_connect(VcId vc, const ConnectRequest& req,
 // ====================================================================
 
 void ConnectionManager::t_disconnect_request(VcId vc) {
-  if (auto it = ent_.sources_.find(vc); it != ent_.sources_.end()) {
-    auto conn = std::move(it->second);
-    ent_.sources_.erase(it);
-    const net::NodeId peer = conn->peer_node();
-    if (conn->reservation() != net::kNoReservation) ent_.network_.release(conn->reservation());
-    ent_.release_reverse_reservation(vc);
-    conn->close();
-    ControlTpdu t;
-    t.type = TpduType::kDR;
-    t.vc = vc;
-    t.reason = static_cast<std::uint8_t>(DisconnectReason::kUserInitiated);
-    ent_.send_tpdu(peer, net::Proto::kTransportControl, t.encode());
-    // Courtesy indication to the endpoint's bound user: the release may
-    // have been requested by a management object rather than the device
-    // itself, and the device must learn its connection handle is dead.
-    // Delivered asynchronously so no caller is re-entered mid-operation;
-    // global, because the bound user may be a facade-side manager.
-    TransportEntity& ent = ent_;
-    const net::Tsap src_tsap = conn->request().src.tsap;
-    ent_.runtime().after_global(0, [&ent, vc, src_tsap] {
-      ent.deliver_disconnect(vc, src_tsap, DisconnectReason::kUserInitiated);
-    });
-    if (ent_.on_vc_closed_) ent_.on_vc_closed_(vc, DisconnectReason::kUserInitiated);
+  const auto gone = ent_.detach(vc);
+  if (gone == nullptr) {
+    CMTOS_WARN("transport", "T-Disconnect.request for unknown vc %llu",
+               static_cast<unsigned long long>(vc));
     return;
   }
-  if (auto it = ent_.sinks_.find(vc); it != ent_.sinks_.end()) {
-    auto conn = std::move(it->second);
-    ent_.sinks_.erase(it);
-    const net::NodeId peer = conn->peer_node();
-    conn->close();
-    ControlTpdu t;
-    t.type = TpduType::kDR;
-    t.vc = vc;
-    t.reason = static_cast<std::uint8_t>(DisconnectReason::kUserInitiated);
-    ent_.send_tpdu(peer, net::Proto::kTransportControl, t.encode());
-    TransportEntity& ent = ent_;
-    const net::Tsap dst_tsap = conn->request().dst.tsap;
-    ent_.runtime().after_global(0, [&ent, vc, dst_tsap] {
-      ent.deliver_disconnect(vc, dst_tsap, DisconnectReason::kUserInitiated);
-    });
-    if (ent_.on_vc_closed_) ent_.on_vc_closed_(vc, DisconnectReason::kUserInitiated);
-    return;
-  }
-  CMTOS_WARN("transport", "T-Disconnect.request for unknown vc %llu",
-             static_cast<unsigned long long>(vc));
+  send_dr(gone->peer_node(), vc, DisconnectReason::kUserInitiated);
+  // Courtesy indication to the endpoint's bound user: the release may
+  // have been requested by a management object rather than the device
+  // itself, and the device must learn its connection handle is dead.
+  // Delivered asynchronously so no caller is re-entered mid-operation;
+  // global, because the bound user may be a facade-side manager.
+  TransportEntity& ent = ent_;
+  ent_.runtime().after_global(0, [&ent, vc, tsap = gone->local_tsap()] {
+    ent.deliver_disconnect(vc, tsap, DisconnectReason::kUserInitiated);
+  });
+  if (ent_.on_vc_closed_) ent_.on_vc_closed_(vc, DisconnectReason::kUserInitiated);
+}
+
+void ConnectionManager::send_dr(net::NodeId peer, VcId vc, DisconnectReason reason) {
+  ControlTpdu dr;
+  dr.type = TpduType::kDR;
+  dr.vc = vc;
+  dr.reason = static_cast<std::uint8_t>(reason);
+  ent_.send_tpdu(peer, net::Proto::kTransportControl, dr.encode());
 }
 
 void ConnectionManager::t_remote_disconnect_request(VcId vc, const net::NetAddress& endpoint) {
@@ -516,33 +435,18 @@ void ConnectionManager::t_remote_disconnect_request(VcId vc, const net::NetAddre
 }
 
 void ConnectionManager::handle_dr(const ControlTpdu& t) {
-  DisconnectReason reason = static_cast<DisconnectReason>(t.reason);
-  net::NodeId peer = net::kInvalidNode;
   // Tear the endpoint down *before* notifying the user: a user that reacts
   // to the indication by calling t_disconnect_request must find the VC
   // already gone, not re-enter a map we hold an iterator into.
-  if (auto it = ent_.sources_.find(t.vc); it != ent_.sources_.end()) {
-    auto conn = std::move(it->second);
-    ent_.sources_.erase(it);
-    peer = conn->peer_node();
-    if (conn->reservation() != net::kNoReservation) ent_.network_.release(conn->reservation());
-    ent_.release_reverse_reservation(t.vc);
-    conn->close();
-    ent_.deliver_disconnect(t.vc, conn->request().src.tsap, reason);
-  } else if (auto it2 = ent_.sinks_.find(t.vc); it2 != ent_.sinks_.end()) {
-    auto conn = std::move(it2->second);
-    ent_.sinks_.erase(it2);
-    peer = conn->peer_node();
-    conn->close();
-    ent_.deliver_disconnect(t.vc, conn->request().dst.tsap, reason);
-  }
-  if (peer != net::kInvalidNode) {
-    ControlTpdu dc;
-    dc.type = TpduType::kDC;
-    dc.vc = t.vc;
-    ent_.send_tpdu(peer, net::Proto::kTransportControl, dc.encode());
-    if (ent_.on_vc_closed_) ent_.on_vc_closed_(t.vc, reason);
-  }
+  const auto gone = ent_.detach(t.vc);
+  if (gone == nullptr) return;
+  const auto reason = static_cast<DisconnectReason>(t.reason);
+  ent_.deliver_disconnect(t.vc, gone->local_tsap(), reason);
+  ControlTpdu dc;
+  dc.type = TpduType::kDC;
+  dc.vc = t.vc;
+  ent_.send_tpdu(gone->peer_node(), net::Proto::kTransportControl, dc.encode());
+  if (ent_.on_vc_closed_) ent_.on_vc_closed_(t.vc, reason);
 }
 
 void ConnectionManager::handle_dc(const ControlTpdu&) {
@@ -564,33 +468,12 @@ void ConnectionManager::on_peer_dead(VcId vc) {
   obs::Registry::global()
       .counter("transport.peer_dead", {{"node", std::to_string(ent_.node_)}})
       .add();
-  net::NodeId peer = net::kInvalidNode;
-  net::Tsap tsap = 0;
-  if (auto it = ent_.sources_.find(vc); it != ent_.sources_.end()) {
-    auto conn = std::move(it->second);
-    ent_.sources_.erase(it);
-    peer = conn->peer_node();
-    tsap = conn->request().src.tsap;
-    if (conn->reservation() != net::kNoReservation) ent_.network_.release(conn->reservation());
-    ent_.release_reverse_reservation(vc);
-    conn->close();
-  } else if (auto it2 = ent_.sinks_.find(vc); it2 != ent_.sinks_.end()) {
-    auto conn = std::move(it2->second);
-    ent_.sinks_.erase(it2);
-    peer = conn->peer_node();
-    tsap = conn->request().dst.tsap;
-    conn->close();
-  } else {
-    return;
-  }
+  const auto gone = ent_.detach(vc);
+  if (gone == nullptr) return;
   CMTOS_WARN("transport", "vc %llu peer (node %u) declared dead",
-             static_cast<unsigned long long>(vc), peer);
-  ControlTpdu dr;
-  dr.type = TpduType::kDR;
-  dr.vc = vc;
-  dr.reason = static_cast<std::uint8_t>(DisconnectReason::kPeerDead);
-  ent_.send_tpdu(peer, net::Proto::kTransportControl, dr.encode());
-  ent_.deliver_disconnect(vc, tsap, DisconnectReason::kPeerDead);
+             static_cast<unsigned long long>(vc), gone->peer_node());
+  send_dr(gone->peer_node(), vc, DisconnectReason::kPeerDead);
+  ent_.deliver_disconnect(vc, gone->local_tsap(), DisconnectReason::kPeerDead);
   if (ent_.on_vc_closed_) ent_.on_vc_closed_(vc, DisconnectReason::kPeerDead);
 }
 
@@ -633,31 +516,11 @@ void ConnectionManager::quarantine_peer(net::NodeId peer) {
                                          victims.end())
       victims.push_back(vc);
   for (VcId vc : victims) {
-    net::Tsap tsap = 0;
-    bool found = false;
-    if (auto it = ent_.sources_.find(vc); it != ent_.sources_.end()) {
-      auto conn = std::move(it->second);
-      ent_.sources_.erase(it);
-      tsap = conn->request().src.tsap;
-      if (conn->reservation() != net::kNoReservation) ent_.network_.release(conn->reservation());
-      ent_.release_reverse_reservation(vc);
-      conn->close();
-      found = true;
-    }
-    if (auto it2 = ent_.sinks_.find(vc); it2 != ent_.sinks_.end()) {
-      auto conn = std::move(it2->second);
-      ent_.sinks_.erase(it2);
-      if (!found) tsap = conn->request().dst.tsap;
-      conn->close();
-      found = true;
-    }
-    if (!found) continue;
-    ControlTpdu dr;
-    dr.type = TpduType::kDR;
-    dr.vc = vc;
-    dr.reason = static_cast<std::uint8_t>(DisconnectReason::kPeerMisbehaving);
-    ent_.send_tpdu(peer, net::Proto::kTransportControl, dr.encode());
-    ent_.deliver_disconnect(vc, tsap, DisconnectReason::kPeerMisbehaving);
+    const auto gone = ent_.detach(vc);
+    if (gone == nullptr) continue;
+    ent_.detach(vc);  // a loopback VC's sink half
+    send_dr(peer, vc, DisconnectReason::kPeerMisbehaving);
+    ent_.deliver_disconnect(vc, gone->local_tsap(), DisconnectReason::kPeerMisbehaving);
     if (ent_.on_vc_closed_) ent_.on_vc_closed_(vc, DisconnectReason::kPeerMisbehaving);
   }
 }
@@ -670,36 +533,20 @@ void ConnectionManager::preempt_vc(VcId vc) {
   obs::Registry::global()
       .counter("admission.preempt", {{"node", std::to_string(ent_.node_)}})
       .add();
-  if (auto it = pending_cc_.find(vc); it != pending_cc_.end()) {
+  if (pending_cc_.contains(vc)) {
     // Still in the CR handshake: abort the pending connect.
-    PendingCc pend = std::move(it->second);
-    pending_cc_.erase(it);
-    if (pend.reservation != net::kNoReservation) ent_.network_.release(pend.reservation);
-    if (pend.reverse_reservation != net::kNoReservation)
-      ent_.network_.release(pend.reverse_reservation);
-    const ConnectRequest req = pend.req;
+    const ConnectRequest req = abort_connect(vc);
     ent_.runtime().after_global(0, [this, vc, req] {
       fail_connect(vc, req, DisconnectReason::kPreempted);
     });
     return;
   }
-  auto it = ent_.sources_.find(vc);
-  if (it == ent_.sources_.end()) return;
-  auto conn = std::move(it->second);
-  ent_.sources_.erase(it);
-  const net::NodeId peer = conn->peer_node();
-  if (conn->reservation() != net::kNoReservation) ent_.network_.release(conn->reservation());
-  ent_.release_reverse_reservation(vc);
-  conn->close();
+  if (ent_.source(vc) == nullptr) return;
+  const auto gone = ent_.detach(vc);
   CMTOS_INFO("transport", "vc %llu preempted by a higher-importance admission",
              static_cast<unsigned long long>(vc));
-  ControlTpdu t;
-  t.type = TpduType::kDR;
-  t.vc = vc;
-  t.reason = static_cast<std::uint8_t>(DisconnectReason::kPreempted);
-  ent_.send_tpdu(peer, net::Proto::kTransportControl, t.encode());
-  const ConnectRequest req = conn->request();
-  ent_.runtime().after_global(0, [this, vc, req] {
+  send_dr(gone->peer_node(), vc, DisconnectReason::kPreempted);
+  ent_.runtime().after_global(0, [this, vc, req = gone->request()] {
     ent_.deliver_disconnect(vc, req.src.tsap, DisconnectReason::kPreempted);
     // A distinct initiator (a managing Stream) hears about the displacement
     // too; remote initiators are reached best-effort via RCC.
@@ -714,12 +561,10 @@ std::vector<std::pair<VcId, net::Tsap>> ConnectionManager::crash() {
   for (auto& [vc, pend] : pending_initiated_) lost.emplace_back(vc, pend.req.initiator.tsap);
   pending_initiated_.clear();
   pending_source_accept_.clear();
-  for (auto& [vc, pend] : pending_cc_) {
-    if (pend.reservation != net::kNoReservation) ent_.network_.release(pend.reservation);
-    if (pend.reverse_reservation != net::kNoReservation)
-      ent_.network_.release(pend.reverse_reservation);
-  }
-  pending_cc_.clear();
+  std::vector<VcId> connecting;
+  for (const auto& [vc, pend] : pending_cc_) connecting.push_back(vc);
+  for (VcId vc : connecting) abort_connect(vc);
+  pending_cc_.clear();  // restarts the emptied slab, as TransportEntity::crash does
   pending_dest_accept_.clear();
   return lost;
 }

@@ -23,6 +23,7 @@
 
 #include "net/network.h"
 #include "sim/node_runtime.h"
+#include "transport/connection.h"
 #include "transport/service.h"
 #include "transport/tpdu.h"
 #include "util/quarantine.h"
@@ -84,10 +85,9 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
   std::vector<std::pair<VcId, net::Tsap>> crash();
 
  private:
-  struct PendingInitiated {  // at the initiator: waiting for RCC / CC
+  struct PendingInitiated {  // at the initiator: RCR sent, waiting for RCC
     ConnectRequest req;
-    bool remote = false;  // true: RCR sent, waiting for RCC
-    int retries_left = 3;
+    int retries_left = kHandshakeRetries;
     sim::Timer retransmit;  // RCR retransmission
   };
   struct PendingSourceAccept {  // at the source: user asked (remote connect)
@@ -96,9 +96,8 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
   struct PendingCc {  // at the source: CR sent, waiting for CC
     ConnectRequest req;
     QosParams offered;
-    net::ReservationId reservation = net::kNoReservation;
-    net::ReservationId reverse_reservation = net::kNoReservation;
-    int retries_left = 3;
+    VcReservations resv;  // handed to the source endpoint on CC
+    int retries_left = kHandshakeRetries;
     std::vector<std::uint8_t> cr_wire;  // for retransmission
     sim::Timer retransmit;              // CR retransmission
   };
@@ -112,14 +111,18 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
   void notify_initiator(VcId vc, const ConnectRequest& req, bool accepted,
                         const QosParams& agreed, DisconnectReason reason);
 
-  /// Computes the contract to offer given tolerance, path capacity and
-  /// path latency.  nullopt => reason holds why.
-  std::optional<QosParams> admit(const ConnectRequest& req, DisconnectReason& reason);
-
   /// Self-rearming handshake retransmission timers (the control path has
   /// no other reliability; a lost CR must not strand the connect).
   void arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire);
   void arm_cr_timer(VcId vc);
+
+  /// Aborts the pending connect `vc` (CR sent, no CC yet): returns both of
+  /// its reservations, drops the record with its CR retransmission and
+  /// hands back the request for the caller's failure report.
+  ConnectRequest abort_connect(VcId vc);
+
+  /// Sends a DR for `vc` to the peer entity.
+  void send_dr(net::NodeId peer, VcId vc, DisconnectReason reason);
 
   /// Quarantine escalation: closes every local endpoint whose peer node is
   /// `peer` with kPeerMisbehaving (on_peer_dead-style teardown).

@@ -1,6 +1,5 @@
 #include "transport/renegotiation_engine.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "transport/connection.h"
@@ -9,11 +8,6 @@
 
 namespace cmtos::transport {
 
-namespace {
-/// Worst-case wire bytes of one data TPDU, for path latency estimation.
-constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
-}  // namespace
-
 RenegotiationEngine::RenegotiationEngine(TransportEntity& entity) : ent_(entity) {}
 
 // ====================================================================
@@ -21,33 +15,14 @@ RenegotiationEngine::RenegotiationEngine(TransportEntity& entity) : ent_(entity)
 // ====================================================================
 
 void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& proposed) {
-  net::Network& network = ent_.network_;
   if (Connection* conn = ent_.source(vc)) {
-    // Source-initiated.
-    DisconnectReason reason = DisconnectReason::kProtocolError;
-    ConnectRequest probe = conn->request();
-    probe.qos = proposed;
+    // Source-initiated: admission against path capacity *plus* what this
+    // VC already holds.
     const std::int64_t current_bps = conn->agreed_qos().required_bps();
-    // Admission against path capacity *plus* what this VC already holds.
-    std::optional<QosParams> cand;
-    if (probe.src.node == probe.dst.node) {
-      cand = proposed.preferred;
-    } else {
-      cand = degrade_to_bandwidth(
-          proposed, network.available_bps(probe.src.node, probe.dst.node) + current_bps);
-      if (cand) {
-        const Duration est =
-            network.path_delay_estimate(probe.src.node, probe.dst.node, kMaxWirePacket);
-        if (est > proposed.worst.end_to_end_delay) cand.reset();
-        if (cand)
-          cand->end_to_end_delay =
-              std::max(cand->end_to_end_delay,
-                       std::min(proposed.worst.end_to_end_delay, 2 * est + 5 * kMillisecond));
-      }
-      if (!cand) reason = DisconnectReason::kNoResources;
-    }
+    DisconnectReason reason = DisconnectReason::kProtocolError;
+    const auto cand = ent_.admit(proposed, conn->request().src.node, conn->request().dst.node,
+                                 current_bps, reason);
     if (!cand) {
-      (void)reason;
       ent_.deliver_disconnect(vc, conn->request().src.tsap,
                               DisconnectReason::kRenegotiationFailed);
       return;
@@ -61,8 +36,8 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     if (new_bps > current_bps) {
       // Raise the reservation up-front so the peer is never promised
       // bandwidth we do not hold; roll back if the peer rejects.
-      if (!network.adjust_reservation(conn->reservation(),
-                                      new_bps + TransportEntity::kControlVcBps)) {
+      if (!ent_.network_.adjust_reservation(conn->reservation(),
+                                            new_bps + TransportEntity::kControlVcBps)) {
         ent_.deliver_disconnect(vc, conn->request().src.tsap,
                                 DisconnectReason::kRenegotiationFailed);
         return;
@@ -80,7 +55,6 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     t.agreed = *cand;
     pend.rn_wire = t.encode();
     pend.peer = conn->peer_node();
-    pend.retries_left = kHandshakeRetries;
     pending_reneg_[vc] = std::move(pend);
     ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
     arm_rn_timer(vc);
@@ -100,7 +74,6 @@ void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& pro
     t.qos = proposed;
     pend.rn_wire = t.encode();
     pend.peer = conn->peer_node();
-    pend.retries_left = kHandshakeRetries;
     pending_reneg_[vc] = std::move(pend);
     ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
     arm_rn_timer(vc);
@@ -228,28 +201,12 @@ void RenegotiationEngine::renegotiate_response(VcId vc, bool accept) {
       ent_.send_tpdu(pend.requester_node, net::Proto::kTransportControl, reply.encode());
       return;
     }
-    net::Network& network = ent_.network_;
-    const ConnectRequest& req = conn->request();
-    const std::int64_t current_bps = conn->agreed_qos().required_bps();
-    std::optional<QosParams> cand;
-    if (req.src.node == req.dst.node) {
-      cand = pend.proposed.preferred;
-    } else {
-      cand = degrade_to_bandwidth(
-          pend.proposed, network.available_bps(req.src.node, req.dst.node) + current_bps);
-      if (cand) {
-        const Duration est =
-            network.path_delay_estimate(req.src.node, req.dst.node, kMaxWirePacket);
-        if (est > pend.proposed.worst.end_to_end_delay) cand.reset();
-        if (cand)
-          cand->end_to_end_delay = std::max(
-              cand->end_to_end_delay,
-              std::min(pend.proposed.worst.end_to_end_delay, 2 * est + 5 * kMillisecond));
-      }
-    }
+    DisconnectReason reason = DisconnectReason::kProtocolError;
+    auto cand = ent_.admit(pend.proposed, conn->request().src.node, conn->request().dst.node,
+                           conn->agreed_qos().required_bps(), reason);
     if (cand && conn->reservation() != net::kNoReservation &&
-        !network.adjust_reservation(conn->reservation(),
-                                    cand->required_bps() + TransportEntity::kControlVcBps)) {
+        !ent_.network_.adjust_reservation(conn->reservation(),
+                                          cand->required_bps() + TransportEntity::kControlVcBps)) {
       cand.reset();
     }
     if (!cand) {

@@ -65,7 +65,7 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
     bool raised = false;  // reservation pre-raised, roll back on reject
     std::vector<std::uint8_t> rn_wire;  // for retransmission
     net::NodeId peer = net::kInvalidNode;
-    int retries_left = 3;
+    int retries_left = kHandshakeRetries;
     sim::Timer retransmit;
   };
   struct PendingRenegPeer {  // responder side: user asked

@@ -52,6 +52,17 @@ enum class TpduType : std::uint8_t {
 /// exactly this much.
 inline constexpr std::size_t kControlWireBytes = 308;
 
+/// Handshake (RCR/CR/RN) retransmission: each pending handshake TPDU is
+/// resent every kHandshakeRetransmit, stretched by a uniform draw of up to
+/// kHandshakeJitter of it, and given up on after kHandshakeRetries resends.
+/// A connect or renegotiation that hears nothing therefore fails after
+/// 1 + kHandshakeRetries sends, 2.0 to 2.4 s after the first.  The stretch
+/// desynchronises the retry storms that otherwise form when many
+/// connects race a healed partition.
+inline constexpr Duration kHandshakeRetransmit = 500 * kMillisecond;
+inline constexpr int kHandshakeRetries = 3;
+inline constexpr double kHandshakeJitter = 0.2;
+
 /// Connection-management TPDU.  One struct covers CR/CC/DR/DC/RCR/RCC/RDR/
 /// RN/RNC/QI; unused fields are ignored for a given type.
 struct ControlTpdu {

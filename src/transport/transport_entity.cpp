@@ -1,5 +1,7 @@
 #include "transport/transport_entity.h"
 
+#include <algorithm>
+
 #include "obs/wire_stats.h"
 #include "util/contract.h"
 #include "util/logging.h"
@@ -28,6 +30,9 @@ constexpr std::array<VcCounter, 7> kVcCounters = {{
 }};
 
 const char* role_name(VcRole role) { return role == VcRole::kSource ? "source" : "sink"; }
+
+/// Worst-case wire bytes of one data TPDU, for path latency estimation.
+constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
 
 }  // namespace
 
@@ -174,11 +179,57 @@ void TransportEntity::deliver_disconnect(VcId vc, net::Tsap tsap, DisconnectReas
   if (TransportUser* u = user_at(tsap)) u->t_disconnect_indication(vc, reason);
 }
 
-void TransportEntity::release_reverse_reservation(VcId vc) {
-  auto it = reverse_reservations_.find(vc);
-  if (it == reverse_reservations_.end()) return;
-  network_.release(it->second);
-  reverse_reservations_.erase(it);
+std::unique_ptr<Connection> TransportEntity::detach(VcId vc) {
+  std::unique_ptr<Connection> conn;
+  if (auto it = sources_.find(vc); it != sources_.end()) {
+    conn = std::move(it->second);
+    sources_.erase(it);
+  } else if (auto sit = sinks_.find(vc); sit != sinks_.end()) {
+    conn = std::move(sit->second);
+    sinks_.erase(sit);
+  } else {
+    return nullptr;
+  }
+  release_reservations(conn->reservations());
+  conn->close();
+  return conn;
+}
+
+void TransportEntity::release_reservations(const VcReservations& resv) {
+  if (resv.forward != net::kNoReservation) network_.release(resv.forward);
+  if (resv.reverse != net::kNoReservation) network_.release(resv.reverse);
+}
+
+std::optional<QosParams> TransportEntity::admit(const QosTolerance& tolerance, net::NodeId src,
+                                                net::NodeId dst, std::int64_t headroom_bps,
+                                                DisconnectReason& reason) {
+  // Node-local VCs need no network resources.  Without a reservation
+  // substrate (the A4 ablation) the preference is accepted blindly and
+  // hoped for: exactly the failure mode the paper's assumed ST-II-style
+  // reservation exists to prevent.
+  if (src == dst) return tolerance.preferred;
+  if (network_.path(src, dst).empty()) {
+    reason = DisconnectReason::kUnreachable;
+    return std::nullopt;
+  }
+  if (!network_.admission_control()) return tolerance.preferred;
+  auto cand = degrade_to_bandwidth(tolerance, network_.available_bps(src, dst) + headroom_bps);
+  if (!cand) {
+    reason = DisconnectReason::kNoResources;
+    return std::nullopt;
+  }
+  const Duration est = network_.path_delay_estimate(src, dst, kMaxWirePacket);
+  if (est > tolerance.worst.end_to_end_delay) {
+    reason = DisconnectReason::kQosUnachievable;
+    return std::nullopt;
+  }
+  // Offer an end-to-end delay bound that the path can plausibly meet: keep
+  // the preference when the path is comfortably faster, otherwise weaken
+  // toward the worst-acceptable bound.
+  cand->end_to_end_delay =
+      std::max(cand->end_to_end_delay,
+               std::min(tolerance.worst.end_to_end_delay, 2 * est + 5 * kMillisecond));
+  return cand;
 }
 
 // ====================================================================
@@ -196,19 +247,14 @@ void TransportEntity::crash() {
   // the co-located LLO dies in the same crash and rebuilds from its own
   // crash(); a dead node reports nothing.
   std::vector<std::pair<VcId, net::Tsap>> lost;
-  for (auto& [vc, conn] : sources_) {
-    lost.emplace_back(vc, conn->request().src.tsap);
-    if (conn->reservation() != net::kNoReservation) network_.release(conn->reservation());
-    conn->close();
+  for (auto* table : {&sources_, &sinks_}) {
+    std::vector<VcId> vcs;
+    for (const auto& [vc, conn] : *table) vcs.push_back(vc);
+    for (VcId vc : vcs) lost.emplace_back(vc, detach(vc)->local_tsap());
+    // The emptied table restarts its slab: after restart() endpoints
+    // iterate in insertion order, as on a fresh entity.
+    table->clear();
   }
-  sources_.clear();
-  for (auto& [vc, rid] : reverse_reservations_) network_.release(rid);
-  reverse_reservations_.clear();
-  for (auto& [vc, conn] : sinks_) {
-    lost.emplace_back(vc, conn->request().dst.tsap);
-    conn->close();
-  }
-  sinks_.clear();
 
   // Closing the endpoints dropped every heartbeat record and in-flight
   // renegotiation with them.

@@ -17,12 +17,12 @@
 //                          liveness for every VC with that node.
 //
 // The entity keeps what the engines (and the data plane) need: TSAP
-// bindings, the sources_/sinks_ endpoint maps, reverse-path reservations,
-// timing config, wire I/O and the crash/restart fault model.  Protocol
-// timers are sim::Timers inside the records they guard (a pending
-// handshake, a peer, an endpoint), so dropping a record cancels its timers.
-// Incoming control TPDUs are demultiplexed through a dispatch table indexed
-// by TPDU type.
+// bindings, the sources_/sinks_ endpoint maps with the one endpoint
+// teardown (detach), the one admission check (admit), timing config, wire
+// I/O and the crash/restart fault model.  Protocol timers are sim::Timers
+// inside the records they guard (a pending handshake, a peer, an
+// endpoint), so dropping a record cancels its timers.  Incoming control
+// TPDUs are demultiplexed through a dispatch table indexed by TPDU type.
 //
 // The entity also publishes its endpoints' metrics.  It is the registry's
 // collector for the per-VC `transport.*`, `buffer.shed` ({vc,node,role})
@@ -51,17 +51,6 @@
 #include "util/thread_annotations.h"
 
 namespace cmtos::transport {
-
-/// Handshake (RCR/CR/RN) retransmission: each pending handshake TPDU is
-/// resent every kHandshakeRetransmit, stretched by a uniform draw of up to
-/// kHandshakeJitter of it, and given up on after kHandshakeRetries resends.
-/// A connect or renegotiation that hears nothing therefore fails after
-/// 1 + kHandshakeRetries sends, 2.0 to 2.4 s after the first.  The stretch
-/// desynchronises the retry storms that otherwise form when many
-/// connects race a healed partition.
-inline constexpr Duration kHandshakeRetransmit = 500 * kMillisecond;
-inline constexpr int kHandshakeRetries = 3;
-inline constexpr double kHandshakeJitter = 0.2;
 
 /// Peer-liveness policy; the soak and failover worlds tighten it.
 struct TransportConfig {
@@ -268,8 +257,26 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   void collect_metrics(obs::Emitter& out) const;
 
   void deliver_disconnect(VcId vc, net::Tsap tsap, DisconnectReason reason);
-  /// Releases (and forgets) the reverse-path control trickle of `vc`.
-  void release_reverse_reservation(VcId vc);
+
+  /// The one endpoint teardown: removes the local endpoint of `vc` (the
+  /// source when both halves are local), returns its reservations and
+  /// closes it.  The closed endpoint is handed back so the caller can read
+  /// its peer, TSAP and request, and so it outlives the caller's own DR/DC
+  /// and indications; null when no endpoint of `vc` is local.
+  std::unique_ptr<Connection> detach(VcId vc);
+  /// Returns a VC's forward and reverse reservations to the network.
+  void release_reservations(const VcReservations& resv);
+
+  /// The one admission check, at connect and at renegotiation: the contract
+  /// to offer for `tolerance` on the src->dst path, degraded to the path's
+  /// free bandwidth plus `headroom_bps` (-kControlVcBps at connect, the
+  /// rate the VC already holds at renegotiation), with the delay bound
+  /// weakened toward what the path can meet.  Node-local VCs and a
+  /// substrate without admission control get the preference.  nullopt =>
+  /// `reason` holds why.
+  std::optional<QosParams> admit(const QosTolerance& tolerance, net::NodeId src,
+                                 net::NodeId dst, std::int64_t headroom_bps,
+                                 DisconnectReason& reason);
   /// Jittered handshake retransmission delay (see kHandshakeRetransmit).
   Duration handshake_delay();
   VcId alloc_vc();
@@ -299,8 +306,6 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   FlatMap<net::Tsap, TransportUser*> users_;
   FlatMap<VcId, std::unique_ptr<Connection>> sources_;
   FlatMap<VcId, std::unique_ptr<Connection>> sinks_;
-  /// Reverse-path control-trickle reservation per source VC.
-  FlatMap<VcId, net::ReservationId> reverse_reservations_;
   /// Declared after the endpoint maps, so the collector is detached before
   /// the endpoints go.
   obs::Registry::Attachment metrics_;

@@ -1,10 +1,12 @@
 // Connection management tests: Table 1 primitives, the Fig 2/3 remote
 // connection facility, QoS option negotiation at establishment, rejection
-// and timeout paths, release from both ends and remotely.
+// and timeout paths, release from both ends and remotely, and the
+// reservation and indication accounting of every way a VC ends.
 
 #include <gtest/gtest.h>
 
 #include "fixtures.h"
+#include "util/checksum.h"
 
 namespace cmtos::test {
 namespace {
@@ -363,6 +365,152 @@ TEST(Connect, InitiatorMustBeLocal) {
   // Issued at host 1 but claiming initiator on host 0.
   EXPECT_EQ(w.h(1).entity.t_connect_request(req), transport::kInvalidVc);
 }
+
+// ====================================================================
+// Every way a VC or a pending connect ends returns both of its
+// reservations (forward data + control allowance, reverse control
+// trickle) and tells each local user exactly once.
+// ====================================================================
+
+/// The VC under test: s1:10 -> ws:20 at importance 1.
+VcId connect(ContendedWorld& w) {
+  return w.s1->entity.t_connect_request(w.rigid_request({w.s1->id, 10}, {w.ws->id, 20}, 1));
+}
+
+/// Establishes the VC under test and lets it settle.
+VcId established(ContendedWorld& w) {
+  const VcId vc = connect(w);
+  w.platform.run_until(w.platform.scheduler().now() + 300 * kMillisecond);
+  EXPECT_NE(w.s1->entity.source(vc), nullptr);
+  return vc;
+}
+
+/// A class-5 connect s2:11 -> ws:21, which w2 refuses: it preempts the VC
+/// under test at admission, then returns its own reservations.
+void connect_important(ContendedWorld& w) {
+  w.w2->accept_connects = false;
+  w.s2->entity.t_connect_request(w.rigid_request({w.s2->id, 11}, {w.ws->id, 21}, 5));
+}
+
+using Reasons = std::vector<DisconnectReason>;
+
+struct Ending {
+  const char* name;
+  void (*run)(ContendedWorld& w);
+  Reasons at_u1, at_w1, at_u2;  // T-Disconnect.indications each user hears
+};
+
+std::ostream& operator<<(std::ostream& os, const Ending& e) { return os << e.name; }
+
+const Ending kEndings[] = {
+    {"SourceRelease",
+     [](ContendedWorld& w) { w.s1->entity.t_disconnect_request(established(w)); },
+     {DisconnectReason::kUserInitiated}, {DisconnectReason::kUserInitiated}, {}},
+    {"SinkRelease",
+     [](ContendedWorld& w) { w.ws->entity.t_disconnect_request(established(w)); },
+     {DisconnectReason::kUserInitiated}, {DisconnectReason::kUserInitiated}, {}},
+    {"PeerDead",
+     [](ContendedWorld& w) {
+       established(w);
+       w.platform.network().set_link_up(w.hub->id, w.ws->id, false);
+     },
+     {DisconnectReason::kPeerDead}, {DisconnectReason::kPeerDead}, {}},
+    {"QuarantineEscalation",
+     [](ContendedWorld& w) {
+       established(w);
+       // CRC-valid control PDUs with an unknown type tag, "from" ws.
+       for (int i = 0; i < 20; ++i) {
+         net::Packet pkt;
+         pkt.src = w.ws->id;
+         pkt.dst = w.s1->id;
+         pkt.proto = net::Proto::kTransportControl;
+         pkt.priority = net::Priority::kControl;
+         pkt.payload = {99, 0xde, 0xad, 0xbe, 0xef};
+         append_crc32(pkt.payload);
+         w.platform.network().send(std::move(pkt));
+       }
+     },
+     {DisconnectReason::kPeerMisbehaving}, {DisconnectReason::kPeerMisbehaving}, {}},
+    {"Preemption",
+     [](ContendedWorld& w) {
+       established(w);
+       connect_important(w);
+     },
+     {DisconnectReason::kPreempted}, {DisconnectReason::kPreempted},
+     {DisconnectReason::kRejectedByUser}},
+    // Preempted while its CR is in flight: the pending connect is aborted,
+    // and the CC that still arrives draws a DR that removes the orphan sink.
+    {"PreemptionWhileConnecting",
+     [](ContendedWorld& w) {
+       connect(w);
+       connect_important(w);
+     },
+     {DisconnectReason::kPreempted}, {DisconnectReason::kProtocolError},
+     {DisconnectReason::kRejectedByUser}},
+    {"CrExhaustion",
+     [](ContendedWorld& w) {
+       w.platform.crash_node(w.ws->id);
+       connect(w);
+     },
+     {DisconnectReason::kUnreachable}, {}, {}},
+    {"CcReject",
+     [](ContendedWorld& w) {
+       w.w1->accept_connects = false;
+       connect(w);
+     },
+     {DisconnectReason::kRejectedByUser}, {}, {}},
+    {"EntityCrash",
+     [](ContendedWorld& w) {
+       established(w);
+       w.platform.crash_node(w.s1->id);
+     },
+     {DisconnectReason::kEntityFailure}, {DisconnectReason::kPeerDead}, {}},
+    // A conventional connect still awaiting its CC dies with the stack
+    // unreported: crash() tells only remote-connect initiators.
+    {"EntityCrashWhileConnecting",
+     [](ContendedWorld& w) {
+       w.platform.crash_node(w.ws->id);
+       connect(w);
+       w.platform.run_until(w.platform.scheduler().now() + kSecond);
+       w.platform.crash_node(w.s1->id);
+     },
+     {}, {}, {}},
+};
+
+class Teardown : public ::testing::TestWithParam<Ending> {};
+
+TEST_P(Teardown, ReturnsBothReservationsAndIndicatesOnce) {
+  // Peer liveness on everywhere, so a silent peer is detected.
+  ContendedWorld w;
+  transport::TransportConfig tc;
+  tc.keepalive_interval = 100 * kMillisecond;
+  tc.peer_dead_after = 400 * kMillisecond;
+  for (platform::Host* h : {w.s1, w.s2, w.hub, w.ws}) h->entity.set_config(tc);
+  GetParam().run(w);
+  w.platform.run_until(w.platform.scheduler().now() + 3 * kSecond);
+
+  net::Network& network = w.platform.network();
+  const std::pair<net::NodeId, net::NodeId> links[] = {
+      {w.s1->id, w.hub->id}, {w.s2->id, w.hub->id}, {w.hub->id, w.ws->id}};
+  for (const auto& [a, b] : links) {
+    EXPECT_EQ(network.reserved_on(a, b), 0) << a << "->" << b;
+    EXPECT_EQ(network.reserved_on(b, a), 0) << b << "->" << a;
+  }
+  const auto reasons = [](const ScriptedUser& u) {
+    Reasons out;
+    for (const auto& [vc, reason] : u.disconnects) out.push_back(reason);
+    return out;
+  };
+  EXPECT_EQ(reasons(*w.u1), GetParam().at_u1);
+  EXPECT_EQ(reasons(*w.w1), GetParam().at_w1);
+  EXPECT_EQ(reasons(*w.u2), GetParam().at_u2);
+  EXPECT_TRUE(w.w2->disconnects.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryEnding, Teardown, ::testing::ValuesIn(kEndings),
+                         [](const ::testing::TestParamInfo<Ending>& param_info) {
+                           return std::string(param_info.param.name);
+                         });
 
 }  // namespace
 }  // namespace cmtos::test

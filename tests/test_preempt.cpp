@@ -9,56 +9,8 @@
 namespace cmtos::test {
 namespace {
 
-using transport::ConnectRequest;
 using transport::DisconnectReason;
 using transport::VcId;
-
-/// Two source hosts funnelled through a thin shared link to the sink: one
-/// full-rate VC fits, a second does not, even degraded (worst == preferred
-/// in the requests below), so contention is decided purely by importance.
-struct ContendedWorld {
-  ContendedWorld() : platform(42) {
-    s1 = &platform.add_host("s1");
-    s2 = &platform.add_host("s2");
-    hub = &platform.add_host("hub");
-    ws = &platform.add_host("ws");
-    platform.network().add_link(s1->id, hub->id, lan_link());
-    platform.network().add_link(s2->id, hub->id, lan_link());
-    net::LinkConfig thin = lan_link();
-    thin.bandwidth_bps = 1'400'000;  // reservable 1.26 Mbit/s: one VC only
-    platform.network().add_link(hub->id, ws->id, thin);
-    platform.network().finalize_routes();
-
-    u1 = std::make_unique<ScriptedUser>(s1->entity);
-    u2 = std::make_unique<ScriptedUser>(s2->entity);
-    w1 = std::make_unique<ScriptedUser>(ws->entity);
-    w2 = std::make_unique<ScriptedUser>(ws->entity);
-    s1->entity.bind(10, u1.get());
-    s2->entity.bind(11, u2.get());
-    ws->entity.bind(20, w1.get());
-    ws->entity.bind(21, w2.get());
-  }
-
-  /// ~0.88 Mbit/s with no degradation room: admission is all-or-nothing.
-  ConnectRequest rigid_request(net::NetAddress src, net::NetAddress dst,
-                               std::uint8_t importance) {
-    auto req = basic_request(src, dst, 25.0, 4096);
-    req.qos.worst = req.qos.preferred;
-    req.importance = importance;
-    return req;
-  }
-
-  std::int64_t reserved_to_ws() {
-    return platform.network().reserved_on(hub->id, ws->id);
-  }
-
-  platform::Platform platform;
-  platform::Host* s1 = nullptr;
-  platform::Host* s2 = nullptr;
-  platform::Host* hub = nullptr;
-  platform::Host* ws = nullptr;
-  std::unique_ptr<ScriptedUser> u1, u2, w1, w2;
-};
 
 TEST(Preempt, HigherImportanceDisplacesLower) {
   ContendedWorld w;

@@ -95,6 +95,32 @@ TEST(Renegotiate, InsufficientBandwidthFailsWithoutTeardown) {
   EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 10.0, 1e-9);
 }
 
+TEST(Renegotiate, AdmissionControlOffTakesThePreferredContractLikeConnect) {
+  // Without a reservation substrate, connect accepts the preference
+  // blindly.  Renegotiation runs the same admission check, so it takes the
+  // preferred contract too, rather than degrading it against the accounting
+  // of the blind reservations (13 times the link here).
+  StarPlatform star(2);
+  star.platform.network().set_admission_control(false);
+  platform::Host& h0 = *star.leaves[0];
+  platform::Host& h1 = *star.leaves[1];
+  ScriptedUser src_user(h0.entity), dst_user(h1.entity);
+  h0.entity.bind(10, &src_user);
+  h1.entity.bind(20, &dst_user);
+  const VcId vc =
+      h0.entity.t_connect_request(basic_request({h0.id, 10}, {h1.id, 20}, 2000.0, 8192));
+  star.platform.run_until(200 * kMillisecond);
+  ASSERT_EQ(src_user.confirms.size(), 1u);
+  EXPECT_NEAR(src_user.confirms[0].second.osdu_rate, 2000.0, 1e-9);
+
+  h0.entity.t_renegotiate_request(vc, basic_request({h0.id, 10}, {h1.id, 20}, 2100.0, 8192).qos);
+  star.platform.run_until(kSecond);
+  ASSERT_EQ(src_user.reneg_confirms.size(), 1u);
+  EXPECT_TRUE(src_user.reneg_confirms[0].first);
+  EXPECT_NEAR(src_user.reneg_confirms[0].second.osdu_rate, 2100.0, 1e-9);
+  EXPECT_NEAR(h1.entity.sink(vc)->agreed_qos().osdu_rate, 2100.0, 1e-9);
+}
+
 TEST(Renegotiate, SinkInitiated) {
   RenegWorld w;
   w.h1->entity.t_renegotiate_request(w.vc, w.tol(20.0, 2048));

@@ -95,6 +95,16 @@ Checks
                         sim::EventHandle data member anywhere else in src/
                         is a timer nothing cancels when its record goes: the
                         silent leak the owning Timer exists to rule out.
+  endpoint-teardown     In src/transport/, an endpoint leaves the entity
+                        through one teardown (TransportEntity::detach: remove
+                        the endpoint, return its reservations, close it) and
+                        a pending connect through one abort (ConnectionManager
+                        ::abort_connect); both return reservations through
+                        TransportEntity::release_reservations.  A
+                        `sources_.erase`, `sinks_.erase` or
+                        `network_.release(` anywhere else is a teardown
+                        written out by hand, the copy that drifts (a forgotten
+                        reverse trickle, a skipped close).
   hot-path-map          Per-entity lookup state in the scale-critical layers
                         (src/{transport,orch,net}) must live in the flat
                         open-addressed structures (util::FlatMap /
@@ -152,6 +162,7 @@ CHECKS = (
     "decode-totality",
     "timer-idiom",
     "hot-path-map",
+    "endpoint-teardown",
 )
 
 ALLOW_RE = re.compile(r"//.*cmtos-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -1116,6 +1127,63 @@ def check_timer_idiom(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
+TEARDOWN_DIR_RE = re.compile(r"(^|/)src/transport/")
+TEARDOWN_SITE_RE = re.compile(
+    r"\b(?:sources_|sinks_)\s*\.\s*erase\s*\(|\bnetwork_?\s*\.\s*release\s*\(")
+TEARDOWN_HELPERS = (
+    "TransportEntity::detach",
+    "TransportEntity::release_reservations",
+    "ConnectionManager::abort_connect",
+)
+# A function definition header ending at a '{': name, parameter list (one
+# level of nested parens), trailing qualifiers.  Control statements match
+# too and are skipped by name; lambdas (`]` before the parens) never match.
+FN_HEADER_RE = re.compile(
+    r"([A-Za-z_]\w*(?:\s*::\s*~?\w+)*)\s*\((?:[^()]|\([^()]*\))*\)\s*"
+    r"(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?$")
+NOT_FUNCTIONS = {"if", "for", "while", "switch", "catch"}
+
+
+def enclosing_function(sf: SourceFile, off: int) -> str | None:
+    """The name, as written at its definition, of the innermost function
+    whose body holds `off` (lambda and control-statement blocks are looked
+    through), or None at namespace scope."""
+    code = sf.code
+    depth = 0
+    for i in range(off - 1, -1, -1):
+        if code[i] == "}":
+            depth += 1
+        elif code[i] == "{":
+            if depth > 0:
+                depth -= 1
+                continue
+            m = FN_HEADER_RE.search(code, max(0, i - 400), i)
+            if m and m.group(1) not in NOT_FUNCTIONS:
+                return re.sub(r"\s+", "", m.group(1))
+    return None
+
+
+def check_endpoint_teardown(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags endpoint-map erasures and reservation releases in src/transport/
+    outside the teardown, abort and release helpers."""
+    if not TEARDOWN_DIR_RE.search(sf.rel):
+        return []
+    out = []
+    for m in TEARDOWN_SITE_RE.finditer(sf.code):
+        fn = enclosing_function(sf, m.start())
+        if fn in TEARDOWN_HELPERS:
+            continue
+        site = re.sub(r"\s+", "", m.group(0))
+        out.append(Finding(
+            sf.rel, sf.line_of(m.start()), "endpoint-teardown",
+            f"`{site}` in {fn or 'namespace scope'}: endpoints leave through "
+            "TransportEntity::detach, pending connects through "
+            "ConnectionManager::abort_connect, reservations through "
+            "TransportEntity::release_reservations; a teardown written out "
+            "by hand is the copy that drifts"))
+    return out
+
+
 ALL_CHECKS = (
     check_callback_liveness,
     check_dataplane_payload_copy,
@@ -1125,6 +1193,7 @@ ALL_CHECKS = (
     check_decode_totality,
     check_timer_idiom,
     check_hot_path_map,
+    check_endpoint_teardown,
 )
 
 
@@ -1366,6 +1435,44 @@ class Timer {
 };
 """
 
+ET_PROBE = """\
+#include "transport/transport_entity.h"
+std::unique_ptr<Connection> TransportEntity::detach(VcId vc) {
+  if (auto it = sources_.find(vc); it != sources_.end()) {
+    sources_.erase(it);
+  } else {
+    sinks_.erase(vc);
+  }
+}
+void TransportEntity::release_reservations(const VcReservations& resv) {
+  network_.release(resv.forward);
+}
+void ConnectionManager::on_peer_dead(VcId vc) {
+  if (auto it = ent_.sources_.find(vc); it != ent_.sources_.end()) {
+    ent_.sources_.erase(it);
+  }
+  ent_.network_.release(resv);
+  ent_.runtime().after_global(0, [this, vc] { ent_.sinks_.erase(vc); });
+  network.release(resv);  // cmtos-analyze: allow(endpoint-teardown)
+}
+void HeartbeatEngine::detach(const Connection& conn) {
+  sinks_.erase(conn.id());
+}
+"""
+ET_EXPECT = {
+    (14, "endpoint-teardown"),  # hand-written endpoint erase
+    (16, "endpoint-teardown"),  # reservation released outside the helpers
+    (17, "endpoint-teardown"),  # inside a lambda: the enclosing function counts
+    (21, "endpoint-teardown"),  # a `detach` of another class is no helper
+}
+
+# Outside src/transport the substrate releases its own reservations.
+ET_NET_PROBE = """\
+void Network::preempt_for() {
+  network_.release(victim);
+}
+"""
+
 PROBES = (
     # (relative path the dir-scoped checks see, source, expected findings)
     ("src/transport/probe_callbacks.cpp", CB_PROBE, CB_EXPECT),
@@ -1378,6 +1485,8 @@ PROBES = (
     ("src/transport/probe_decode.cpp", DT_PROBE, DT_EXPECT),
     ("src/platform/probe_timers.h", TI_PROBE, TI_EXPECT),
     ("src/sim/probe_timer.h", TI_SIM_PROBE, set()),
+    ("src/transport/probe_teardown.cpp", ET_PROBE, ET_EXPECT),
+    ("src/net/probe_release.cpp", ET_NET_PROBE, set()),
 )
 
 
