@@ -150,8 +150,4 @@ const StoredMediaServer::TrackStats& StoredMediaServer::stats(net::Tsap tsap) co
   return tracks_.at(tsap)->stats;
 }
 
-std::int64_t StoredMediaServer::position(net::Tsap tsap) const {
-  return tracks_.at(tsap)->index;
-}
-
 }  // namespace cmtos::media

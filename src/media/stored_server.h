@@ -69,9 +69,6 @@ class CMTOS_SHARD_AFFINE StoredMediaServer {
   };
   const TrackStats& stats(net::Tsap tsap) const;
 
-  /// Current play-out index of a track.
-  std::int64_t position(net::Tsap tsap) const;
-
  private:
   class TrackEndpoint;
 

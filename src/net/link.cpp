@@ -70,7 +70,7 @@ void Link::start_serialising() {
   // timer event for their summed transmission time).  A packet whose
   // terminal delivery must run globally cannot ride in a (shard-local)
   // batch delivery, so it ends the batch; media traffic never sets the
-  // flag, control and datagram bands are never batched.
+  // flag, and the control band is never batched.
   const auto eligible = [this](const Packet& p) {
     return p.priority == Priority::kMedia && !(p.global_delivery && p.dst == to_);
   };

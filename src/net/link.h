@@ -6,7 +6,7 @@
 // -> delivery callback.  A full-duplex physical link is modelled as two
 // independent Links.  Under overflow an arriving higher-priority packet
 // evicts the newest lower-priority one, so control traffic survives
-// congestion caused by bulk media or datagrams.
+// congestion caused by bulk media.
 //
 // Links support mid-run reconfiguration (bandwidth, loss, jitter) so the
 // benches can inject QoS degradations (T2 experiment) while traffic flows.
@@ -62,9 +62,9 @@ struct LinkConfig {
   /// event for their summed transmission time, one delivery event for the
   /// survivors).  Loss and bit-error draws stay per-packet, in queue
   /// order; jitter is drawn once per episode, so intra-batch spacing
-  /// collapses — acceptable for bulk media, which is why control and
-  /// datagram bands are never batched.  1 = one event per packet (the
-  /// legacy wire timeline, exactly).
+  /// collapses — acceptable for bulk media, which is why the control band
+  /// is never batched.  1 = one event per packet (the legacy wire
+  /// timeline, exactly).
   std::uint16_t media_batch_max = 1;
 };
 

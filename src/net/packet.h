@@ -20,11 +20,10 @@ inline constexpr std::size_t kPacketHeaderBytes = 32;
 
 /// Link-level scheduling class: lower value is served first.
 enum class Priority : std::uint8_t {
-  kControl = 0,   // connection management, OPDUs, RPC, acks/feedback
-  kMedia = 1,     // CM data TPDUs
-  kDatagram = 2,  // best-effort datagrams
+  kControl = 0,  // connection management, OPDUs, RPC, acks/feedback
+  kMedia = 1,    // CM data TPDUs
 };
-inline constexpr int kPriorityBands = 3;
+inline constexpr int kPriorityBands = 2;
 
 struct Packet {
   NodeId src = kInvalidNode;

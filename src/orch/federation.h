@@ -48,7 +48,7 @@
 namespace cmtos::orch {
 
 struct FederationPolicy {
-  /// Policy every domain agent runs (interval, tolerance, pacing...).
+  /// Policy every domain agent runs (interval, tolerance, regulation...).
   OrchPolicy domain;
 };
 

@@ -218,13 +218,8 @@ void HloAgent::interval_tick() {
 
   double reference = 0;
   if (have_positions) {
-    if (policy_.pacing == OrchPolicy::Pacing::kSlowestStream) {
-      reference = 1e300;
-      for (const auto& s : streams_) reference = std::min(reference, position_seconds(s));
-    } else {
-      for (const auto& s : streams_) reference += position_seconds(s);
-      reference /= static_cast<double>(streams_.size());
-    }
+    for (const auto& s : streams_) reference += position_seconds(s);
+    reference /= static_cast<double>(streams_.size());
   }
 
   for (const auto& s : streams_) {
@@ -341,11 +336,9 @@ void HloAgent::on_regulate(const RegulateIndication& ind) {
 
   if (on_interval_) on_interval_(ind, st.last_target);
 
-  if (st.consecutive_misses >= policy_.fail_threshold &&
-      policy_.on_failure != OrchPolicy::OnFailure::kIgnore) {
+  if (st.consecutive_misses >= policy_.fail_threshold) {
     st.consecutive_misses = 0;  // escalate once per run of misses
-    if (policy_.on_failure == OrchPolicy::OnFailure::kDelayed &&
-        (diag == MissDiagnosis::kSourceAppSlow || diag == MissDiagnosis::kSinkAppSlow)) {
+    if (diag == MissDiagnosis::kSourceAppSlow || diag == MissDiagnosis::kSinkAppSlow) {
       llo_.delayed(session_, ind.vc, diag == MissDiagnosis::kSourceAppSlow,
                    std::llround(st.last_error_osdus));
     }

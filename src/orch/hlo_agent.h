@@ -53,20 +53,9 @@ struct OrchPolicy {
   double tolerance_osdus = 2.0;
   /// Consecutive misses before escalation ("the HLO agent [takes]
   /// appropriate action ... if the LLO consistently fails to meet
-  /// targets").
+  /// targets"): Orch.Delayed to an app-slow side, and the escalation
+  /// callback for every diagnosis.
   int fail_threshold = 5;
-
-  enum class Pacing {
-    /// Targets derive from the orchestrating node's clock (the datum).
-    kMasterClock,
-    /// Targets track the slowest stream: streams that cannot drop are
-    /// never asked to catch up; everyone else aligns to them.
-    kSlowestStream,
-  };
-  Pacing pacing = Pacing::kMasterClock;
-
-  enum class OnFailure { kIgnore, kDelayed, kNotifyOnly };
-  OnFailure on_failure = OnFailure::kDelayed;
 
   /// When false the agent primes and starts the group atomically but runs
   /// no continuous regulation afterwards — the "event-driven sync only"

@@ -58,32 +58,6 @@ std::optional<QosParams> degrade_to_bandwidth(const QosTolerance& tol,
   return std::nullopt;
 }
 
-std::optional<QosTolerance> intersect(const QosTolerance& a, const QosTolerance& b) {
-  QosTolerance r;
-  // Preferred: the weaker preference (so neither side is promised more than
-  // the other is prepared to deliver).
-  r.preferred.osdu_rate = std::min(a.preferred.osdu_rate, b.preferred.osdu_rate);
-  r.preferred.max_osdu_bytes = std::min(a.preferred.max_osdu_bytes, b.preferred.max_osdu_bytes);
-  r.preferred.end_to_end_delay =
-      std::max(a.preferred.end_to_end_delay, b.preferred.end_to_end_delay);
-  r.preferred.delay_jitter = std::max(a.preferred.delay_jitter, b.preferred.delay_jitter);
-  r.preferred.packet_error_rate =
-      std::max(a.preferred.packet_error_rate, b.preferred.packet_error_rate);
-  r.preferred.bit_error_rate = std::max(a.preferred.bit_error_rate, b.preferred.bit_error_rate);
-  // Worst: the stricter minimum.
-  r.worst.osdu_rate = std::max(a.worst.osdu_rate, b.worst.osdu_rate);
-  r.worst.max_osdu_bytes = std::max(a.worst.max_osdu_bytes, b.worst.max_osdu_bytes);
-  r.worst.end_to_end_delay = std::min(a.worst.end_to_end_delay, b.worst.end_to_end_delay);
-  r.worst.delay_jitter = std::min(a.worst.delay_jitter, b.worst.delay_jitter);
-  r.worst.packet_error_rate = std::min(a.worst.packet_error_rate, b.worst.packet_error_rate);
-  r.worst.bit_error_rate = std::min(a.worst.bit_error_rate, b.worst.bit_error_rate);
-
-  // The intersection is empty if the combined preference falls below the
-  // combined minimum on any axis.
-  if (!r.acceptable(r.preferred)) return std::nullopt;
-  return r;
-}
-
 std::string QosViolation::to_string() const {
   std::string s;
   if (throughput) s += "throughput ";

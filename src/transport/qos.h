@@ -76,11 +76,6 @@ struct QosTolerance {
 std::optional<QosParams> degrade_to_bandwidth(const QosTolerance& tol,
                                               std::int64_t available_bps);
 
-/// Intersects two tolerances (e.g. the initiator's and the responder's):
-/// preferred = the weaker of the two preferences, worst = the stricter of
-/// the two minima.  Returns nullopt if the ranges do not overlap.
-std::optional<QosTolerance> intersect(const QosTolerance& a, const QosTolerance& b);
-
 /// Per-parameter comparison report used by the QoS monitor and tests.
 struct QosViolation {
   bool throughput = false;

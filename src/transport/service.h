@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "net/address.h"
@@ -173,15 +172,6 @@ class TransportUser {
     (void)vc;
     (void)accepted;
     (void)agreed;
-  }
-
-  /// T-Unitdata.indication: a best-effort datagram arrived at a TSAP this
-  /// user is bound to.
-  virtual void t_unitdata_indication(const net::NetAddress& from, net::Tsap dst_tsap,
-                                     std::span<const std::uint8_t> data) {
-    (void)from;
-    (void)dst_tsap;
-    (void)data;
   }
 };
 

@@ -475,41 +475,6 @@ std::optional<HeartbeatTpdu> HeartbeatTpdu::decode(std::span<const std::uint8_t>
   }
 }
 
-std::vector<std::uint8_t> DatagramTpdu::encode() const {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  w.u8(wire_enum(TpduType::kDG));
-  w.u64(0);  // vc slot kept so peek_vc stays uniform across data-plane TPDUs
-  write_address(w, src);
-  w.u16(dst_tsap);
-  w.blob(payload);
-  append_crc32(out);
-  return out;
-}
-
-std::optional<DatagramTpdu> DatagramTpdu::decode(std::span<const std::uint8_t> wire,
-                                                 WireFault* fault) {
-  set_fault(fault, WireFault::kNone);
-  const auto body = checked_body(wire, fault);
-  if (!body) return std::nullopt;
-  try {
-    ByteReader r(*body);
-    if (static_cast<TpduType>(r.u8()) != TpduType::kDG) {
-      set_fault(fault, WireFault::kBadType);
-      return std::nullopt;
-    }
-    (void)r.u64();
-    DatagramTpdu t;
-    t.src = read_address(r);
-    t.dst_tsap = r.u16();
-    t.payload = r.blob();
-    return t;
-  } catch (const DecodeError&) {
-    set_fault(fault, WireFault::kTruncated);
-    return std::nullopt;
-  }
-}
-
 std::optional<TpduType> peek_type(std::span<const std::uint8_t> wire) {
   if (wire.empty()) return std::nullopt;
   return static_cast<TpduType>(wire[0]);

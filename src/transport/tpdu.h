@@ -43,7 +43,6 @@ enum class TpduType : std::uint8_t {
   kAK = 17,   // cumulative acknowledgement (window profile)
   kNAK = 18,  // selective retransmission request (rate profile, correction)
   kFB = 19,   // receiver rate feedback (rate profile)
-  kDG = 20,   // best-effort datagram (T-Unitdata)
   kHB = 22,   // per-peer heartbeat: batched feedback + liveness (no VC id)
 };
 
@@ -217,22 +216,10 @@ struct HeartbeatTpdu {
 /// so XOR over a set is order-independent and updates in O(1)).
 std::uint64_t vc_digest(VcId vc);
 
-/// Best-effort datagram (T-Unitdata): connectionless, no recovery, lowest
-/// link priority.
-struct DatagramTpdu {
-  net::NetAddress src;        // originating endpoint
-  net::Tsap dst_tsap = 0;     // destination TSAP (node from the packet)
-  std::vector<std::uint8_t> payload;
-
-  std::vector<std::uint8_t> encode() const;
-  static std::optional<DatagramTpdu> decode(std::span<const std::uint8_t> wire,
-                                            WireFault* fault = nullptr);
-};
-
 /// Reads the type tag of an encoded TPDU without full decode.
 std::optional<TpduType> peek_type(std::span<const std::uint8_t> wire);
 
-/// Reads the VC id of an encoded data-plane TPDU (DT/AK/NAK/FB/DG).  A
+/// Reads the VC id of an encoded data-plane TPDU (DT/AK/NAK/FB).  A
 /// heartbeat carries no VC id: dispatch on peek_type first.
 std::optional<VcId> peek_vc(std::span<const std::uint8_t> wire);
 

@@ -143,7 +143,7 @@ void TransportEntity::send_tpdu(net::NodeId dst, net::Proto proto,
   pkt.payload = std::move(payload);
   // Control TPDU handlers release reservations and call into (possibly
   // facade-side) users: their terminal delivery must run in a serial
-  // round.  The data plane (DT/AK/NAK/FB/HB/DG) stays shard-local.
+  // round.  The data plane (DT/AK/NAK/FB/HB) stays shard-local.
   pkt.global_delivery = (proto == net::Proto::kTransportControl);
   network_.send(std::move(pkt));
 }
@@ -164,15 +164,6 @@ net::Packet TransportEntity::make_dt_packet(net::NodeId dst, const DataTpdu& dt)
 
 void TransportEntity::send_dt_burst(std::vector<net::Packet>&& burst) {
   network_.send(std::move(burst));
-}
-
-void TransportEntity::t_unitdata_request(net::Tsap src_tsap, const net::NetAddress& dst,
-                                         std::vector<std::uint8_t> data) {
-  DatagramTpdu dg;
-  dg.src = {node_, src_tsap};
-  dg.dst_tsap = dst.tsap;
-  dg.payload = std::move(data);
-  send_tpdu(dst.node, net::Proto::kTransportData, dg.encode(), net::Priority::kDatagram);
 }
 
 void TransportEntity::deliver_disconnect(VcId vc, net::Tsap tsap, DisconnectReason reason) {
@@ -343,16 +334,6 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
     case TpduType::kDT: {
       Connection* c = sink(*vc);
       if (c != nullptr && c->on_data(pkt)) heartbeat_.heard_from(pkt.src);
-      break;
-    }
-    case TpduType::kDG: {
-      if (auto dg = DatagramTpdu::decode(pkt.payload, &fault)) {
-        heartbeat_.heard_from(pkt.src);
-        if (TransportUser* u = user_at(dg->dst_tsap))
-          u->t_unitdata_indication(dg->src, dg->dst_tsap, dg->payload);
-      } else {
-        refused("dg");
-      }
       break;
     }
     case TpduType::kAK: {

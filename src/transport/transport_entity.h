@@ -123,16 +123,6 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   }
 
   // ------------------------------------------------------------------
-  // Datagram service (§4 mentions it as part of the standard protocol
-  // matrix): best-effort, connectionless, lowest link priority.
-  // ------------------------------------------------------------------
-
-  /// T-Unitdata.request: one-shot datagram from a local TSAP to `dst`.
-  /// Delivered (if at all) via TransportUser::t_unitdata_indication.
-  void t_unitdata_request(net::Tsap src_tsap, const net::NetAddress& dst,
-                          std::vector<std::uint8_t> data);
-
-  // ------------------------------------------------------------------
   // Table 3: T-Renegotiate
   // ------------------------------------------------------------------
 

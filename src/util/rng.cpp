@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
 
 namespace cmtos {
 namespace {
@@ -55,20 +54,6 @@ bool Rng::bernoulli(double p) {
   if (p <= 0) return false;
   if (p >= 1) return true;
   return next_double() < p;
-}
-
-double Rng::exponential(double mean) {
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
-double Rng::normal(double mean, double stddev) {
-  double acc = 0;
-  for (int i = 0; i < 12; ++i) acc += next_double();
-  return mean + stddev * (acc - 6.0);
 }
 
 Rng Rng::split() {

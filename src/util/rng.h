@@ -38,13 +38,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
-  /// Approximately normal value (12-uniform sum method — adequate for
-  /// jitter models, no tail precision requirements).
-  double normal(double mean, double stddev);
-
   /// Derives an independent child generator; used to give each component
   /// its own stream so insertion order does not perturb other components.
   Rng split();

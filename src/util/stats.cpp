@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace cmtos {
 
@@ -69,25 +68,6 @@ double SampleSet::percentile(double p) const {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
   return samples_[std::min(samples_.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-std::string SampleSet::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "n=%zu mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-                count(), mean(), percentile(50), percentile(95), percentile(99), max());
-  return buf;
-}
-
-double RateMeter::event_rate(Time now) const {
-  const Duration span = now - window_start_;
-  if (span <= 0) return 0;
-  return static_cast<double>(events_) / to_seconds(span);
-}
-
-double RateMeter::bit_rate(Time now) const {
-  const Duration span = now - window_start_;
-  if (span <= 0) return 0;
-  return static_cast<double>(bytes_ * 8) / to_seconds(span);
 }
 
 }  // namespace cmtos

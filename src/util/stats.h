@@ -8,10 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "util/time.h"
 
 namespace cmtos {
 
@@ -57,40 +54,10 @@ class SampleSet {
   /// Exact percentile by nearest-rank; p in [0,100].
   double percentile(double p) const;
 
-  /// One-line summary: "n=100 mean=1.2 p50=1.1 p99=3.4 max=5.0".
-  std::string summary() const;
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
   void sort_if_needed() const;
-};
-
-/// Windowed event-rate meter: counts events (and bytes) and reports the
-/// rate over an explicit [begin, end] window.  The transport QoS monitor
-/// uses one per sample period.
-class RateMeter {
- public:
-  void begin_window(Time now) {
-    window_start_ = now;
-    events_ = 0;
-    bytes_ = 0;
-  }
-  void record(std::int64_t bytes = 0) {
-    ++events_;
-    bytes_ += bytes;
-  }
-  std::int64_t events() const { return events_; }
-  std::int64_t bytes() const { return bytes_; }
-  /// Events per second over [window_start, now].
-  double event_rate(Time now) const;
-  /// Bits per second over [window_start, now].
-  double bit_rate(Time now) const;
-
- private:
-  Time window_start_ = 0;
-  std::int64_t events_ = 0;
-  std::int64_t bytes_ = 0;
 };
 
 }  // namespace cmtos

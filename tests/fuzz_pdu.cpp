@@ -46,7 +46,6 @@ using cmtos::orch::OpduType;
 using cmtos::transport::AckTpdu;
 using cmtos::transport::ControlTpdu;
 using cmtos::transport::DataTpdu;
-using cmtos::transport::DatagramTpdu;
 using cmtos::transport::FeedbackTpdu;
 using cmtos::transport::HeartbeatTpdu;
 using cmtos::transport::NakTpdu;
@@ -172,16 +171,6 @@ Bytes gen_hb(Rng& rng) {
   return t.encode();
 }
 
-Bytes gen_dg(Rng& rng) {
-  DatagramTpdu t;
-  t.src = {static_cast<std::uint32_t>(rng.uniform(0, 100)),
-           static_cast<std::uint16_t>(rng.uniform(0, 999))};
-  t.dst_tsap = static_cast<std::uint16_t>(rng.uniform(0, 999));
-  t.payload.resize(static_cast<std::size_t>(rng.uniform(0, 64)));
-  for (auto& b : t.payload) b = static_cast<std::uint8_t>(rng.next_u64());
-  return t.encode();
-}
-
 Bytes gen_opdu(Rng& rng) {
   static constexpr OpduType kTypes[] = {
       OpduType::kSessReq, OpduType::kSessAck, OpduType::kSessRel, OpduType::kPrime,
@@ -300,7 +289,6 @@ constexpr Family kFamilies[] = {
     {"nak_tpdu", gen_nak, fixpoint<NakTpdu>, reseal_trailer},
     {"fb_tpdu", gen_fb, fixpoint<FeedbackTpdu>, reseal_trailer},
     {"hb_tpdu", gen_hb, fixpoint<HeartbeatTpdu>, reseal_trailer},
-    {"dg_tpdu", gen_dg, fixpoint<DatagramTpdu>, reseal_trailer},
     {"opdu", gen_opdu, fixpoint<Opdu>, reseal_trailer},
 };
 constexpr std::size_t kFamilyCount = std::size(kFamilies);
@@ -506,7 +494,6 @@ int main(int argc, char** argv) {
             case 3: return NakTpdu::decode(x, &fault).has_value();
             case 4: return FeedbackTpdu::decode(x, &fault).has_value();
             case 5: return HeartbeatTpdu::decode(x, &fault).has_value();
-            case 6: return DatagramTpdu::decode(x, &fault).has_value();
             default: return Opdu::decode(x, &fault).has_value();
           }
         }();

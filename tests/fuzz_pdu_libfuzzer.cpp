@@ -38,7 +38,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   (void)cmtos::transport::NakTpdu::decode(wire);
   (void)cmtos::transport::FeedbackTpdu::decode(wire);
   (void)cmtos::transport::HeartbeatTpdu::decode(wire);
-  (void)cmtos::transport::DatagramTpdu::decode(wire);
   (void)cmtos::orch::Opdu::decode(wire);
   (void)cmtos::transport::peek_type(wire);
   (void)cmtos::transport::peek_vc(wire);

@@ -1,6 +1,6 @@
 // Tests for the §7 future-work extensions: clock synchronisation within
-// the orchestrator protocol, orchestration without a common node, the
-// datagram service, and link-level priority queueing.
+// the orchestrator protocol, orchestration without a common node, and
+// link-level priority queueing.
 
 #include <gtest/gtest.h>
 
@@ -170,54 +170,6 @@ TEST(NoCommonNode, RejectedByDefaultAllowedByPolicy) {
 }
 
 // --------------------------------------------------------------------
-// Datagram service
-// --------------------------------------------------------------------
-
-struct DatagramUser : transport::TransportUser {
-  void t_connect_indication(transport::VcId, const transport::ConnectRequest&) override {}
-  void t_connect_confirm(transport::VcId, const transport::QosParams&) override {}
-  void t_disconnect_indication(transport::VcId, transport::DisconnectReason) override {}
-  void t_unitdata_indication(const net::NetAddress& from, net::Tsap,
-                             std::span<const std::uint8_t> data) override {
-    sources.push_back(from);
-    payloads.emplace_back(data.begin(), data.end());
-  }
-  std::vector<net::NetAddress> sources;
-  std::vector<std::vector<std::uint8_t>> payloads;
-};
-
-TEST(Datagram, DeliveredWithSourceAddress) {
-  PairPlatform w;
-  DatagramUser user;
-  w.b->entity.bind(9, &user);
-  w.a->entity.t_unitdata_request(4, {w.b->id, 9}, {1, 2, 3});
-  w.platform.run_until(100 * kMillisecond);
-  ASSERT_EQ(user.payloads.size(), 1u);
-  EXPECT_EQ(user.payloads[0], (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_EQ(user.sources[0], (net::NetAddress{w.a->id, 4}));
-}
-
-TEST(Datagram, UnboundTsapSilentlyDropped) {
-  PairPlatform w;
-  w.a->entity.t_unitdata_request(4, {w.b->id, 99}, {1});
-  w.platform.run_until(100 * kMillisecond);  // must not crash or leak
-}
-
-TEST(Datagram, BestEffortUnderLoss) {
-  net::LinkConfig lossy = lan_link();
-  lossy.loss_rate = 0.4;
-  PairPlatform w(lossy, 77);
-  DatagramUser user;
-  w.b->entity.bind(9, &user);
-  for (int i = 0; i < 200; ++i)
-    w.a->entity.t_unitdata_request(4, {w.b->id, 9}, {static_cast<std::uint8_t>(i)});
-  w.platform.run_until(2 * kSecond);
-  // Roughly the survival rate arrives; nothing is retransmitted.
-  EXPECT_GT(user.payloads.size(), 80u);
-  EXPECT_LT(user.payloads.size(), 160u);
-}
-
-// --------------------------------------------------------------------
 // Link priority bands
 // --------------------------------------------------------------------
 
@@ -278,9 +230,9 @@ TEST(Priority, OverflowEvictsLowerBandFirst) {
   net.add_link(a, b, tiny);
   net.finalize_routes();
 
-  int datagrams = 0, controls = 0;
+  int media = 0, controls = 0;
   net.node(b).set_handler(net::Proto::kTransportData, [&](net::Packet&& p) {
-    if (p.priority == net::Priority::kDatagram) ++datagrams;
+    if (p.priority == net::Priority::kMedia) ++media;
     if (p.priority == net::Priority::kControl) ++controls;
   });
 
@@ -293,43 +245,14 @@ TEST(Priority, OverflowEvictsLowerBandFirst) {
     p.payload.assign(100, 0);
     net.send(std::move(p));
   };
-  // Fill the queue with datagrams, then offer control packets: control
-  // packets evict queued datagrams (the frame already committed to the
-  // wire is untouchable, so it holds one slot).
-  for (int i = 0; i < 6; ++i) send(net::Priority::kDatagram);
+  // Fill the queue with media, then offer control packets: control packets
+  // evict queued media (the frame already committed to the wire is
+  // untouchable, so it holds one slot).
+  for (int i = 0; i < 6; ++i) send(net::Priority::kMedia);
   for (int i = 0; i < 4; ++i) send(net::Priority::kControl);
   sched.run();
-  EXPECT_GE(controls, 3);   // all but the slot pinned by the in-flight frame
-  EXPECT_LE(datagrams, 2);  // the committed one (and at most one survivor)
-}
-
-TEST(Priority, DatagramFloodDoesNotStarveMediaQos) {
-  // A datagram flood shares the link with a CM stream; the stream's
-  // contract holds because media outranks datagrams.
-  PairPlatform w(lan_link(), 5);
-  ScriptedUser src_user(w.a->entity), dst_user(w.b->entity);
-  w.a->entity.bind(1, &src_user);
-  w.b->entity.bind(2, &dst_user);
-  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 50.0, 4096);
-  const auto vc = w.a->entity.t_connect_request(req);
-  w.platform.run_until(200 * kMillisecond);
-  auto* source = w.a->entity.source(vc);
-  auto* sink = w.b->entity.sink(vc);
-  ASSERT_NE(source, nullptr);
-
-  std::int64_t delivered = 0;
-  for (int round = 0; round < 100; ++round) {
-    while (source->submit(std::vector<std::uint8_t>(4000, 1))) {
-    }
-    // ~12 Mbit/s of datagram flood into the 10 Mbit/s link.
-    for (int i = 0; i < 15; ++i)
-      w.a->entity.t_unitdata_request(3, {w.b->id, 99}, std::vector<std::uint8_t>(1000, 2));
-    w.platform.run_until(w.platform.scheduler().now() + 10 * kMillisecond);
-    while (sink->receive()) ++delivered;
-  }
-  // 1 second at 50/s contract: the stream rides the higher band.
-  EXPECT_GE(delivered, 40);
-  EXPECT_EQ(sink->stats().tpdus_lost, 0);
+  EXPECT_GE(controls, 3);  // all but the slot pinned by the in-flight frame
+  EXPECT_LE(media, 2);     // the committed one (and at most one survivor)
 }
 
 }  // namespace

@@ -70,7 +70,6 @@ TEST(FailureInjection, LinkBlackoutDiagnosedAsTransportFailure) {
   OrchPolicy policy;
   policy.interval = 200 * kMillisecond;
   policy.fail_threshold = 3;
-  policy.on_failure = OrchPolicy::OnFailure::kNotifyOnly;
   auto session = w.p->orchestrator().orchestrate({w.stream->orch_spec(0)}, policy, nullptr);
   w.p->run_until(w.p->scheduler().now() + 500 * kMillisecond);
   session->prime(false, nullptr);

@@ -291,7 +291,6 @@ TEST(HloAgent, DiagnosesTransportBottleneck) {
   // OSDUs) clearly exceed the 2-OSDU tolerance.
   policy.interval = 500 * kMillisecond;
   policy.fail_threshold = 3;
-  policy.on_failure = OrchPolicy::OnFailure::kNotifyOnly;
   auto spec25 = stream.orch_spec(0);
   spec25.osdu_rate = 25.0;  // the application *wants* 25
   auto session = p.orchestrator().orchestrate({spec25}, policy, nullptr);
@@ -309,69 +308,6 @@ TEST(HloAgent, DiagnosesTransportBottleneck) {
 
   ASSERT_FALSE(escalations.empty());
   EXPECT_EQ(escalations.front(), MissDiagnosis::kTransportTooSlow);
-}
-
-TEST(HloAgent, SlowestStreamPacingFollowsLaggard) {
-  // Audio cannot drop (max_drop 0) and its producer is paced slow; with
-  // kSlowestStream pacing the video aligns to audio instead of running
-  // ahead.
-  platform::Platform p(55);
-  auto& server_host = p.add_host("server");
-  auto& ws = p.add_host("ws");
-  p.network().add_link(server_host.id, ws.id, lan_link());
-  p.network().finalize_routes();
-
-  StoredMediaServer server(p, server_host, "s");
-  TrackConfig video;
-  video.track_id = 1;
-  video.auto_start = false;
-  video.vbr.base_bytes = 1024;
-  const auto vsrc = server.add_track(100, video);
-  TrackConfig audio;
-  audio.track_id = 2;
-  audio.auto_start = false;
-  audio.paced_rate = 40.0;  // should be 50: runs 20% slow
-  audio.vbr.base_bytes = 160;
-  audio.vbr.gop = 0;
-  const auto asrc = server.add_track(101, audio);
-
-  RenderConfig vr;
-  vr.expect_track = 1;
-  RenderingSink vsink(p, ws, 200, vr);
-  RenderConfig ar;
-  ar.expect_track = 2;
-  RenderingSink asink(p, ws, 201, ar);
-  platform::Stream vstream(p, ws, "v"), astream(p, ws, "a");
-  platform::VideoQos vq;
-  vq.frames_per_second = 25;
-  platform::AudioQos aq;
-  aq.blocks_per_second = 50;
-  vstream.connect(vsrc, {ws.id, 200}, vq, {}, nullptr);
-  astream.connect(asrc, {ws.id, 201}, aq, {}, nullptr);
-  p.run_until(500 * kMillisecond);
-
-  OrchPolicy policy;
-  policy.interval = 100 * kMillisecond;
-  policy.pacing = OrchPolicy::Pacing::kSlowestStream;
-  auto session =
-      p.orchestrator().orchestrate({vstream.orch_spec(3), astream.orch_spec(0)}, policy, nullptr);
-  p.run_until(kSecond);
-  session->prime(false, nullptr);
-  p.run_until(4 * kSecond);
-  session->start(nullptr);
-  p.run_until(5 * kSecond);
-
-  SyncMeter meter(p.scheduler());
-  meter.add_stream("video", &vsink);
-  meter.add_stream("audio", &asink);
-  meter.begin(100 * kMillisecond);
-  p.run_until(25 * kSecond);
-
-  // Audio media position advances at 40/50 = 0.8x real time; video must
-  // track it, not the wall clock.
-  EXPECT_LT(meter.max_abs_skew_seconds(), 0.25);
-  const double vpos = vsink.position_seconds();
-  EXPECT_LT(vpos, 0.9 * 20.0);  // clearly slower than real time
 }
 
 TEST(HloAgent, AddAndRemoveStreamMidSession) {

@@ -98,31 +98,6 @@ TEST(Qos, DegradeFailsBelowWorst) {
   EXPECT_FALSE(degrade_to_bandwidth(tol, tol.preferred.required_bps() / 10).has_value());
 }
 
-TEST(Qos, IntersectTakesWeakerPreferenceAndStricterFloor) {
-  QosTolerance a;
-  a.preferred = params(30, 8192);
-  a.worst = params(10, 1024);
-  QosTolerance b;
-  b.preferred = params(25, 4096);
-  b.worst = params(15, 2048);
-  const auto r = intersect(a, b);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(r->preferred.osdu_rate, 25);
-  EXPECT_EQ(r->preferred.max_osdu_bytes, 4096);
-  EXPECT_DOUBLE_EQ(r->worst.osdu_rate, 15);
-  EXPECT_EQ(r->worst.max_osdu_bytes, 2048);
-}
-
-TEST(Qos, IntersectEmptyWhenRangesDisjoint) {
-  QosTolerance a;
-  a.preferred = params(10, 4096);
-  a.worst = params(8, 4096);
-  QosTolerance b;
-  b.preferred = params(50, 4096);
-  b.worst = params(20, 4096);  // floor above a's ceiling
-  EXPECT_FALSE(intersect(a, b).has_value());
-}
-
 TEST(Qos, ViolationToString) {
   QosViolation v;
   EXPECT_FALSE(v.any());

@@ -86,14 +86,6 @@ TEST(Rng, BernoulliApproximatesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / kTrials, 0.3, 0.02);
 }
 
-TEST(Rng, ExponentialHasRequestedMean) {
-  Rng r(17);
-  double acc = 0;
-  constexpr int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) acc += r.exponential(5.0);
-  EXPECT_NEAR(acc / kTrials, 5.0, 0.25);
-}
-
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(21);
   Rng child = a.split();
@@ -218,15 +210,6 @@ TEST(SampleSet, Percentiles) {
   EXPECT_DOUBLE_EQ(s.min(), 1);
   EXPECT_DOUBLE_EQ(s.max(), 100);
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-}
-
-TEST(RateMeter, RatesOverWindow) {
-  RateMeter m;
-  m.begin_window(0);
-  for (int i = 0; i < 25; ++i) m.record(1000);
-  EXPECT_DOUBLE_EQ(m.event_rate(1 * kSecond), 25.0);
-  EXPECT_DOUBLE_EQ(m.bit_rate(1 * kSecond), 25.0 * 8000);
-  EXPECT_EQ(m.event_rate(0), 0.0);  // zero-length window
 }
 
 TEST(RingBuffer, FifoOrder) {

@@ -25,7 +25,6 @@ using orch::OpduType;
 using transport::AckTpdu;
 using transport::ControlTpdu;
 using transport::DataTpdu;
-using transport::DatagramTpdu;
 using transport::FeedbackTpdu;
 using transport::HeartbeatTpdu;
 using transport::NakTpdu;
@@ -165,14 +164,6 @@ TEST(WireTotality, HeartbeatTpduRefusesCountsTheBytesCannotHold) {
   flipped[10] ^= 0x04;
   EXPECT_FALSE(HeartbeatTpdu::decode(flipped, &fault).has_value());
   EXPECT_EQ(fault, WireFault::kChecksum);
-}
-
-TEST(WireTotality, DatagramTpdu) {
-  DatagramTpdu t;
-  t.src = {1, 10};
-  t.dst_tsap = 20;
-  t.payload = {9, 8, 7};
-  sweep<DatagramTpdu>(t.encode(), "dg_tpdu");
 }
 
 TEST(WireTotality, OpduEveryType) {

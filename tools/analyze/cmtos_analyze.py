@@ -105,6 +105,14 @@ Checks
                         `network_.release(` anywhere else is a teardown
                         written out by hand, the copy that drifts (a forgotten
                         reverse trickle, a skipped close).
+  layering              The src/ layers include only downward: an
+                        `#include "<dir>/..."` in src/<layer>/ may name its
+                        own layer or a library its CMake target links,
+                        directly or transitively.  The allowed set is read
+                        from the target_link_libraries lines of
+                        src/*/CMakeLists.txt, so the order lives in one
+                        place (a transport header including orch/ is the
+                        upward edge that makes the libraries a cycle).
   hot-path-map          Per-entity lookup state in the scale-critical layers
                         (src/{transport,orch,net}) must live in the flat
                         open-addressed structures (util::FlatMap /
@@ -163,6 +171,7 @@ CHECKS = (
     "timer-idiom",
     "hot-path-map",
     "endpoint-teardown",
+    "layering",
 )
 
 ALLOW_RE = re.compile(r"//.*cmtos-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -1184,6 +1193,58 @@ def check_endpoint_teardown(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
+LINK_RE = re.compile(r"target_link_libraries\s*\(\s*cmtos_(\w+)([^)]*)\)")
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"/\n]+)/[^"\n]*"', re.M)
+LAYER_DIR_RE = re.compile(r"(?:^|/)src/(\w+)/")
+_layer_deps: dict[str, set[str]] | None = None
+
+
+def layer_deps() -> dict[str, set[str]]:
+    """Layer -> the layers its files may include: itself plus every cmtos_*
+    library its target links, closed transitively.  Read once from the
+    target_link_libraries lines of src/*/CMakeLists.txt (library cmtos_X
+    lives in src/X/)."""
+    global _layer_deps
+    if _layer_deps is None:
+        direct: dict[str, set[str]] = {}
+        for cml in sorted((REPO_ROOT / "src").glob("*/CMakeLists.txt")):
+            for m in LINK_RE.finditer(cml.read_text(encoding="utf-8")):
+                direct.setdefault(m.group(1), set()).update(
+                    re.findall(r"\bcmtos_(\w+)", m.group(2)))
+        _layer_deps = {}
+        for layer in direct:
+            seen, todo = {layer}, [layer]
+            while todo:
+                for dep in direct.get(todo.pop(), ()):
+                    if dep not in seen:
+                        seen.add(dep)
+                        todo.append(dep)
+            _layer_deps[layer] = seen
+    return _layer_deps
+
+
+def check_layering(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags a quoted include of another src/ layer that the including
+    layer's library does not link."""
+    m = LAYER_DIR_RE.search(sf.rel)
+    deps = layer_deps()
+    if m is None or m.group(1) not in deps:
+        return []
+    layer = m.group(1)
+    out = []
+    for inc in INCLUDE_RE.finditer(sf.text):
+        target = inc.group(1)
+        if "#" not in sf.code[inc.start():inc.end()]:
+            continue  # inside a comment
+        if target in deps and target not in deps[layer]:
+            out.append(Finding(
+                sf.rel, sf.line_of(inc.start()), "layering",
+                f"src/{layer}/ includes {target}/, which cmtos_{layer} does not "
+                f"link (it links {', '.join(sorted(deps[layer] - {layer})) or 'nothing'}): "
+                "layers include only downward"))
+    return out
+
+
 ALL_CHECKS = (
     check_callback_liveness,
     check_dataplane_payload_copy,
@@ -1194,6 +1255,7 @@ ALL_CHECKS = (
     check_timer_idiom,
     check_hot_path_map,
     check_endpoint_teardown,
+    check_layering,
 )
 
 
@@ -1370,7 +1432,7 @@ void good(std::span<const std::uint8_t> w, cmtos::ByteReader& r,
   const std::uint32_t n = r.u32();
   if (n > r.remaining() / 4) return;
   out.reserve(n);
-  auto dg = *cmtos::transport::DatagramTpdu::decode(w);  // cmtos-analyze: allow(decode-totality)
+  auto cr = *cmtos::transport::ControlTpdu::decode(w);  // cmtos-analyze: allow(decode-totality)
 }
 """
 DT_EXPECT = {
@@ -1473,6 +1535,28 @@ void Network::preempt_for() {
 }
 """
 
+LY_PROBE = """\
+#include <map>
+#include "net/packet.h"
+#include "orch/hlo_agent.h"
+#include "util/time.h"
+#include "media/content.h"
+// #include "platform/host.h"
+#include "fixtures.h"
+#include "platform/host.h"  // cmtos-analyze: allow(layering)
+"""
+LY_EXPECT = {
+    (3, "layering"),  # transport includes orch: an upward edge
+    (5, "layering"),  # media is above transport too
+}
+
+# orch links transport, so the same include one layer up is downward.
+LY_PASS_PROBE = """\
+#include "orch/llo.h"
+#include "transport/transport_entity.h"
+#include "net/network.h"
+"""
+
 PROBES = (
     # (relative path the dir-scoped checks see, source, expected findings)
     ("src/transport/probe_callbacks.cpp", CB_PROBE, CB_EXPECT),
@@ -1487,6 +1571,8 @@ PROBES = (
     ("src/sim/probe_timer.h", TI_SIM_PROBE, set()),
     ("src/transport/probe_teardown.cpp", ET_PROBE, ET_EXPECT),
     ("src/net/probe_release.cpp", ET_NET_PROBE, set()),
+    ("src/transport/probe_layering.h", LY_PROBE, LY_EXPECT),
+    ("src/orch/probe_layering.h", LY_PASS_PROBE, set()),
 )
 
 
