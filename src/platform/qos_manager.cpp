@@ -10,6 +10,21 @@ namespace cmtos::platform {
 
 namespace {
 
+/// Clean-tick cadence.
+constexpr Duration kTickPeriod = 250 * kMillisecond;
+/// A tick only counts as clean once the stream has been violation-free this
+/// long (fresh indications veto upgrades immediately; this hold keeps the
+/// first clean tick from firing right after a storm).
+constexpr Duration kQuietAfter = kSecond;
+/// Grace window after a rung change is applied.  The first sample period
+/// after a renegotiation measures the *transition* — OSDUs paced at the old
+/// rate against the new agreed rate, and the ring-residency shift shows up
+/// as a one-off jitter spike — so violations inside this window hold the
+/// quiet timer but are not charged against the probe.  A genuinely bad path
+/// keeps violating past the window and still fails validation, so the
+/// backoff property is preserved.
+constexpr Duration kSettleAfterChange = 750 * kMillisecond;
+
 /// Linear interpolation helper for ladder axes.
 double lerp(double a, double b, double f) { return a + (b - a) * f; }
 Duration lerp_d(Duration a, Duration b, double f) {
@@ -24,13 +39,12 @@ int media_rank_of(const MediaQos& media) {
 
 }  // namespace
 
-std::vector<LadderRung> build_ladder(const MediaQos& preferred, int rungs) {
-  CMTOS_ASSERT(rungs >= 2, "qosmgr.ladder_rungs");
+std::vector<LadderRung> build_ladder(const MediaQos& preferred) {
   const transport::QosTolerance base = to_transport_qos(preferred);
   std::vector<LadderRung> ladder;
-  ladder.reserve(rungs);
-  for (int i = 0; i < rungs; ++i) {
-    const double f = static_cast<double>(i) / (rungs - 1);
+  ladder.reserve(kLadderRungs);
+  for (int i = 0; i < kLadderRungs; ++i) {
+    const double f = static_cast<double>(i) / (kLadderRungs - 1);
     LadderRung rung;
     rung.media = preferred;
     if (auto* v = std::get_if<VideoQos>(&rung.media)) {
@@ -73,13 +87,6 @@ std::vector<LadderRung> build_ladder(const MediaQos& preferred, int rungs) {
 // LadderState — the hysteresis core
 // ====================================================================
 
-LadderState::LadderState() : LadderState(2) {}
-LadderState::LadderState(int rung_count) : LadderState(rung_count, Config{}) {}
-
-LadderState::LadderState(int rung_count, Config cfg) : cfg_(cfg), rungs_(rung_count) {
-  CMTOS_ASSERT(rung_count >= 2, "qosmgr.state_rungs");
-}
-
 LadderState::Action LadderState::on_violation(std::uint32_t consecutive_periods) {
   clean_ticks_ = 0;
   if (in_flight_) return Action::kNone;
@@ -88,15 +95,14 @@ LadderState::Action LadderState::on_violation(std::uint32_t consecutive_periods)
     // probe wait twice as long.  This is the anti-oscillation cooldown —
     // on a flapping link the probe cadence decays geometrically.
     validation_left_ = 0;
-    backoff_ = std::min(backoff_ * 2, cfg_.backoff_cap);
-    if (level_ < rungs_ - 1) {
+    backoff_ = std::min(backoff_ * 2, kBackoffCap);
+    if (!at_floor()) {
       in_flight_ = true;
       return Action::kDegrade;
     }
     return Action::kNone;
   }
-  if (static_cast<int>(consecutive_periods) >= cfg_.degrade_after_periods &&
-      level_ < rungs_ - 1) {
+  if (static_cast<int>(consecutive_periods) >= kDegradeAfterPeriods && !at_floor()) {
     in_flight_ = true;
     return Action::kDegrade;
   }
@@ -114,7 +120,7 @@ LadderState::Action LadderState::on_clean_tick() {
     return Action::kNone;
   }
   ++clean_ticks_;
-  if (level_ > 0 && clean_ticks_ >= cfg_.upgrade_after_clean * backoff_) {
+  if (level_ > 0 && clean_ticks_ >= kUpgradeAfterClean * backoff_) {
     in_flight_ = true;
     return Action::kUpgrade;
   }
@@ -127,12 +133,12 @@ void LadderState::note_applied(Action act, bool ok) {
   if (!ok || act == Action::kNone) return;
   if (act == Action::kDegrade) {
     ++level_;
-    CMTOS_ASSERT(level_ < rungs_, "qosmgr.level_overrun");
+    CMTOS_ASSERT(level_ < kLadderRungs, "qosmgr.level_overrun");
     validation_left_ = 0;
   } else {
     --level_;
     CMTOS_ASSERT(level_ >= 0, "qosmgr.level_underrun");
-    validation_left_ = cfg_.validation_ticks;
+    validation_left_ = kValidationTicks;
   }
 }
 
@@ -140,10 +146,8 @@ void LadderState::note_applied(Action act, bool ok) {
 // QosManager
 // ====================================================================
 
-QosManager::QosManager(Platform& platform) : QosManager(platform, Config{}) {}
-
-QosManager::QosManager(Platform& platform, Config cfg) : platform_(platform), cfg_(cfg) {
-  tick_event_.after(platform_.scheduler(), cfg_.tick_period, [this] { tick(); });
+QosManager::QosManager(Platform& platform) : platform_(platform) {
+  tick_event_.after(platform_.scheduler(), kTickPeriod, [this] { tick(); });
 }
 
 QosManager::~QosManager() {
@@ -154,8 +158,7 @@ void QosManager::manage(Stream& stream) {
   CMTOS_ASSERT(find(stream) == nullptr, "qosmgr.duplicate_stream");
   auto m = std::make_unique<Managed>();
   m->stream = &stream;
-  m->ladder = build_ladder(stream.media(), cfg_.rungs);
-  m->state = LadderState(static_cast<int>(m->ladder.size()), cfg_.ladder);
+  m->ladder = build_ladder(stream.media());
   m->media_rank = media_rank_of(stream.media());
   m->level_gauge =
       &obs::Registry::global().gauge("qos.ladder_level", {{"stream", stream.name()}});
@@ -164,16 +167,6 @@ void QosManager::manage(Stream& stream) {
   stream.set_on_qos_degraded(
       [this, raw](const transport::QosReport& rep) { on_indication(*raw, rep); });
   managed_.push_back(std::move(m));
-}
-
-void QosManager::unmanage(Stream& stream) {
-  for (auto it = managed_.begin(); it != managed_.end(); ++it) {
-    if ((*it)->stream == &stream) {
-      stream.set_on_qos_degraded(nullptr);
-      managed_.erase(it);
-      return;
-    }
-  }
 }
 
 void QosManager::attach_agent(orch::HloAgent& agent) {
@@ -187,12 +180,6 @@ void QosManager::attach_agent(orch::HloAgent& agent) {
 QosManager::Managed* QosManager::find(const Stream& stream) {
   for (auto& m : managed_)
     if (m->stream == &stream) return m.get();
-  return nullptr;
-}
-
-QosManager::Managed* QosManager::find_vc(transport::VcId vc) {
-  for (auto& m : managed_)
-    if (m->stream->vc() == vc) return m.get();
   return nullptr;
 }
 
@@ -213,15 +200,8 @@ void QosManager::on_indication(Managed& m, const transport::QosReport& report) {
     // window and is handled normally then.
     return;
   }
-  if (m.state.at_floor() && !m.state.in_flight()) {
-    // Every violating period at the floor counts, including the coalesced
-    // ones this indication stands for.
-    m.floor_strikes += 1 + static_cast<int>(report.coalesced_periods);
-    if (m.floor_strikes >= cfg_.floor_strikes) {
-      handle_floor_unachievable(m);
-      return;
-    }
-  }
+  // At the floor this is a no-op: the stream parks there, the VC keeps
+  // running and the monitor keeps indicating.
   const auto act = m.state.on_violation(report.consecutive_violation_periods);
   if (act != LadderState::Action::kNone) apply(m, act);
 }
@@ -230,12 +210,12 @@ void QosManager::tick() {
   const Time now = platform_.scheduler().now();
   for (auto& m : managed_) {
     if (!m->stream->connected()) continue;
-    if (m->last_violation != kTimeNever && now - m->last_violation < cfg_.quiet_after)
+    if (m->last_violation != kTimeNever && now - m->last_violation < kQuietAfter)
       continue;  // not quiet yet: neither clean nor violating
     const auto act = m->state.on_clean_tick();
     if (act != LadderState::Action::kNone) apply(*m, act);
   }
-  tick_event_.after(platform_.scheduler(), cfg_.tick_period, [this] { tick(); });
+  tick_event_.after(platform_.scheduler(), kTickPeriod, [this] { tick(); });
 }
 
 void QosManager::on_escalation(transport::VcId vc, orch::MissDiagnosis diagnosis) {
@@ -260,9 +240,8 @@ void QosManager::on_escalation(transport::VcId vc, orch::MissDiagnosis diagnosis
   }
   if (pick == nullptr) {
     // Everyone is already at their acceptable floor: the escalation cannot
-    // be served by degradation.  If the named VC is persistently failing
-    // its floor contract the indication path will retire it; here we only
-    // refuse to undercut the floor.
+    // be served by degradation.  The streams park at their floors and keep
+    // indicating; the floor is never undercut.
     CMTOS_WARN("qosmgr", "escalation for vc %llu dropped: all ladders at floor",
                static_cast<unsigned long long>(vc));
     return;
@@ -271,8 +250,7 @@ void QosManager::on_escalation(transport::VcId vc, orch::MissDiagnosis diagnosis
              orch::to_string(diagnosis).c_str(), static_cast<unsigned long long>(vc),
              pick->stream->name().c_str());
   // The HLO applied its own fail threshold already; degrade directly.
-  const auto act = pick->state.on_violation(
-      static_cast<std::uint32_t>(cfg_.ladder.degrade_after_periods));
+  const auto act = pick->state.on_violation(LadderState::kDegradeAfterPeriods);
   if (act != LadderState::Action::kNone) apply(*pick, act);
 }
 
@@ -292,7 +270,7 @@ void QosManager::apply(Managed& m, LadderState::Action act) {
       [this, raw, act, vc](bool ok, transport::QosParams agreed) {
         raw->state.note_applied(act, ok);
         raw->level_gauge->set(raw->state.level());
-        if (ok) raw->settle_until = platform_.scheduler().now() + cfg_.settle_after_change;
+        if (ok) raw->settle_until = platform_.scheduler().now() + kSettleAfterChange;
         if (!ok) {
           CMTOS_WARN("qosmgr", "stream %s: renegotiation to rung %d failed",
                      raw->stream->name().c_str(), raw->state.level());
@@ -305,7 +283,6 @@ void QosManager::apply(Managed& m, LadderState::Action act) {
               .add();
         } else {
           ++totals_.upgrades;
-          raw->floor_strikes = 0;
           obs::Registry::global()
               .counter("qos.upgrade", {{"stream", raw->stream->name()}})
               .add();
@@ -313,22 +290,6 @@ void QosManager::apply(Managed& m, LadderState::Action act) {
         if (agent_ != nullptr) agent_->retarget_stream_rate(vc, agreed.osdu_rate);
         if (on_rate_changed_) on_rate_changed_(vc, agreed.osdu_rate);
       });
-}
-
-void QosManager::handle_floor_unachievable(Managed& m) {
-  ++totals_.floor_failures;
-  m.floor_strikes = 0;
-  CMTOS_WARN("qosmgr",
-             "stream %s: contract unachievable at the acceptable floor (rung %d); "
-             "surrendering the stream",
-             m.stream->name().c_str(), m.state.level());
-  if (on_floor_unachievable_) {
-    on_floor_unachievable_(*m.stream);
-    return;
-  }
-  Stream& s = *m.stream;
-  unmanage(s);  // `m` is dead after this
-  s.disconnect();
 }
 
 }  // namespace cmtos::platform

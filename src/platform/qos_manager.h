@@ -16,7 +16,10 @@
 //     next probe waits twice as long (exponential backoff — the cooldown
 //     that damps oscillation on a flapping link);
 //   * never renegotiate below the floor; when even the floor draws
-//     sustained violations the stream is surrendered with a clear reason.
+//     sustained violations the stream parks at the floor and keeps
+//     indicating (the paper's soft guarantee: the VC stays up and the
+//     violation is reported), and the capped probe backoff climbs it back
+//     once the path clears.
 //
 // Each rung change is an automatic T-Renegotiate at the source entity; the
 // new agreed OSDU rate is pushed into the HLO agent (retarget_stream_rate)
@@ -47,6 +50,9 @@ struct LadderRung {
   transport::QosTolerance tolerance;
 };
 
+/// Rungs per ladder: preferred, two intermediate rungs, floor.
+inline constexpr int kLadderRungs = 4;
+
 /// Builds the degradation ladder for a media description.  Rung 0 is the
 /// preferred service; each following rung interpolates toward the
 /// worst-acceptable floor of to_transport_qos(preferred):
@@ -55,7 +61,7 @@ struct LadderRung {
 ///           jitter/loss tolerance up;
 ///   text  — unit rate down.
 /// The last rung is the floor; the ladder never goes below it.
-std::vector<LadderRung> build_ladder(const MediaQos& preferred, int rungs = 4);
+std::vector<LadderRung> build_ladder(const MediaQos& preferred);
 
 /// The pure hysteresis core, separated from the platform so the
 /// no-oscillation property is unit-testable.  Feed it violation reports
@@ -63,25 +69,10 @@ std::vector<LadderRung> build_ladder(const MediaQos& preferred, int rungs = 4);
 /// most one in flight at a time.
 class LadderState {
  public:
-  struct Config {
-    /// K: consecutive violating sample periods before a degrade.
-    int degrade_after_periods = 3;
-    /// M: consecutive clean ticks before an upgrade probe (scaled by the
-    /// current backoff factor).
-    int upgrade_after_clean = 8;
-    /// Clean ticks a fresh upgrade must survive before it is trusted; a
-    /// violation inside this window rolls the probe back and doubles the
-    /// backoff.
-    int validation_ticks = 4;
-    /// Upper bound on the backoff factor.
-    int backoff_cap = 16;
-  };
+  /// K: consecutive violating sample periods before a degrade.
+  static constexpr int kDegradeAfterPeriods = 2;
 
   enum class Action : std::uint8_t { kNone, kDegrade, kUpgrade };
-
-  LadderState();  // 2 rungs, default config (placeholder; reassign before use)
-  explicit LadderState(int rung_count);
-  LadderState(int rung_count, Config cfg);
 
   /// One violating sample period, with the monitor's run length.
   Action on_violation(std::uint32_t consecutive_periods);
@@ -91,15 +82,22 @@ class LadderState {
   void note_applied(Action act, bool ok);
 
   int level() const { return level_; }
-  int rung_count() const { return rungs_; }
-  bool at_floor() const { return level_ == rungs_ - 1; }
+  bool at_floor() const { return level_ == kLadderRungs - 1; }
   bool in_flight() const { return in_flight_; }
   bool probing() const { return validation_left_ > 0; }
   int backoff() const { return backoff_; }
 
  private:
-  Config cfg_;
-  int rungs_;
+  /// M: consecutive clean ticks before an upgrade probe (scaled by the
+  /// current backoff factor).
+  static constexpr int kUpgradeAfterClean = 4;
+  /// Clean ticks a fresh upgrade must survive before it is trusted; a
+  /// violation inside this window rolls the probe back and doubles the
+  /// backoff.
+  static constexpr int kValidationTicks = 3;
+  /// Upper bound on the backoff factor.
+  static constexpr int kBackoffCap = 4;
+
   int level_ = 0;
   int clean_ticks_ = 0;
   int validation_left_ = 0;  // >0: last upgrade still being validated
@@ -109,41 +107,15 @@ class LadderState {
 
 class CMTOS_CONTROL_PLANE QosManager {
  public:
-  struct Config {
-    LadderState::Config ladder;
-    /// Number of rungs per ladder.
-    int rungs = 4;
-    /// Clean-tick cadence.
-    Duration tick_period = 500 * kMillisecond;
-    /// A tick only counts as clean once the stream has been violation-free
-    /// this long (fresh indications veto upgrades immediately; this hold
-    /// keeps the first clean tick from firing right after a storm).
-    Duration quiet_after = 1500 * kMillisecond;
-    /// Coalesced-or-emitted violating reports *at the floor rung* before
-    /// the stream is declared unsalvageable.
-    int floor_strikes = 8;
-    /// Grace window after a rung change is applied.  The first sample
-    /// period after a renegotiation measures the *transition* — OSDUs paced
-    /// at the old rate against the new agreed rate, and the ring-residency
-    /// shift shows up as a one-off jitter spike — so violations inside this
-    /// window hold the quiet timer but are not charged against the probe.
-    /// A genuinely bad path keeps violating past the window and still
-    /// fails validation, so the backoff property is preserved.
-    Duration settle_after_change = 750 * kMillisecond;
-  };
-
   explicit QosManager(Platform& platform);
-  QosManager(Platform& platform, Config cfg);
   ~QosManager();
 
   QosManager(const QosManager&) = delete;
   QosManager& operator=(const QosManager&) = delete;
 
   /// Takes over `stream`'s QoS-degraded notifications and builds its
-  /// ladder.  The stream must be connected and outlive the manager (or be
-  /// released with unmanage()).
+  /// ladder.  The stream must be connected and outlive the manager.
   void manage(Stream& stream);
-  void unmanage(Stream& stream);
 
   /// Wires the HLO agent: its escalation callback is pointed at this
   /// manager (kTransportTooSlow / kSinkAppSlow trigger the cross-stream
@@ -159,13 +131,6 @@ class CMTOS_CONTROL_PLANE QosManager {
   /// undercut).
   void on_escalation(transport::VcId vc, orch::MissDiagnosis diagnosis);
 
-  /// Fires when a stream's floor rung keeps drawing violations: the
-  /// contract is unachievable even fully degraded.  When unset the manager
-  /// tears the stream down itself (disconnect with a logged reason).
-  void set_on_floor_unachievable(std::function<void(Stream&)> fn) {
-    on_floor_unachievable_ = std::move(fn);
-  }
-
   /// Fires after every rung change with the newly agreed OSDU rate
   /// (observability for tests; the HLO retarget happens regardless).
   void set_on_rate_changed(std::function<void(transport::VcId, double)> fn) {
@@ -178,7 +143,6 @@ class CMTOS_CONTROL_PLANE QosManager {
   struct Totals {
     std::int64_t degrades = 0;
     std::int64_t upgrades = 0;
-    std::int64_t floor_failures = 0;
   };
   const Totals& totals() const { return totals_; }
 
@@ -190,24 +154,19 @@ class CMTOS_CONTROL_PLANE QosManager {
     int media_rank = 0;  // degrade order: video 0, text 1, audio 2
     Time last_violation = kTimeNever;
     Time settle_until = 0;  // end of the transition-artifact grace window
-    int floor_strikes = 0;
     obs::Gauge* level_gauge = nullptr;
   };
 
   void on_indication(Managed& m, const transport::QosReport& report);
   void apply(Managed& m, LadderState::Action act);
-  void handle_floor_unachievable(Managed& m);
   void tick();
   Managed* find(const Stream& stream);
-  Managed* find_vc(transport::VcId vc);
 
   Platform& platform_;
-  Config cfg_;
   std::vector<std::unique_ptr<Managed>> managed_;
   orch::HloAgent* agent_ = nullptr;
   sim::Timer tick_event_;
   Totals totals_;
-  std::function<void(Stream&)> on_floor_unachievable_;
   std::function<void(transport::VcId, double)> on_rate_changed_;
 };
 

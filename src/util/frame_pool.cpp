@@ -1,7 +1,6 @@
 #include "util/frame_pool.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/contract.h"
 #include "util/sync.h"
@@ -83,17 +82,6 @@ PayloadView PayloadView::adopt(std::vector<std::uint8_t>&& bytes) {
   f->refs_.store(1, std::memory_order_relaxed);
   FramePool::global().adoptions_.fetch_add(1, std::memory_order_relaxed);
   return PayloadView(f, 0, f->storage_.size(), /*add_ref=*/false);
-}
-
-PayloadView PayloadView::copy_of(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return {};
-  auto& pool = FramePool::global();
-  FrameLease lease = pool.lease(bytes.size());
-  std::memcpy(lease.data(), bytes.data(), bytes.size());
-  pool.copies_.fetch_add(1, std::memory_order_relaxed);
-  pool.copied_bytes_.fetch_add(static_cast<std::int64_t>(bytes.size()),
-                               std::memory_order_relaxed);
-  return std::move(lease).freeze(bytes.size());
 }
 
 PayloadView PayloadView::subview(std::size_t off, std::size_t len) const {

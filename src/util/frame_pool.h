@@ -39,7 +39,7 @@ struct FramePoolStats {
   std::int64_t pool_hits = 0;     // leases served from a magazine or the depot
   std::int64_t pool_misses = 0;   // leases that fell back to heap allocation
   std::int64_t adoptions = 0;     // heap vectors wrapped via PayloadView::adopt
-  std::int64_t copies = 0;        // pool-backed copies (copy_of / gather fallback)
+  std::int64_t copies = 0;        // pool-backed copies (reassembly gather fallback)
   std::int64_t copied_bytes = 0;  // bytes moved by those copies
 };
 
@@ -111,9 +111,6 @@ class PayloadView {
   /// submit(vector) callers).  One frame-header allocation; the vector's
   /// storage is freed when the last view drops.
   static PayloadView adopt(std::vector<std::uint8_t>&& bytes);
-
-  /// Pool-backed copy of `bytes`; counted in FramePoolStats::copies.
-  static PayloadView copy_of(std::span<const std::uint8_t> bytes);
 
   std::size_t size() const noexcept { return len_; }
   bool empty() const noexcept { return len_ == 0; }

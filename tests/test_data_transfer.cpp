@@ -8,6 +8,7 @@
 
 #include "fixtures.h"
 #include "transport/tpdu.h"
+#include "util/frame_pool.h"
 
 namespace cmtos::test {
 namespace {
@@ -81,6 +82,26 @@ TEST(DataTransfer, LargeOsduIsFragmentedAndReassembled) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].data, big);  // byte-exact across fragmentation
   EXPECT_GE(wire.source->stats().tpdus_sent, 8);
+
+  // Fragments that arrive in distinct frames (each re-wrapped on receipt)
+  // cannot be re-joined by index arithmetic: reassembly gathers them with
+  // one pool-backed copy, counted in the pool stats.
+  net::Node& node_b = w.platform.network().node(w.b->id);
+  net::Node::Handler data = node_b.handler(net::Proto::kTransportData);
+  node_b.set_handler(net::Proto::kTransportData, [data](net::Packet&& pkt) {
+    pkt.frame = PayloadView::adopt(pkt.frame.to_vector());
+    data(std::move(pkt));
+  });
+  const auto before = FramePool::global().stats();
+  copy = big;
+  ASSERT_TRUE(wire.source->submit(std::move(copy)));
+  w.platform.run_until(4 * kSecond);
+  const auto regathered = drain(*wire.sink);
+  ASSERT_EQ(regathered.size(), 1u);
+  EXPECT_EQ(regathered[0].data, big);
+  const auto after = FramePool::global().stats();
+  EXPECT_EQ(after.copies - before.copies, 1);
+  EXPECT_EQ(after.copied_bytes - before.copied_bytes, 10000);
 }
 
 TEST(DataTransfer, EmptyOsduIsLegal) {

@@ -1,6 +1,6 @@
 // Unit tests for the zero-copy payload substrate (util/frame_pool.h):
 // lease/freeze/recycle, refcounting across copies and subviews, vector
-// adoption, pool-backed copies, and the steady-state no-miss invariant.
+// adoption, and the steady-state no-miss invariant.
 
 #include <gtest/gtest.h>
 
@@ -103,17 +103,6 @@ TEST(FramePool, AdoptEmptyVectorIsEmptyView) {
   const PayloadView v = PayloadView::adopt({});
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.frame(), nullptr);
-}
-
-TEST(FramePool, CopyOfCountsCopies) {
-  auto& pool = FramePool::global();
-  pool.reset_stats();
-  const auto bytes = pattern(100, 11);
-  const PayloadView v = PayloadView::copy_of(bytes);
-  EXPECT_EQ(v, bytes);
-  const auto st = pool.stats();
-  EXPECT_EQ(st.copies, 1);
-  EXPECT_EQ(st.copied_bytes, 100);
 }
 
 TEST(FramePool, ToVectorAndEquality) {

@@ -27,8 +27,8 @@ TEST(BuildLadder, VideoTradesRateAndFidelityTowardTheFloor) {
   VideoQos vq;
   vq.frames_per_second = 25;
   const auto base = platform::to_transport_qos(MediaQos{vq});
-  const auto ladder = platform::build_ladder(MediaQos{vq}, 4);
-  ASSERT_EQ(ladder.size(), 4u);
+  const auto ladder = platform::build_ladder(MediaQos{vq});
+  ASSERT_EQ(ladder.size(), static_cast<std::size_t>(platform::kLadderRungs));
 
   // Rung 0 is the preferred service.
   const auto* v0 = std::get_if<VideoQos>(&ladder[0].media);
@@ -60,8 +60,8 @@ TEST(BuildLadder, VideoTradesRateAndFidelityTowardTheFloor) {
 
 TEST(BuildLadder, AudioPreservesBlockRateAndBottomsSampleRate) {
   AudioQos aq;  // 8 kHz
-  const auto ladder = platform::build_ladder(MediaQos{aq}, 4);
-  ASSERT_EQ(ladder.size(), 4u);
+  const auto ladder = platform::build_ladder(MediaQos{aq});
+  ASSERT_EQ(ladder.size(), static_cast<std::size_t>(platform::kLadderRungs));
   const auto* a0 = std::get_if<AudioQos>(&ladder[0].media);
   for (const LadderRung& rung : ladder) {
     const auto* a = std::get_if<AudioQos>(&rung.media);
@@ -78,7 +78,7 @@ TEST(BuildLadder, AudioPreservesBlockRateAndBottomsSampleRate) {
 TEST(BuildLadder, TextRateNeverBelowWorst) {
   TextQos tq;
   const auto base = platform::to_transport_qos(MediaQos{tq});
-  const auto ladder = platform::build_ladder(MediaQos{tq}, 3);
+  const auto ladder = platform::build_ladder(MediaQos{tq});
   for (const LadderRung& rung : ladder) {
     const auto* t = std::get_if<TextQos>(&rung.media);
     ASSERT_NE(t, nullptr);
@@ -90,14 +90,9 @@ TEST(BuildLadder, TextRateNeverBelowWorst) {
 // LadderState hysteresis
 // ====================================================================
 
-LadderState::Config quick_cfg() {
-  LadderState::Config c;
-  c.degrade_after_periods = 3;
-  c.upgrade_after_clean = 4;
-  c.validation_ticks = 2;
-  c.backoff_cap = 8;
-  return c;
-}
+// The schedule under test: K = 2 violating periods degrade, M = 4 clean
+// ticks probe, 3 validation ticks, backoff capped at 4.
+constexpr std::uint32_t kK = LadderState::kDegradeAfterPeriods;
 
 /// Drives clean ticks until the state asks for an upgrade (completing any
 /// validation window on the way); returns how many ticks that took.
@@ -109,49 +104,48 @@ int ticks_until_upgrade(LadderState& s, int give_up_after = 1000) {
 }
 
 TEST(LadderStateUnit, DegradesOnlyAfterKConsecutivePeriods) {
-  LadderState s(4, quick_cfg());
+  LadderState s;
   EXPECT_EQ(s.on_violation(1), LadderState::Action::kNone);
-  EXPECT_EQ(s.on_violation(2), LadderState::Action::kNone);
-  EXPECT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  EXPECT_EQ(s.on_violation(2), LadderState::Action::kDegrade);
   EXPECT_TRUE(s.in_flight());
   s.note_applied(LadderState::Action::kDegrade, true);
   EXPECT_EQ(s.level(), 1);
 }
 
 TEST(LadderStateUnit, NoActionWhileRenegotiationInFlight) {
-  LadderState s(4, quick_cfg());
-  ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
   // Further violations while the renegotiation is pending are absorbed.
-  EXPECT_EQ(s.on_violation(4), LadderState::Action::kNone);
+  EXPECT_EQ(s.on_violation(kK + 1), LadderState::Action::kNone);
   EXPECT_EQ(s.on_clean_tick(), LadderState::Action::kNone);
   s.note_applied(LadderState::Action::kDegrade, true);
   EXPECT_EQ(s.level(), 1);
 }
 
 TEST(LadderStateUnit, FailedRenegotiationKeepsLevel) {
-  LadderState s(4, quick_cfg());
-  ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
   s.note_applied(LadderState::Action::kDegrade, false);
   EXPECT_EQ(s.level(), 0);
   EXPECT_FALSE(s.in_flight());
   // The next sustained run retries.
-  EXPECT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  EXPECT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
 }
 
 TEST(LadderStateUnit, NeverDegradesBelowTheFloor) {
-  LadderState s(3, quick_cfg());
-  for (int level = 0; level < 2; ++level) {
-    ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  for (int level = 0; level < platform::kLadderRungs - 1; ++level) {
+    ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
     s.note_applied(LadderState::Action::kDegrade, true);
   }
   ASSERT_TRUE(s.at_floor());
   EXPECT_EQ(s.on_violation(30), LadderState::Action::kNone);
-  EXPECT_EQ(s.level(), 2);
+  EXPECT_EQ(s.level(), platform::kLadderRungs - 1);
 }
 
 TEST(LadderStateUnit, UpgradeProbesAfterMCleanTicksAndValidationHolds) {
-  LadderState s(4, quick_cfg());
-  ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
   s.note_applied(LadderState::Action::kDegrade, true);
 
   EXPECT_EQ(ticks_until_upgrade(s), 4);  // M clean ticks, backoff 1
@@ -162,13 +156,15 @@ TEST(LadderStateUnit, UpgradeProbesAfterMCleanTicksAndValidationHolds) {
   // backoff history forgiven.
   EXPECT_EQ(s.on_clean_tick(), LadderState::Action::kNone);
   EXPECT_EQ(s.on_clean_tick(), LadderState::Action::kNone);
+  EXPECT_TRUE(s.probing());
+  EXPECT_EQ(s.on_clean_tick(), LadderState::Action::kNone);
   EXPECT_FALSE(s.probing());
   EXPECT_EQ(s.backoff(), 1);
 }
 
 TEST(LadderStateUnit, FailedProbeRollsBackAndDoublesBackoff) {
-  LadderState s(4, quick_cfg());
-  ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
   s.note_applied(LadderState::Action::kDegrade, true);
   ASSERT_EQ(ticks_until_upgrade(s), 4);
   s.note_applied(LadderState::Action::kUpgrade, true);
@@ -189,8 +185,8 @@ TEST(LadderStateUnit, FlappingLinkProbeCadenceDecaysGeometrically) {
   // enough to invite a probe and then violates, successive probe intervals
   // double until the cap.  A fixed-cadence loop would flap forever at the
   // same rate.
-  LadderState s(4, quick_cfg());
-  ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
   s.note_applied(LadderState::Action::kDegrade, true);
 
   std::vector<int> probe_gaps;
@@ -202,12 +198,12 @@ TEST(LadderStateUnit, FlappingLinkProbeCadenceDecaysGeometrically) {
     ASSERT_EQ(s.on_violation(1), LadderState::Action::kDegrade);  // probe fails
     s.note_applied(LadderState::Action::kDegrade, true);
   }
-  EXPECT_EQ(probe_gaps, (std::vector<int>{4, 8, 16, 32, 32}));  // cap 8 * M 4
+  EXPECT_EQ(probe_gaps, (std::vector<int>{4, 8, 16, 16, 16}));  // cap 4 * M 4
 }
 
 TEST(LadderStateUnit, ViolationResetsCleanProgress) {
-  LadderState s(4, quick_cfg());
-  ASSERT_EQ(s.on_violation(3), LadderState::Action::kDegrade);
+  LadderState s;
+  ASSERT_EQ(s.on_violation(kK), LadderState::Action::kDegrade);
   s.note_applied(LadderState::Action::kDegrade, true);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(s.on_clean_tick(), LadderState::Action::kNone);
   EXPECT_EQ(s.on_violation(1), LadderState::Action::kNone);  // run of 1 < K
@@ -257,18 +253,6 @@ struct ManagedWorld {
     ok = connected;
   }
 
-  QosManager::Config manager_cfg() const {
-    QosManager::Config mc;
-    mc.rungs = 4;
-    mc.tick_period = 250 * kMillisecond;
-    mc.quiet_after = kSecond;
-    mc.ladder.degrade_after_periods = 2;
-    mc.ladder.upgrade_after_clean = 4;
-    mc.ladder.validation_ticks = 3;
-    mc.ladder.backoff_cap = 4;
-    return mc;
-  }
-
   platform::Platform platform;
   platform::Host* src = nullptr;
   platform::Host* ws = nullptr;
@@ -282,7 +266,7 @@ struct ManagedWorld {
 TEST(QosManagerLoop, DegradesUnderJitterAndRecoversWhenItClears) {
   ManagedWorld w;
   ASSERT_TRUE(w.ok);
-  QosManager mgr(w.platform, w.manager_cfg());
+  QosManager mgr(w.platform);
   mgr.manage(*w.stream);
   EXPECT_EQ(mgr.ladder_level(*w.stream), 0);
 
@@ -294,7 +278,6 @@ TEST(QosManagerLoop, DegradesUnderJitterAndRecoversWhenItClears) {
   EXPECT_GE(mgr.totals().degrades, 1);
   EXPECT_GE(mgr.ladder_level(*w.stream), 1);
   EXPECT_TRUE(w.stream->connected());
-  EXPECT_EQ(mgr.totals().floor_failures, 0);
 
   // Jitter clears: probe-upgrade back to the preferred rung.
   link->set_jitter(0);
@@ -302,13 +285,12 @@ TEST(QosManagerLoop, DegradesUnderJitterAndRecoversWhenItClears) {
   EXPECT_GE(mgr.totals().upgrades, 1);
   EXPECT_EQ(mgr.ladder_level(*w.stream), 0);
   EXPECT_TRUE(w.stream->connected());
-  EXPECT_EQ(mgr.totals().floor_failures, 0);
 }
 
 TEST(QosManagerLoop, RungChangeRenegotiatesTheContract) {
   ManagedWorld w;
   ASSERT_TRUE(w.ok);
-  QosManager mgr(w.platform, w.manager_cfg());
+  QosManager mgr(w.platform);
   mgr.manage(*w.stream);
 
   std::vector<double> rates;
@@ -328,23 +310,31 @@ TEST(QosManagerLoop, RungChangeRenegotiatesTheContract) {
   EXPECT_NEAR(w.stream->agreed_qos().osdu_rate, rates.back(), 1e-9);
 }
 
-TEST(QosManagerLoop, FloorViolationsSurrenderTheStream) {
+TEST(QosManagerLoop, FloorViolationsParkTheStreamAtItsFloor) {
   ManagedWorld w;
   ASSERT_TRUE(w.ok);
-  auto mc = w.manager_cfg();
-  mc.floor_strikes = 6;
-  QosManager mgr(w.platform, mc);
+  QosManager mgr(w.platform);
   mgr.manage(*w.stream);
-  platform::Stream* surrendered = nullptr;
-  mgr.set_on_floor_unachievable([&](platform::Stream& s) { surrendered = &s; });
 
   // 400 ms of jitter violates even the floor tolerance (80 ms): the ladder
-  // walks to the floor, keeps violating, and gives the stream up.
+  // walks to the floor and parks there.  The VC stays up and playback goes
+  // on; the monitor keeps indicating the violation.
   auto* link = w.platform.network().link(w.src->id, w.ws->id);
   link->set_jitter(400 * kMillisecond);
+  w.platform.run_until(w.platform.scheduler().now() + 15 * kSecond);
+  EXPECT_EQ(mgr.ladder_level(*w.stream), platform::kLadderRungs - 1);
+  EXPECT_TRUE(w.stream->connected());
+  const auto frames_mid = w.sink->stats().frames_rendered;
+  w.platform.run_until(w.platform.scheduler().now() + 15 * kSecond);
+  EXPECT_EQ(mgr.ladder_level(*w.stream), platform::kLadderRungs - 1);
+  EXPECT_TRUE(w.stream->connected());
+  EXPECT_GT(w.sink->stats().frames_rendered, frames_mid);
+
+  // The path clears: the probes climb the parked stream back to rung 0.
+  link->set_jitter(0);
   w.platform.run_until(w.platform.scheduler().now() + 30 * kSecond);
-  EXPECT_GE(mgr.totals().floor_failures, 1);
-  EXPECT_EQ(surrendered, w.stream.get());
+  EXPECT_EQ(mgr.ladder_level(*w.stream), 0);
+  EXPECT_TRUE(w.stream->connected());
 }
 
 }  // namespace
