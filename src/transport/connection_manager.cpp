@@ -69,49 +69,17 @@ VcId ConnectionManager::t_connect_request(const ConnectRequest& req) {
   } else {
     // Remote connect (§3.5): relay to the source entity, which asks the
     // application attached to the source TSAP.
-    const ControlTpdu t = connect_tpdu(TpduType::kRCR, vc, req);
-    PendingInitiated pend;
-    pend.req = req;
-    pending_initiated_.emplace(vc, std::move(pend));
-    ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, t.encode());
-    // Handshake TPDUs are retransmitted a few times before the connect is
-    // declared unreachable (the control path has no other reliability).
-    arm_rcr_timer(vc, t.encode());
+    pending_initiated_.emplace(vc, PendingInitiated{req, {}});
+    ent_.send_handshake(
+        req.src.node, connect_tpdu(TpduType::kRCR, vc, req).encode(),
+        [this, vc] { return pending_handshake(pending_initiated_, vc); },
+        [this, vc] {
+          const net::Tsap tsap = pending_initiated_.find(vc)->second.req.initiator.tsap;
+          pending_initiated_.erase(vc);
+          ent_.deliver_disconnect(vc, tsap, DisconnectReason::kUnreachable);
+        });
   }
   return vc;
-}
-
-void ConnectionManager::arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire) {
-  auto rec = pending_initiated_.find(vc);
-  if (rec == pending_initiated_.end()) return;
-  rec->second.retransmit.after_global(ent_.runtime(), ent_.handshake_delay(), [this, vc, wire] {
-    auto it = pending_initiated_.find(vc);
-    if (it == pending_initiated_.end()) return;
-    if (it->second.retries_left-- > 0) {
-      ent_.send_tpdu(it->second.req.src.node, net::Proto::kTransportControl, wire);
-      arm_rcr_timer(vc, wire);
-      return;
-    }
-    const ConnectRequest req = it->second.req;
-    pending_initiated_.erase(it);
-    ent_.deliver_disconnect(vc, req.initiator.tsap, DisconnectReason::kUnreachable);
-  });
-}
-
-void ConnectionManager::arm_cr_timer(VcId vc) {
-  auto rec = pending_cc_.find(vc);
-  if (rec == pending_cc_.end()) return;
-  rec->second.retransmit.after_global(ent_.runtime(), ent_.handshake_delay(), [this, vc] {
-    auto it = pending_cc_.find(vc);
-    if (it == pending_cc_.end()) return;
-    if (it->second.retries_left-- > 0) {
-      ent_.send_tpdu(it->second.req.dst.node, net::Proto::kTransportControl,
-                     it->second.cr_wire);
-      arm_cr_timer(vc);
-      return;
-    }
-    fail_connect(vc, abort_connect(vc), DisconnectReason::kUnreachable);
-  });
 }
 
 ConnectRequest ConnectionManager::abort_connect(VcId vc) {
@@ -203,14 +171,10 @@ void ConnectionManager::source_connect(VcId vc, const ConnectRequest& req) {
   t.qos.preferred = *offered;  // the offer cannot exceed what was admitted
   t.agreed = *offered;
 
-  PendingCc pend;
-  pend.req = req;
-  pend.offered = *offered;
-  pend.resv = resv;
-  pend.cr_wire = t.encode();
-  pending_cc_.emplace(vc, std::move(pend));
-  ent_.send_tpdu(req.dst.node, net::Proto::kTransportControl, t.encode());
-  arm_cr_timer(vc);
+  pending_cc_.emplace(vc, PendingCc{req, *offered, resv, {}});
+  ent_.send_handshake(
+      req.dst.node, t.encode(), [this, vc] { return pending_handshake(pending_cc_, vc); },
+      [this, vc] { fail_connect(vc, abort_connect(vc), DisconnectReason::kUnreachable); });
 }
 
 void ConnectionManager::handle_cr(const ControlTpdu& t) {

@@ -11,9 +11,9 @@
 // bindings and wire I/O stay on the TransportEntity; this engine reaches
 // them through the entity it serves.
 //
-// Each pending handshake record owns its retransmission timer, armed
-// *global*: the exhaustion paths release network reservations and notify
-// (possibly facade-side) users.  Erasing the record cancels the timer.
+// The two pending records that wait for an answer (RCR awaiting RCC, CR
+// awaiting CC) each hold a Handshake, which the entity's one retransmit
+// helper resends; erasing the record cancels its retransmission.
 
 #pragma once
 
@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "net/network.h"
-#include "sim/node_runtime.h"
 #include "transport/connection.h"
+#include "transport/handshake.h"
 #include "transport/service.h"
 #include "transport/tpdu.h"
 #include "util/quarantine.h"
@@ -87,8 +87,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
  private:
   struct PendingInitiated {  // at the initiator: RCR sent, waiting for RCC
     ConnectRequest req;
-    int retries_left = kHandshakeRetries;
-    sim::Timer retransmit;  // RCR retransmission
+    Handshake handshake;
   };
   struct PendingSourceAccept {  // at the source: user asked (remote connect)
     ConnectRequest req;
@@ -97,9 +96,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
     ConnectRequest req;
     QosParams offered;
     VcReservations resv;  // handed to the source endpoint on CC
-    int retries_left = kHandshakeRetries;
-    std::vector<std::uint8_t> cr_wire;  // for retransmission
-    sim::Timer retransmit;              // CR retransmission
+    Handshake handshake;
   };
   struct PendingDestAccept {  // at the destination: user asked
     ConnectRequest req;
@@ -110,11 +107,6 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
   void source_connect(VcId vc, const ConnectRequest& req);
   void notify_initiator(VcId vc, const ConnectRequest& req, bool accepted,
                         const QosParams& agreed, DisconnectReason reason);
-
-  /// Self-rearming handshake retransmission timers (the control path has
-  /// no other reliability; a lost CR must not strand the connect).
-  void arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire);
-  void arm_cr_timer(VcId vc);
 
   /// Aborts the pending connect `vc` (CR sent, no CC yet): returns both of
   /// its reservations, drops the record with its CR retransmission and

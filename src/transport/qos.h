@@ -52,6 +52,8 @@ struct QosParams {
   std::int64_t required_bps() const;
 
   std::string to_string() const;
+
+  friend bool operator==(const QosParams&, const QosParams&) = default;
 };
 
 /// Tolerance levels: `preferred` is what the user wants, `worst` is the

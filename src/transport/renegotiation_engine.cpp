@@ -15,255 +15,151 @@ RenegotiationEngine::RenegotiationEngine(TransportEntity& entity) : ent_(entity)
 // ====================================================================
 
 void RenegotiationEngine::t_renegotiate_request(VcId vc, const QosTolerance& proposed) {
-  if (Connection* conn = ent_.source(vc)) {
-    // Source-initiated: admission against path capacity *plus* what this
-    // VC already holds.
-    const std::int64_t current_bps = conn->agreed_qos().required_bps();
-    DisconnectReason reason = DisconnectReason::kProtocolError;
-    const auto cand = ent_.admit(proposed, conn->request().src.node, conn->request().dst.node,
-                                 current_bps, reason);
-    if (!cand) {
-      ent_.deliver_disconnect(vc, conn->request().src.tsap,
-                              DisconnectReason::kRenegotiationFailed);
-      return;
-    }
-    PendingReneg pend;
-    pend.proposed = proposed;
-    pend.tentative_agreed = *cand;
-    pend.old_bps = current_bps;
-    pend.at_source = true;
-    const std::int64_t new_bps = cand->required_bps();
-    if (new_bps > current_bps) {
-      // Raise the reservation up-front so the peer is never promised
-      // bandwidth we do not hold; roll back if the peer rejects.
-      if (!ent_.network_.adjust_reservation(conn->reservation(),
-                                            new_bps + TransportEntity::kControlVcBps)) {
-        ent_.deliver_disconnect(vc, conn->request().src.tsap,
-                                DisconnectReason::kRenegotiationFailed);
-        return;
-      }
-      pend.raised = true;
-    }
-
-    ControlTpdu t;
-    t.type = TpduType::kRN;
-    t.vc = vc;
-    t.initiator = conn->request().initiator;
-    t.src = conn->request().src;
-    t.dst = conn->request().dst;
-    t.qos = proposed;
-    t.agreed = *cand;
-    pend.rn_wire = t.encode();
-    pend.peer = conn->peer_node();
-    pending_reneg_[vc] = std::move(pend);
-    ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
-    arm_rn_timer(vc);
+  Connection* conn = ent_.endpoint(vc);
+  if (conn == nullptr) {
+    CMTOS_WARN("transport", "T-Renegotiate.request for unknown vc %llu",
+               static_cast<unsigned long long>(vc));
     return;
   }
-  if (Connection* conn = ent_.sink(vc)) {
-    // Sink-initiated: ask the source entity (which owns the reservation).
-    PendingReneg pend;
-    pend.proposed = proposed;
-    pend.at_source = false;
-    ControlTpdu t;
-    t.type = TpduType::kRN;
-    t.vc = vc;
-    t.initiator = conn->request().initiator;
-    t.src = conn->request().src;
-    t.dst = conn->request().dst;
-    t.qos = proposed;
-    pend.rn_wire = t.encode();
-    pend.peer = conn->peer_node();
-    pending_reneg_[vc] = std::move(pend);
-    ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, t.encode());
-    arm_rn_timer(vc);
+  // One request per VC at a time: a second one's RNC could not be told
+  // apart from the first's.  The source owns the reservation, so it admits
+  // the change before the sink is asked.
+  std::optional<Change> change;
+  if (!requests_.contains(vc))
+    change = conn->role() == VcRole::kSource ? admit_change(*conn, proposed) : Change{};
+  if (!change) {
+    ent_.deliver_disconnect(vc, conn->local_tsap(), DisconnectReason::kRenegotiationFailed);
     return;
   }
-  CMTOS_WARN("transport", "T-Renegotiate.request for unknown vc %llu",
-             static_cast<unsigned long long>(vc));
+  ControlTpdu t;
+  t.type = TpduType::kRN;
+  t.vc = vc;
+  t.initiator = conn->request().initiator;
+  t.src = conn->request().src;
+  t.dst = conn->request().dst;
+  t.qos = proposed;
+  t.agreed = change->agreed;  // meaningful from the source only
+  requests_.emplace(vc, Request{*change, {}});
+  ent_.send_handshake(
+      conn->peer_node(), t.encode(), [this, vc] { return pending_handshake(requests_, vc); },
+      [this, vc] { conclude(vc, false, {}); });
 }
 
-void RenegotiationEngine::arm_rn_timer(VcId vc) {
-  auto rec = pending_reneg_.find(vc);
-  if (rec == pending_reneg_.end()) return;
-  rec->second.retransmit.after_global(ent_.runtime(), ent_.handshake_delay(), [this, vc] {
-    auto it = pending_reneg_.find(vc);
-    if (it == pending_reneg_.end()) return;
-    if (it->second.retries_left-- > 0) {
-      ent_.send_tpdu(it->second.peer, net::Proto::kTransportControl, it->second.rn_wire);
-      arm_rn_timer(vc);
-      return;
-    }
-    // Retries exhausted: the renegotiation failed but the VC survives
-    // under its old contract (§4.1.3); roll back any pre-raised
-    // reservation first.
-    PendingReneg pend = std::move(it->second);
-    pending_reneg_.erase(it);
-    if (pend.at_source) {
-      Connection* conn = ent_.source(vc);
-      if (conn == nullptr) return;
-      if (pend.raised && conn->reservation() != net::kNoReservation)
-        ent_.network_.adjust_reservation(conn->reservation(),
-                                         pend.old_bps + TransportEntity::kControlVcBps);
-      ent_.deliver_disconnect(vc, conn->request().src.tsap,
-                              DisconnectReason::kRenegotiationFailed);
-    } else if (Connection* conn = ent_.sink(vc)) {
-      ent_.deliver_disconnect(vc, conn->request().dst.tsap,
-                              DisconnectReason::kRenegotiationFailed);
-    }
-  });
+void RenegotiationEngine::handle_rnc(const ControlTpdu& t) {
+  conclude(t.vc, t.accepted != 0, t.agreed);
+}
+
+void RenegotiationEngine::conclude(VcId vc, bool accepted, const QosParams& agreed) {
+  auto it = requests_.find(vc);
+  if (it == requests_.end()) return;  // duplicate RNC: already settled
+  Change change = it->second.change;
+  requests_.erase(it);
+  Connection* conn = ent_.endpoint(vc);  // the requester, as at the request
+  if (conn == nullptr) return;
+  // A sink requester learns its new contract from the source's answer.
+  if (conn->role() == VcRole::kSink) change.agreed = agreed;
+  settle_change(*conn, change, accepted);
+  if (!accepted) {
+    // Per §4.1.3: failure is notified with T-Disconnect.indication but the
+    // existing VC is *not* torn down.
+    ent_.deliver_disconnect(vc, conn->local_tsap(), DisconnectReason::kRenegotiationFailed);
+    return;
+  }
+  if (TransportUser* u = ent_.user_at(conn->local_tsap()))
+    u->t_renegotiate_confirm(vc, true, change.agreed);
 }
 
 void RenegotiationEngine::handle_rn(const ControlTpdu& t) {
   // Duplicate RN (retransmission) while the local user is still deciding:
   // stay quiet, one answer is coming.
-  if (pending_reneg_peer_.contains(t.vc)) return;
-  if (Connection* conn = ent_.sink(t.vc)) {
-    // Retransmitted RN whose accepting RNC was lost: the tentative
-    // contract is already in force here — resend the acceptance rather
-    // than re-asking the user.
-    const QosParams& cur = conn->agreed_qos();
-    if (cur.osdu_rate == t.agreed.osdu_rate && cur.max_osdu_bytes == t.agreed.max_osdu_bytes &&
-        cur.end_to_end_delay == t.agreed.end_to_end_delay) {
-      ControlTpdu reply;
-      reply.type = TpduType::kRNC;
-      reply.vc = t.vc;
-      reply.accepted = 1;
-      reply.agreed = cur;
-      ent_.send_tpdu(conn->peer_node(), net::Proto::kTransportControl, reply.encode());
+  if (asked_.contains(t.vc)) return;
+  Connection* conn = responder(t.vc);
+  if (conn == nullptr) return;
+  Change change;
+  if (conn->role() == VcRole::kSink) {
+    // Only the source's RN carries a contract.  Already in force here: the
+    // accepting RNC was lost, so resend the acceptance rather than
+    // re-asking the user.
+    if (conn->agreed_qos() == t.agreed) {
+      send_rnc(conn->peer_node(), t.vc, &t.agreed);
       return;
     }
-    // Source-initiated renegotiation reaching the sink: ask the sink user.
-    PendingRenegPeer pend;
-    pend.proposed = t.qos;
-    pend.requester_node = conn->peer_node();
-    pending_reneg_peer_[t.vc] = pend;
-    peer_tentative_[t.vc] = t.agreed;
-    if (TransportUser* u = ent_.user_at(conn->request().dst.tsap)) {
-      u->t_renegotiate_indication(t.vc, t.qos);
-    } else {
-      renegotiate_response(t.vc, false);
-    }
+    change.agreed = t.agreed;
+  } else if (auto admitted = admit_change(*conn, t.qos)) {
+    change = *admitted;
+  } else {
+    send_rnc(conn->peer_node(), t.vc, nullptr, DisconnectReason::kNoResources);
     return;
   }
-  if (Connection* conn = ent_.source(t.vc)) {
-    // Sink-initiated renegotiation reaching the source: ask the source user.
-    PendingRenegPeer pend;
-    pend.proposed = t.qos;
-    pend.requester_node = conn->peer_node();
-    pending_reneg_peer_[t.vc] = pend;
-    if (TransportUser* u = ent_.user_at(conn->request().src.tsap)) {
-      u->t_renegotiate_indication(t.vc, t.qos);
-    } else {
-      renegotiate_response(t.vc, false);
-    }
-    return;
+  asked_.emplace(t.vc, Asked{t.qos, change, conn->peer_node()});
+  if (TransportUser* u = ent_.user_at(conn->local_tsap())) {
+    u->t_renegotiate_indication(t.vc, t.qos);
+  } else {
+    renegotiate_response(t.vc, false);
   }
 }
 
 void RenegotiationEngine::renegotiate_response(VcId vc, bool accept) {
-  auto it = pending_reneg_peer_.find(vc);
-  if (it == pending_reneg_peer_.end()) {
+  auto it = asked_.find(vc);
+  if (it == asked_.end()) {
     CMTOS_WARN("transport", "renegotiate_response for unknown vc %llu",
                static_cast<unsigned long long>(vc));
     return;
   }
-  PendingRenegPeer pend = it->second;
-  pending_reneg_peer_.erase(it);
+  const Asked asked = it->second;
+  asked_.erase(it);
+  if (Connection* conn = responder(vc)) settle_change(*conn, asked.change, accept);
+  send_rnc(asked.requester, vc, accept ? &asked.change.agreed : nullptr);
+}
 
+std::optional<RenegotiationEngine::Change> RenegotiationEngine::admit_change(
+    Connection& source, const QosTolerance& proposed) {
+  Change change;
+  change.old_bps = source.agreed_qos().required_bps();
+  DisconnectReason reason = DisconnectReason::kProtocolError;
+  const auto cand = ent_.admit(proposed, source.request().src.node, source.request().dst.node,
+                               change.old_bps, reason);
+  if (!cand) return std::nullopt;
+  change.agreed = *cand;
+  if (cand->required_bps() > change.old_bps && source.reservation() != net::kNoReservation) {
+    if (!ent_.network_.adjust_reservation(source.reservation(),
+                                          cand->required_bps() + TransportEntity::kControlVcBps))
+      return std::nullopt;
+    change.raised = true;
+  }
+  return change;
+}
+
+void RenegotiationEngine::settle_change(Connection& conn, const Change& change, bool accepted) {
+  if (conn.reservation() != net::kNoReservation) {
+    if (accepted && !change.raised) {  // a shrink always fits
+      ent_.network_.adjust_reservation(
+          conn.reservation(), change.agreed.required_bps() + TransportEntity::kControlVcBps);
+    } else if (!accepted && change.raised) {  // roll the pre-raise back
+      ent_.network_.adjust_reservation(conn.reservation(),
+                                       change.old_bps + TransportEntity::kControlVcBps);
+    }
+  }
+  if (accepted) conn.apply_new_qos(change.agreed);
+}
+
+Connection* RenegotiationEngine::responder(VcId vc) {
+  if (Connection* conn = ent_.sink(vc)) return conn;
+  return ent_.source(vc);
+}
+
+void RenegotiationEngine::send_rnc(net::NodeId to, VcId vc, const QosParams* agreed,
+                                   DisconnectReason refusal) {
   ControlTpdu reply;
   reply.type = TpduType::kRNC;
   reply.vc = vc;
-
-  if (Connection* conn = ent_.sink(vc)) {
-    // We are the sink peer of a source-initiated renegotiation.
-    auto tent = peer_tentative_.find(vc);
-    const QosParams agreed =
-        tent != peer_tentative_.end() ? tent->second : conn->agreed_qos();
-    if (tent != peer_tentative_.end()) peer_tentative_.erase(tent);
-    if (accept) {
-      conn->apply_new_qos(agreed);
-      reply.accepted = 1;
-      reply.agreed = agreed;
-    } else {
-      reply.accepted = 0;
-      reply.reason = static_cast<std::uint8_t>(DisconnectReason::kRejectedByUser);
-    }
-    ent_.send_tpdu(pend.requester_node, net::Proto::kTransportControl, reply.encode());
-    return;
-  }
-  if (Connection* conn = ent_.source(vc)) {
-    // We are the source peer of a sink-initiated renegotiation: run
-    // admission and adjust the reservation before accepting.
-    if (!accept) {
-      reply.accepted = 0;
-      reply.reason = static_cast<std::uint8_t>(DisconnectReason::kRejectedByUser);
-      ent_.send_tpdu(pend.requester_node, net::Proto::kTransportControl, reply.encode());
-      return;
-    }
-    DisconnectReason reason = DisconnectReason::kProtocolError;
-    auto cand = ent_.admit(pend.proposed, conn->request().src.node, conn->request().dst.node,
-                           conn->agreed_qos().required_bps(), reason);
-    if (cand && conn->reservation() != net::kNoReservation &&
-        !ent_.network_.adjust_reservation(conn->reservation(),
-                                          cand->required_bps() + TransportEntity::kControlVcBps)) {
-      cand.reset();
-    }
-    if (!cand) {
-      reply.accepted = 0;
-      reply.reason = static_cast<std::uint8_t>(DisconnectReason::kNoResources);
-      ent_.send_tpdu(pend.requester_node, net::Proto::kTransportControl, reply.encode());
-      return;
-    }
-    conn->apply_new_qos(*cand);
+  if (agreed != nullptr) {
     reply.accepted = 1;
-    reply.agreed = *cand;
-    ent_.send_tpdu(pend.requester_node, net::Proto::kTransportControl, reply.encode());
-    return;
-  }
-}
-
-void RenegotiationEngine::handle_rnc(const ControlTpdu& t) {
-  auto it = pending_reneg_.find(t.vc);
-  if (it == pending_reneg_.end()) return;  // duplicate RNC: already settled
-  PendingReneg pend = std::move(it->second);
-  pending_reneg_.erase(it);
-
-  if (pend.at_source) {
-    Connection* conn = ent_.source(t.vc);
-    if (conn == nullptr) return;
-    if (t.accepted) {
-      const std::int64_t new_bps = pend.tentative_agreed.required_bps();
-      if (!pend.raised && conn->reservation() != net::kNoReservation)
-        ent_.network_.adjust_reservation(
-            conn->reservation(),
-            new_bps + TransportEntity::kControlVcBps);  // shrink: always fits
-      conn->apply_new_qos(pend.tentative_agreed);
-      if (TransportUser* u = ent_.user_at(conn->request().src.tsap))
-        u->t_renegotiate_confirm(t.vc, true, pend.tentative_agreed);
-    } else {
-      if (pend.raised && conn->reservation() != net::kNoReservation)
-        ent_.network_.adjust_reservation(
-            conn->reservation(),
-            pend.old_bps + TransportEntity::kControlVcBps);  // roll back
-      // Per §4.1.3: rejection is notified with T-Disconnect.indication but
-      // the existing VC is *not* torn down.
-      ent_.deliver_disconnect(t.vc, conn->request().src.tsap,
-                              DisconnectReason::kRenegotiationFailed);
-    }
-    return;
-  }
-  // Sink-initiated requester side.
-  Connection* conn = ent_.sink(t.vc);
-  if (conn == nullptr) return;
-  if (t.accepted) {
-    conn->apply_new_qos(t.agreed);
-    if (TransportUser* u = ent_.user_at(conn->request().dst.tsap))
-      u->t_renegotiate_confirm(t.vc, true, t.agreed);
+    reply.agreed = *agreed;
   } else {
-    ent_.deliver_disconnect(t.vc, conn->request().dst.tsap,
-                            DisconnectReason::kRenegotiationFailed);
+    reply.reason = static_cast<std::uint8_t>(refusal);
   }
+  ent_.send_tpdu(to, net::Proto::kTransportControl, reply.encode());
 }
 
 // ====================================================================
@@ -305,9 +201,8 @@ void RenegotiationEngine::handle_qi(const ControlTpdu& t) {
 }
 
 void RenegotiationEngine::on_close(VcId vc) {
-  pending_reneg_.erase(vc);
-  pending_reneg_peer_.erase(vc);
-  peer_tentative_.erase(vc);
+  requests_.erase(vc);
+  asked_.erase(vc);
 }
 
 }  // namespace cmtos::transport

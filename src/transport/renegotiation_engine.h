@@ -5,14 +5,15 @@
 // lowering a live VC's contract, and the QI relay that tells source and
 // initiator users about a sink-side QoS violation.
 //
-// Owns the in-flight renegotiation state — requester-side PendingReneg
-// (with the pre-raised reservation bookkeeping) and responder-side
-// PendingRenegPeer plus the tentative contract a retransmitted RN carries.
-// Established endpoints, reservations and wire I/O stay on the
-// TransportEntity.
-//
-// Each requester-side record owns its RN retransmission timer, armed
-// *global*: exhaustion rolls back reservations and notifies users.  All
+// One requester path and one responder path serve both directions.  The
+// source entity owns the reservation, so whichever end asked, the source
+// runs admission before its peer or its user is asked, pre-raises the
+// reservation for a larger contract, and settles the change when the
+// answer is known: a refusal rolls the pre-raise back, an acceptance
+// shrinks the reservation of a smaller contract.  The requester's record
+// holds the RN's Handshake (the entity's one retransmit helper); giving up
+// fails the request but leaves the VC under its old contract.  Established
+// endpoints, reservations and wire I/O stay on the TransportEntity.  All
 // state of a VC is dropped when the VC closes (on_close), so a closed VC
 // retransmits nothing.
 
@@ -20,10 +21,10 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <optional>
 
 #include "net/network.h"
-#include "sim/node_runtime.h"
+#include "transport/handshake.h"
 #include "transport/service.h"
 #include "transport/tpdu.h"
 #include "util/thread_annotations.h"
@@ -57,34 +58,47 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
   void on_close(VcId vc);
 
  private:
-  struct PendingReneg {  // requester side: RN sent, waiting for RNC
-    QosTolerance proposed;
-    QosParams tentative_agreed;  // what we offered (source-initiated)
+  /// A contract change at one endpoint: the contract it moves to and, at
+  /// the source, the reservation before the change and whether it was
+  /// pre-raised.  A sink endpoint holds no reservation.
+  struct Change {
+    QosParams agreed;
     std::int64_t old_bps = 0;
-    bool at_source = false;
-    bool raised = false;  // reservation pre-raised, roll back on reject
-    std::vector<std::uint8_t> rn_wire;  // for retransmission
-    net::NodeId peer = net::kInvalidNode;
-    int retries_left = kHandshakeRetries;
-    sim::Timer retransmit;
+    bool raised = false;
   };
-  struct PendingRenegPeer {  // responder side: user asked
+  struct Request {  // requester: RN sent, waiting for RNC
+    Change change;  // admitted up front when the requester is the source
+    Handshake handshake;
+  };
+  struct Asked {  // responder: local user asked
     QosTolerance proposed;
-    net::NodeId requester_node = net::kInvalidNode;
+    Change change;
+    net::NodeId requester = net::kInvalidNode;
   };
 
-  /// Self-rearming RN retransmission timer; exhaustion fails the
-  /// renegotiation but leaves the VC alive under its old contract.
-  void arm_rn_timer(VcId vc);
+  /// The source's admission of `proposed`, against the path's free capacity
+  /// plus what the VC already holds, with the reservation raised up front
+  /// for a larger contract so no peer is promised bandwidth not held.
+  /// nullopt = refused, nothing changed.
+  std::optional<Change> admit_change(Connection& source, const QosTolerance& proposed);
+  /// Concludes `change` at `conn`: an acceptance shrinks a reservation that
+  /// was not pre-raised and applies the contract, a refusal rolls a
+  /// pre-raise back.
+  void settle_change(Connection& conn, const Change& change, bool accepted);
+  /// Concludes the local request on `vc` (its RNC arrived, or its retries
+  /// ran out) and tells the requesting user.
+  void conclude(VcId vc, bool accepted, const QosParams& agreed);
+  /// The endpoint that answers an RN for `vc`: the sink when both are local.
+  Connection* responder(VcId vc);
+  /// Answers an RN: accepted with `agreed`, or refused (null) for `refusal`.
+  void send_rnc(net::NodeId to, VcId vc, const QosParams* agreed,
+                DisconnectReason refusal = DisconnectReason::kRejectedByUser);
 
   TransportEntity& ent_;
 
   // One entry per in-flight renegotiation handshake (rare, short-lived).
-  std::map<VcId, PendingReneg> pending_reneg_;  // cmtos-analyze: allow(hot-path-map)
-  std::map<VcId, PendingRenegPeer> pending_reneg_peer_;  // cmtos-analyze: allow(hot-path-map)
-  // Tentative contract carried by a source-initiated RN, held until the
-  // sink user answers (and consulted to recognise retransmitted RNs).
-  std::map<VcId, QosParams> peer_tentative_;  // cmtos-analyze: allow(hot-path-map)
+  std::map<VcId, Request> requests_;  // cmtos-analyze: allow(hot-path-map)
+  std::map<VcId, Asked> asked_;       // cmtos-analyze: allow(hot-path-map)
 };
 
 }  // namespace cmtos::transport

@@ -18,7 +18,8 @@
 //
 // The entity keeps what the engines (and the data plane) need: TSAP
 // bindings, the sources_/sinks_ endpoint maps with the one endpoint
-// teardown (detach), the one admission check (admit), timing config, wire
+// teardown (detach), the one admission check (admit), the one handshake
+// retransmit (send_handshake, for RCR, CR and RN), timing config, wire
 // I/O and the crash/restart fault model.  Protocol timers are sim::Timers
 // inside the records they guard (a pending handshake, a peer, an
 // endpoint), so dropping a record cancels its timers.  Incoming control
@@ -42,6 +43,7 @@
 #include "obs/metrics.h"
 #include "transport/connection.h"
 #include "transport/connection_manager.h"
+#include "transport/handshake.h"
 #include "transport/heartbeat.h"
 #include "transport/renegotiation_engine.h"
 #include "transport/service.h"
@@ -158,6 +160,16 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   void send_tpdu(net::NodeId dst, net::Proto proto, std::vector<std::uint8_t> payload,
                  net::Priority priority = net::Priority::kControl);
 
+  /// The one retransmitted handshake (RCR, CR, RN): stores the encoded TPDU
+  /// `wire` in the Handshake that `find()` returns, sends it to `peer` and
+  /// resends it every handshake_delay() up to kHandshakeRetries times; when
+  /// no answer has erased the record by then, `give_up()` runs.  `find`
+  /// looks the record up again at each expiry (the pending tables relocate
+  /// their records) and returns null once it is gone.
+  template <class Find, class GiveUp>
+  void send_handshake(net::NodeId peer, std::vector<std::uint8_t> wire, Find find,
+                      GiveUp give_up);
+
   /// Sends a data TPDU on the zero-copy path: the header is serialized
   /// into the packet, the fragment rides as a refcounted frame view
   /// (DataTpdu::encode_onto), media priority, shard-local delivery.
@@ -269,6 +281,8 @@ class CMTOS_SHARD_AFFINE TransportEntity {
                                  DisconnectReason& reason);
   /// Jittered handshake retransmission delay (see kHandshakeRetransmit).
   Duration handshake_delay();
+  template <class Find, class GiveUp>
+  void arm_handshake(Handshake& hs, Find find, GiveUp give_up);
   VcId alloc_vc();
 
   net::Network& network_;
@@ -316,5 +330,32 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   void dispatch_qi(const ControlTpdu& t) { reneg_.handle_qi(t); }
   static const std::array<ControlHandler, 11>& control_dispatch();
 };
+
+template <class Find, class GiveUp>
+void TransportEntity::send_handshake(net::NodeId peer, std::vector<std::uint8_t> wire, Find find,
+                                     GiveUp give_up) {
+  Handshake& hs = *find();
+  hs.wire = std::move(wire);
+  hs.peer = peer;
+  hs.retries_left = kHandshakeRetries;
+  send_tpdu(peer, net::Proto::kTransportControl, hs.wire);
+  arm_handshake(hs, find, give_up);
+}
+
+template <class Find, class GiveUp>
+void TransportEntity::arm_handshake(Handshake& hs, Find find, GiveUp give_up) {
+  // Global: giving up releases reservations and notifies (possibly
+  // facade-side) users.
+  hs.retransmit.after_global(runtime(), handshake_delay(), [this, find, give_up] {
+    Handshake* rec = find();
+    if (rec == nullptr) return;
+    if (rec->retries_left-- == 0) {
+      give_up();
+      return;
+    }
+    send_tpdu(rec->peer, net::Proto::kTransportControl, rec->wire);
+    arm_handshake(*rec, find, give_up);
+  });
+}
 
 }  // namespace cmtos::transport

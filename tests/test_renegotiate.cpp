@@ -287,6 +287,126 @@ TEST(Renegotiate, CloseDropsTheInFlightRenegotiation) {
   EXPECT_EQ(link.packets_sent - sent_at_close, 0);
 }
 
+TEST(RenegotiateLoss, LostRncGetsTheAcceptanceResent) {
+  // The sink accepts but its RNC is lost.  The retransmitted RN finds the
+  // new contract already in force at the sink, which resends the
+  // acceptance instead of asking its user again.
+  RenegWorld w;
+  auto* back = w.star.platform.network().link(w.h1->id, w.star.hub->id);
+  ASSERT_NE(back, nullptr);
+  back->set_loss_rate(1.0);
+  w.h0->entity.t_renegotiate_request(w.vc, w.tol(20.0, 2048));
+  w.star.platform.run_until(w.star.platform.scheduler().now() + 100 * kMillisecond);
+  ASSERT_EQ(w.dst_user->reneg_indications.size(), 1u);
+  EXPECT_TRUE(w.src_user->reneg_confirms.empty());
+  EXPECT_NEAR(w.h1->entity.sink(w.vc)->agreed_qos().osdu_rate, 20.0, 1e-9);
+  back->set_loss_rate(0.0);
+  w.star.platform.run_until(w.star.platform.scheduler().now() + 2 * kSecond);
+
+  EXPECT_EQ(w.dst_user->reneg_indications.size(), 1u);
+  ASSERT_EQ(w.src_user->reneg_confirms.size(), 1u);
+  EXPECT_TRUE(w.src_user->reneg_confirms[0].first);
+  EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 20.0, 1e-9);
+  EXPECT_TRUE(w.src_user->disconnects.empty());
+}
+
+TEST(Renegotiate, SinkInitiatedRefusedAtAdmissionKeepsTheVc) {
+  // The source entity owns the reservation, so it runs admission for a
+  // sink-initiated request too; a refusal there fails the request at the
+  // sink and leaves the VC and its reservation as they were.
+  RenegWorld w;
+  const auto before = w.star.platform.network().reserved_on(w.h0->id, w.star.hub->id);
+  w.h1->entity.t_renegotiate_request(w.vc, w.tol(2000.0, 8192));
+  w.star.platform.run_until(kSecond);
+  ASSERT_EQ(w.dst_user->disconnects.size(), 1u);
+  EXPECT_EQ(w.dst_user->disconnects[0].second, DisconnectReason::kRenegotiationFailed);
+  EXPECT_TRUE(w.dst_user->reneg_confirms.empty());
+  EXPECT_TRUE(w.src_user->reneg_confirms.empty());
+  ASSERT_NE(w.h0->entity.source(w.vc), nullptr);
+  ASSERT_NE(w.h1->entity.sink(w.vc), nullptr);
+  EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 10.0, 1e-9);
+  EXPECT_NEAR(w.h1->entity.sink(w.vc)->agreed_qos().osdu_rate, 10.0, 1e-9);
+  EXPECT_EQ(w.star.platform.network().reserved_on(w.h0->id, w.star.hub->id), before);
+}
+
+TEST(RenegotiateLoss, SinkRequestGivesUpAfterRetriesButVcSurvives) {
+  // Every RN the sink sends is lost: the request fails after
+  // 1 + kHandshakeRetries sends and the VC keeps its old contract.  The VC
+  // is idle, so the RNs are the only packets h1 sends.
+  RenegWorld w;
+  auto* link = w.star.platform.network().link(w.h1->id, w.star.hub->id);
+  const auto before = w.star.platform.network().reserved_on(w.h0->id, w.star.hub->id);
+  link->set_loss_rate(1.0);
+  const auto sent_before = link->stats().packets_sent;
+  const Time t0 = w.star.platform.scheduler().now();
+  w.h1->entity.t_renegotiate_request(w.vc, w.tol(20.0, 2048));
+  constexpr int kSends = 1 + transport::kHandshakeRetries;
+  w.star.platform.run_until(t0 + kSends * transport::kHandshakeRetransmit);
+  EXPECT_TRUE(w.dst_user->disconnects.empty());
+  w.star.platform.run_until(t0 + static_cast<Duration>(kSends * transport::kHandshakeRetransmit *
+                                                       (1 + transport::kHandshakeJitter)));
+  link->set_loss_rate(0.0);
+  EXPECT_EQ(link->stats().packets_sent - sent_before, kSends);
+
+  ASSERT_EQ(w.dst_user->disconnects.size(), 1u);
+  EXPECT_EQ(w.dst_user->disconnects[0].second, DisconnectReason::kRenegotiationFailed);
+  EXPECT_TRUE(w.src_user->reneg_indications.empty());
+  ASSERT_NE(w.h0->entity.source(w.vc), nullptr);
+  ASSERT_NE(w.h1->entity.sink(w.vc), nullptr);
+  EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 10.0, 1e-9);
+  EXPECT_NEAR(w.h1->entity.sink(w.vc)->agreed_qos().osdu_rate, 10.0, 1e-9);
+  EXPECT_EQ(w.star.platform.network().reserved_on(w.h0->id, w.star.hub->id), before);
+}
+
+TEST(Renegotiate, JitterOnlyChangeIsAskedAndAppliedAtBothEnds) {
+  // A request that changes only the jitter bound is a new contract, not a
+  // retransmission of the one in force: the sink user is asked and both
+  // endpoints end on the new bound.
+  RenegWorld w;
+  auto tol = w.tol(10.0, 2048);
+  tol.preferred.delay_jitter = 30 * kMillisecond;
+  w.h0->entity.t_renegotiate_request(w.vc, tol);
+  w.star.platform.run_until(kSecond);
+  EXPECT_EQ(w.dst_user->reneg_indications.size(), 1u);
+  ASSERT_EQ(w.src_user->reneg_confirms.size(), 1u);
+  EXPECT_TRUE(w.src_user->reneg_confirms[0].first);
+  EXPECT_EQ(w.h0->entity.source(w.vc)->agreed_qos().delay_jitter, 30 * kMillisecond);
+  EXPECT_EQ(w.h1->entity.sink(w.vc)->agreed_qos().delay_jitter, 30 * kMillisecond);
+}
+
+TEST(Renegotiate, SecondRequestWhileOneIsInFlightIsRefused) {
+  // The sink user answers the first request late.  A second request on
+  // the same VC meanwhile is refused at once; the first one goes on and
+  // both endpoints end on its contract.
+  struct LateUser : ScriptedUser {
+    using ScriptedUser::ScriptedUser;
+    void t_renegotiate_indication(VcId vc, const QosTolerance& proposed) override {
+      reneg_indications.emplace_back(vc, proposed);
+    }
+  };
+  RenegWorld w;
+  LateUser late(w.h1->entity);
+  w.h1->entity.bind(20, &late);
+  auto& sched = w.star.platform.scheduler();
+  w.h0->entity.t_renegotiate_request(w.vc, w.tol(30.0, 2048));
+  w.star.platform.run_until(sched.now() + 100 * kMillisecond);
+  ASSERT_EQ(late.reneg_indications.size(), 1u);
+
+  w.h0->entity.t_renegotiate_request(w.vc, w.tol(20.0, 2048));
+  ASSERT_EQ(w.src_user->disconnects.size(), 1u);
+  EXPECT_EQ(w.src_user->disconnects[0].second, DisconnectReason::kRenegotiationFailed);
+  w.star.platform.run_until(sched.now() + 100 * kMillisecond);
+  w.h1->entity.renegotiate_response(w.vc, true);
+  w.star.platform.run_until(sched.now() + 3 * kSecond);
+
+  EXPECT_EQ(late.reneg_indications.size(), 1u);
+  ASSERT_EQ(w.src_user->reneg_confirms.size(), 1u);
+  EXPECT_NEAR(w.src_user->reneg_confirms[0].second.osdu_rate, 30.0, 1e-9);
+  EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 30.0, 1e-9);
+  EXPECT_NEAR(w.h1->entity.sink(w.vc)->agreed_qos().osdu_rate, 30.0, 1e-9);
+  EXPECT_EQ(w.src_user->disconnects.size(), 1u);
+}
+
 TEST(Renegotiate, UnknownVcIsIgnoredSafely) {
   RenegWorld w;
   w.h0->entity.t_renegotiate_request(0xdeadbeef, w.tol(20.0, 2048));

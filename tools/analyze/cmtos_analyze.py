@@ -105,6 +105,14 @@ Checks
                         `network_.release(` anywhere else is a teardown
                         written out by hand, the copy that drifts (a forgotten
                         reverse trickle, a skipped close).
+  handshake-retransmit  In src/transport/, the handshake TPDUs that wait for
+                        an answer (RCR, CR, RN) are resent by one helper
+                        (TransportEntity::send_handshake and its re-arm,
+                        arm_handshake) from one record (transport/
+                        handshake.h).  A handshake_delay() call or a
+                        kHandshakeRetries use anywhere else is a retransmit
+                        loop written out by hand, the copy that drifts.
+                        Their own declarations and definitions pass.
   layering              The src/ layers include only downward: an
                         `#include "<dir>/..."` in src/<layer>/ may name its
                         own layer or a library its CMake target links,
@@ -171,6 +179,7 @@ CHECKS = (
     "timer-idiom",
     "hot-path-map",
     "endpoint-teardown",
+    "handshake-retransmit",
     "layering",
 )
 
@@ -1136,7 +1145,7 @@ def check_timer_idiom(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
-TEARDOWN_DIR_RE = re.compile(r"(^|/)src/transport/")
+TRANSPORT_DIR_RE = re.compile(r"(^|/)src/transport/")
 TEARDOWN_SITE_RE = re.compile(
     r"\b(?:sources_|sinks_)\s*\.\s*erase\s*\(|\bnetwork_?\s*\.\s*release\s*\(")
 TEARDOWN_HELPERS = (
@@ -1175,7 +1184,7 @@ def enclosing_function(sf: SourceFile, off: int) -> str | None:
 def check_endpoint_teardown(sf: SourceFile, facts: Facts) -> list[Finding]:
     """Flags endpoint-map erasures and reservation releases in src/transport/
     outside the teardown, abort and release helpers."""
-    if not TEARDOWN_DIR_RE.search(sf.rel):
+    if not TRANSPORT_DIR_RE.search(sf.rel):
         return []
     out = []
     for m in TEARDOWN_SITE_RE.finditer(sf.code):
@@ -1190,6 +1199,39 @@ def check_endpoint_teardown(sf: SourceFile, facts: Facts) -> list[Finding]:
             "ConnectionManager::abort_connect, reservations through "
             "TransportEntity::release_reservations; a teardown written out "
             "by hand is the copy that drifts"))
+    return out
+
+
+HANDSHAKE_SITE_RE = re.compile(r"\bhandshake_delay\s*\(\s*\)|\bkHandshakeRetries\b")
+# The name right after its declared type (`int kHandshakeRetries = 3`,
+# `Duration TransportEntity::handshake_delay()`): a declaration, not a use.
+HANDSHAKE_DECL_RE = re.compile(r"\b(?:int|Duration)\s+(?:\w+\s*::\s*)?$")
+HANDSHAKE_HELPERS = (
+    "TransportEntity::send_handshake",
+    "TransportEntity::arm_handshake",
+)
+
+
+def check_handshake_retransmit(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags handshake_delay() calls and kHandshakeRetries uses in
+    src/transport/ outside the one retransmit helper."""
+    if not TRANSPORT_DIR_RE.search(sf.rel):
+        return []
+    out = []
+    for m in HANDSHAKE_SITE_RE.finditer(sf.code):
+        if HANDSHAKE_DECL_RE.search(sf.code, max(0, m.start() - 80), m.start()):
+            continue
+        fn = enclosing_function(sf, m.start())
+        if fn in HANDSHAKE_HELPERS:
+            continue
+        site = re.sub(r"\s+", "", m.group(0))
+        where = fn or "an initializer outside any function"
+        out.append(Finding(
+            sf.rel, sf.line_of(m.start()), "handshake-retransmit",
+            f"`{site}` in {where}: RCR, CR and RN are resent by "
+            "TransportEntity::send_handshake from the Handshake record of "
+            "transport/handshake.h; a retransmit loop written out by hand is "
+            "the copy that drifts"))
     return out
 
 
@@ -1255,6 +1297,7 @@ ALL_CHECKS = (
     check_timer_idiom,
     check_hot_path_map,
     check_endpoint_teardown,
+    check_handshake_retransmit,
     check_layering,
 )
 
@@ -1535,6 +1578,44 @@ void Network::preempt_for() {
 }
 """
 
+HS_PROBE = """\
+#include "transport/transport_entity.h"
+inline constexpr int kHandshakeRetries = 3;
+struct PendingCc {
+  int retries_left = kHandshakeRetries;
+};
+Duration TransportEntity::handshake_delay() { return 0; }
+void ConnectionManager::arm_cr_timer(VcId vc) {
+  retx.after_global(rt, ent_.handshake_delay(), [this, vc] {
+    if (it->second.retries_left-- > 0) resend(vc);
+  });
+}
+template <class Find, class GiveUp>
+void TransportEntity::send_handshake(net::NodeId peer, Find find, GiveUp give_up) {
+  find()->retries_left = kHandshakeRetries;
+}
+template <class Find, class GiveUp>
+void TransportEntity::arm_handshake(Handshake& hs, Find find, GiveUp give_up) {
+  hs.retransmit.after_global(runtime(), handshake_delay(), [this, find, give_up] {
+    arm_handshake(*find(), find, give_up);
+  });
+}
+void RenegotiationEngine::rearm(VcId vc) {
+  timer.after_global(rt, ent_.handshake_delay(), [] {});  // cmtos-analyze: allow(handshake-retransmit)
+}
+"""
+HS_EXPECT = {
+    (4, "handshake-retransmit"),  # a record defaulting its own retry budget
+    (8, "handshake-retransmit"),  # a hand-written retransmit loop's delay draw
+}
+
+# Outside src/transport the names are not the transport's handshake.
+HS_PASS_PROBE = """\
+void Llo::retry() {
+  timer.after(rt, handshake_delay(), [] {});
+}
+"""
+
 LY_PROBE = """\
 #include <map>
 #include "net/packet.h"
@@ -1571,6 +1652,8 @@ PROBES = (
     ("src/sim/probe_timer.h", TI_SIM_PROBE, set()),
     ("src/transport/probe_teardown.cpp", ET_PROBE, ET_EXPECT),
     ("src/net/probe_release.cpp", ET_NET_PROBE, set()),
+    ("src/transport/probe_handshake.h", HS_PROBE, HS_EXPECT),
+    ("src/orch/probe_handshake.cpp", HS_PASS_PROBE, set()),
     ("src/transport/probe_layering.h", LY_PROBE, LY_EXPECT),
     ("src/orch/probe_layering.h", LY_PASS_PROBE, set()),
 )
