@@ -246,8 +246,7 @@ void HloAgent::interval_tick() {
         0,
         std::llround((interval_s + correction_s) * s.osdu_rate * rate_scale_) - st.overshoot);
     st.last_target = delta;  // interpreted against interval_start_seq on report
-    llo_.regulate(session_, s.vc.vc, delta, s.max_drop_per_interval, policy_.interval, id,
-                  /*relative=*/true);
+    llo_.regulate(session_, s.vc.vc, delta, s.max_drop_per_interval, policy_.interval, id);
   }
 
   // Federation digest: the whole domain compressed into O(1) numbers once

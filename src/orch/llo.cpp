@@ -160,44 +160,6 @@ void Llo::handle_time_resp(const Opdu& o) {
 // OPDU dispatch
 // ====================================================================
 
-const std::array<Llo::OpduHandler, 43>& Llo::opdu_dispatch() {
-  static const std::array<OpduHandler, 43> table = [] {
-    std::array<OpduHandler, 43> t{};  // unknown rows stay null -> warn
-    auto at = [&t](OpduType type) -> OpduHandler& {
-      return t[static_cast<std::size_t>(type)];
-    };
-    at(OpduType::kSessReq) = &Llo::dispatch_sess_req;
-    at(OpduType::kSessAck) = &Llo::dispatch_op_ack;
-    at(OpduType::kSessRel) = &Llo::dispatch_sess_rel;
-    at(OpduType::kPrime) = &Llo::dispatch_prime;
-    at(OpduType::kPrimeAck) = &Llo::dispatch_op_ack;
-    at(OpduType::kPrimed) = &Llo::dispatch_primed;
-    at(OpduType::kStart) = &Llo::dispatch_start;
-    at(OpduType::kStartAck) = &Llo::dispatch_op_ack;
-    at(OpduType::kStop) = &Llo::dispatch_stop;
-    at(OpduType::kStopAck) = &Llo::dispatch_op_ack;
-    at(OpduType::kAdd) = &Llo::dispatch_add;
-    at(OpduType::kAddAck) = &Llo::dispatch_op_ack;
-    at(OpduType::kRemove) = &Llo::dispatch_remove_vc;
-    at(OpduType::kRemoveAck) = &Llo::dispatch_op_ack;
-    at(OpduType::kRegulateSink) = &Llo::dispatch_regulate_sink;
-    at(OpduType::kRegulateSrc) = &Llo::dispatch_regulate_src;
-    at(OpduType::kDrop) = &Llo::dispatch_drop;
-    at(OpduType::kRegInd) = &Llo::dispatch_reg_ind;
-    at(OpduType::kSrcStats) = &Llo::dispatch_src_stats;
-    at(OpduType::kEventReg) = &Llo::dispatch_event_reg;
-    at(OpduType::kEventInd) = &Llo::dispatch_event_ind;
-    at(OpduType::kDelayed) = &Llo::dispatch_delayed;
-    at(OpduType::kDelayedAck) = &Llo::dispatch_ignore;  // informational
-    at(OpduType::kVcDead) = &Llo::dispatch_vc_dead;
-    at(OpduType::kTimeReq) = &Llo::handle_time_req;
-    at(OpduType::kTimeResp) = &Llo::handle_time_resp;
-    at(OpduType::kEpochNack) = &Llo::dispatch_epoch_nack;
-    return t;
-  }();
-  return table;
-}
-
 void Llo::on_opdu_packet(net::Packet&& pkt) {
   if (down_) return;  // crashed LLO: protocol state is gone
   if (table_.peer_quarantined(pkt.src)) return;
@@ -210,14 +172,39 @@ void Llo::on_opdu_packet(net::Packet&& pkt) {
     if (fault != WireFault::kChecksum) table_.note_malformed_opdu(pkt.src);
     return;
   }
-  const auto& table = opdu_dispatch();
-  const auto idx = static_cast<std::size_t>(o->type);
-  if (idx >= table.size() || table[idx] == nullptr) {
-    CMTOS_WARN("llo", "node %u: OPDU type %u has no dispatch row", node_,
-               static_cast<unsigned>(o->type));
-    return;
+  // Exhaustive and without a default, so -Wswitch names a new type that
+  // has no route.
+  switch (o->type) {
+    // Endpoint role.
+    case OpduType::kSessReq:
+    case OpduType::kAdd: reg_.handle_sess_req(*o); break;
+    case OpduType::kSessRel: reg_.handle_sess_rel(*o); break;
+    case OpduType::kPrime: reg_.handle_prime(*o); break;
+    case OpduType::kStart: reg_.handle_start(*o); break;
+    case OpduType::kStop: reg_.handle_stop(*o); break;
+    case OpduType::kRemove: reg_.handle_remove_vc(*o); break;
+    case OpduType::kRegulateSink: reg_.handle_regulate_sink(*o); break;
+    case OpduType::kRegulateSrc: reg_.handle_regulate_src(*o); break;
+    case OpduType::kDrop: reg_.handle_drop(*o); break;
+    case OpduType::kEventReg: reg_.handle_event_reg(*o); break;
+    case OpduType::kDelayed: reg_.handle_delayed(*o); break;
+    // Orchestrating role.
+    case OpduType::kSessAck:
+    case OpduType::kPrimeAck:
+    case OpduType::kStartAck:
+    case OpduType::kStopAck:
+    case OpduType::kRemoveAck: table_.op_ack(*o); break;
+    case OpduType::kPrimed: table_.handle_primed(*o); break;
+    case OpduType::kRegInd: table_.handle_reg_ind(*o); break;
+    case OpduType::kSrcStats: table_.handle_src_stats(*o); break;
+    case OpduType::kEventInd: table_.handle_event_ind(*o); break;
+    case OpduType::kVcDead: table_.handle_vc_dead(*o); break;
+    case OpduType::kEpochNack: table_.handle_epoch_nack(*o); break;
+    case OpduType::kDelayedAck: break;  // informational
+    // Clock sync.
+    case OpduType::kTimeReq: handle_time_req(*o); break;
+    case OpduType::kTimeResp: handle_time_resp(*o); break;
   }
-  (this->*table[idx])(*o);
 }
 
 }  // namespace cmtos::orch

@@ -51,8 +51,7 @@ enum class OpduType : std::uint8_t {
   kStartAck = 14,   // carries the sink's next deliverable OSDU seq
   kStop = 15,
   kStopAck = 16,
-  kAdd = 17,
-  kAddAck = 18,
+  kAdd = 17,       // answered with kSessAck: joining is session setup
   kRemove = 19,
   kRemoveAck = 20,
 
@@ -117,11 +116,15 @@ struct Opdu {
   // kSessReq / kAdd: VC geometry this node must track.
   std::vector<OrchVcInfo> vcs;
 
-  std::uint8_t flags = 0;  // bit0: prime-flush; bit1: target-is-source
+  std::uint8_t flags = 0;  // kOpduFlagFlush, kOpduFlagSourceTarget
   std::uint8_t ok = 1;
   OrchReason reason = OrchReason::kOk;
 
-  // Regulation (kRegulateSink/kRegulateSrc/kDrop).
+  // Regulation (kRegulateSink/kRegulateSrc/kDrop).  kRegulateSink's
+  // target_seq is a delta from the sink's position at receipt, the paper's
+  // "(target-OSDU# - current-OSDU#) / interval-length" taken against the
+  // sink's own position, so the HLO agent's slightly stale view of
+  // positions does not matter; kRegInd echoes the interval-begin position.
   std::int64_t target_seq = 0;
   std::uint32_t max_drop = 0;
   Duration interval = 0;
@@ -155,6 +158,17 @@ struct Opdu {
   Time t_peer = 0;    // peer's local clock when answering
   std::uint32_t probe_id = 0;
 
+  /// An OPDU from the orchestrating node `orch_node` to an endpoint,
+  /// stamped with the session's fencing `epoch`.  A sink's kDrop is one
+  /// too: it acts for the orchestrating node, so it carries that node's
+  /// address and epoch and a fence nacks the right node.
+  static Opdu command(OpduType type, OrchSessionId session, transport::VcId vc,
+                      net::NodeId orch_node, std::uint32_t epoch);
+  /// An endpoint's reply or report about `vc` to the orchestrating node,
+  /// sent by `from` (its reply address).
+  static Opdu reply(OpduType type, OrchSessionId session, transport::VcId vc,
+                    net::NodeId from);
+
   /// Encoding ends with a CRC-32 trailer (adversarial wire model: links
   /// flip real bytes, every control-plane PDU carries its own checksum).
   std::vector<std::uint8_t> encode() const;
@@ -167,12 +181,5 @@ struct Opdu {
 
 inline constexpr std::uint8_t kOpduFlagFlush = 1;
 inline constexpr std::uint8_t kOpduFlagSourceTarget = 2;
-/// kRegulateSink: target_seq is a *delta* from the sink's position at
-/// receipt rather than an absolute sequence number.  This matches the
-/// paper's rate formula — "the required rate is calculated as
-/// ((target-OSDU# - current-OSDU#) / interval-length)" — computed against
-/// the sink's own current position, and makes the HLO agent's (slightly
-/// stale) view of positions irrelevant to the absolute anchoring.
-inline constexpr std::uint8_t kOpduFlagRelativeTarget = 4;
 
 }  // namespace cmtos::orch

@@ -69,6 +69,8 @@ struct QosTolerance {
   /// True if `offer` lies within [worst, preferred] on every axis
   /// (direction-aware: higher rate is better, lower delay is better, ...).
   bool acceptable(const QosParams& offer) const;
+
+  friend bool operator==(const QosTolerance&, const QosTolerance&) = default;
 };
 
 /// Degrades `want` toward `tol.worst` so that the bandwidth demand does not

@@ -85,6 +85,13 @@ void RenegotiationEngine::handle_rn(const ControlTpdu& t) {
       return;
     }
     change.agreed = t.agreed;
+  } else if (auto it = accepted_.find(t.vc);
+             it != accepted_.end() && it->second.proposed == t.qos &&
+             it->second.agreed == conn->agreed_qos()) {
+    // The sink asks again for what is already in force here: the accepting
+    // RNC was lost, so resend it rather than re-asking the user.
+    send_rnc(conn->peer_node(), t.vc, &it->second.agreed);
+    return;
   } else if (auto admitted = admit_change(*conn, t.qos)) {
     change = *admitted;
   } else {
@@ -108,7 +115,11 @@ void RenegotiationEngine::renegotiate_response(VcId vc, bool accept) {
   }
   const Asked asked = it->second;
   asked_.erase(it);
-  if (Connection* conn = responder(vc)) settle_change(*conn, asked.change, accept);
+  if (Connection* conn = responder(vc)) {
+    settle_change(*conn, asked.change, accept);
+    if (accept && conn->role() == VcRole::kSource)
+      accepted_[vc] = Accepted{asked.proposed, asked.change.agreed};
+  }
   send_rnc(asked.requester, vc, accept ? &asked.change.agreed : nullptr);
 }
 
@@ -203,6 +214,7 @@ void RenegotiationEngine::handle_qi(const ControlTpdu& t) {
 void RenegotiationEngine::on_close(VcId vc) {
   requests_.erase(vc);
   asked_.erase(vc);
+  accepted_.erase(vc);
 }
 
 }  // namespace cmtos::transport

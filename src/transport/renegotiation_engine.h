@@ -75,6 +75,10 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
     Change change;
     net::NodeId requester = net::kInvalidNode;
   };
+  struct Accepted {  // source responder: the last sink request it accepted
+    QosTolerance proposed;
+    QosParams agreed;
+  };
 
   /// The source's admission of `proposed`, against the path's free capacity
   /// plus what the VC already holds, with the reservation raised up front
@@ -99,6 +103,9 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
   // One entry per in-flight renegotiation handshake (rare, short-lived).
   std::map<VcId, Request> requests_;  // cmtos-analyze: allow(hot-path-map)
   std::map<VcId, Asked> asked_;       // cmtos-analyze: allow(hot-path-map)
+  // A sink's RN carries no contract, so the source keeps what it accepted
+  // to recognise the RN's retransmission when the RNC was lost.
+  std::map<VcId, Accepted> accepted_;  // cmtos-analyze: allow(hot-path-map)
 };
 
 }  // namespace cmtos::transport

@@ -57,7 +57,7 @@ TEST(FailureInjection, VcClosedDuringRegulationDetachesGracefully) {
   ASSERT_EQ(llo.local_vc_count(), 1u);
 
   // Regulation is in flight; the VC dies underneath it.
-  llo.regulate(1, w.stream->orch_spec().vc.vc, 10, 2, 400 * kMillisecond, 1, true);
+  llo.regulate(1, w.stream->orch_spec().vc.vc, 10, 2, 400 * kMillisecond, 1);
   w.p->run_until(w.p->scheduler().now() + 100 * kMillisecond);
   w.ws->entity.t_disconnect_request(w.stream->orch_spec().vc.vc);
   // No crash; the endpoint state dissolves as the slots discover the loss.
@@ -131,7 +131,7 @@ TEST(FailureInjection, RegulateForUnknownVcIsIgnored) {
   auto& llo = w.ws->llo;
   llo.orch_request(1, {w.stream->orch_spec().vc}, nullptr);
   w.p->run_until(kSecond);
-  llo.regulate(1, 0xdead, 10, 2, 100 * kMillisecond, 1, true);
+  llo.regulate(1, 0xdead, 10, 2, 100 * kMillisecond, 1);
   llo.register_event(1, 0xdead, 42);
   llo.delayed(1, 0xdead, true, 5);
   w.p->run_until(w.p->scheduler().now() + kSecond);  // no crash, no effect

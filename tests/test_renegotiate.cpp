@@ -310,6 +310,30 @@ TEST(RenegotiateLoss, LostRncGetsTheAcceptanceResent) {
   EXPECT_TRUE(w.src_user->disconnects.empty());
 }
 
+TEST(RenegotiateLoss, SinkRequestWithLostRncAsksTheSourceOnce) {
+  // The source accepts a sink's request but its RNC is lost.  A sink's RN
+  // carries no contract, so the source recognises the retransmission by
+  // the request it accepted and resends the acceptance instead of asking
+  // its user, and running admission, a second time.
+  RenegWorld w;
+  auto* back = w.star.platform.network().link(w.h0->id, w.star.hub->id);
+  ASSERT_NE(back, nullptr);
+  back->set_loss_rate(1.0);
+  w.h1->entity.t_renegotiate_request(w.vc, w.tol(20.0, 2048));
+  w.star.platform.run_until(w.star.platform.scheduler().now() + 100 * kMillisecond);
+  ASSERT_EQ(w.src_user->reneg_indications.size(), 1u);
+  EXPECT_TRUE(w.dst_user->reneg_confirms.empty());
+  back->set_loss_rate(0.0);
+  w.star.platform.run_until(w.star.platform.scheduler().now() + 2 * kSecond);
+
+  EXPECT_EQ(w.src_user->reneg_indications.size(), 1u);
+  ASSERT_EQ(w.dst_user->reneg_confirms.size(), 1u);
+  EXPECT_TRUE(w.dst_user->reneg_confirms[0].first);
+  EXPECT_NEAR(w.h0->entity.source(w.vc)->agreed_qos().osdu_rate, 20.0, 1e-9);
+  EXPECT_NEAR(w.h1->entity.sink(w.vc)->agreed_qos().osdu_rate, 20.0, 1e-9);
+  EXPECT_TRUE(w.dst_user->disconnects.empty());
+}
+
 TEST(Renegotiate, SinkInitiatedRefusedAtAdmissionKeepsTheVc) {
   // The source entity owns the reservation, so it runs admission for a
   // sink-initiated request too; a refusal there fails the request at the

@@ -170,9 +170,9 @@ TEST(WireTotality, OpduEveryType) {
   static constexpr OpduType kTypes[] = {
       OpduType::kSessReq, OpduType::kSessAck, OpduType::kSessRel, OpduType::kPrime,
       OpduType::kPrimeAck, OpduType::kPrimed, OpduType::kStart, OpduType::kStartAck,
-      OpduType::kStop, OpduType::kStopAck, OpduType::kAdd, OpduType::kAddAck,
-      OpduType::kRemove, OpduType::kRemoveAck, OpduType::kRegulateSink,
-      OpduType::kRegulateSrc, OpduType::kDrop, OpduType::kRegInd, OpduType::kSrcStats,
+      OpduType::kStop, OpduType::kStopAck, OpduType::kAdd, OpduType::kRemove,
+      OpduType::kRemoveAck, OpduType::kRegulateSink, OpduType::kRegulateSrc,
+      OpduType::kDrop, OpduType::kRegInd, OpduType::kSrcStats,
       OpduType::kEventReg, OpduType::kEventInd, OpduType::kDelayed, OpduType::kDelayedAck,
       OpduType::kVcDead, OpduType::kTimeReq, OpduType::kTimeResp, OpduType::kEpochNack};
   for (const auto type : kTypes) {

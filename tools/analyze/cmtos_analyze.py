@@ -113,6 +113,15 @@ Checks
                         kHandshakeRetries use anywhere else is a retransmit
                         loop written out by hand, the copy that drifts.
                         Their own declarations and definitions pass.
+  opdu-construction     In src/orch/, an OPDU is built by one of two helpers:
+                        Opdu::command stamps an orchestrating->endpoint OPDU
+                        (type, session, vc, orch_node, epoch), Opdu::reply
+                        an endpoint's reply or report.  A `.type =
+                        OpduType::...` assignment anywhere else is an OPDU
+                        stamped field by field, the copy that forgets the
+                        epoch or the reply address.  The clock-sync probe
+                        (Llo::estimate_clock_offset, Llo::handle_time_req)
+                        carries no session and passes.
   layering              The src/ layers include only downward: an
                         `#include "<dir>/..."` in src/<layer>/ may name its
                         own layer or a library its CMake target links,
@@ -180,6 +189,7 @@ CHECKS = (
     "hot-path-map",
     "endpoint-teardown",
     "handshake-retransmit",
+    "opdu-construction",
     "layering",
 )
 
@@ -1235,6 +1245,35 @@ def check_handshake_retransmit(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
+ORCH_DIR_RE = re.compile(r"(^|/)src/orch/")
+OPDU_TYPE_STAMP_RE = re.compile(r"\.\s*type\s*=(?!=)\s*OpduType\s*::")
+OPDU_BUILDERS = (
+    "Opdu::command",
+    "Opdu::reply",
+    "Llo::estimate_clock_offset",
+    "Llo::handle_time_req",
+)
+
+
+def check_opdu_construction(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags OPDU types stamped by hand in src/orch/ outside the two OPDU
+    builders and the clock-sync probe."""
+    if not ORCH_DIR_RE.search(sf.rel):
+        return []
+    out = []
+    for m in OPDU_TYPE_STAMP_RE.finditer(sf.code):
+        fn = enclosing_function(sf, m.start())
+        if fn in OPDU_BUILDERS:
+            continue
+        out.append(Finding(
+            sf.rel, sf.line_of(m.start()), "opdu-construction",
+            f"OPDU type stamped by hand in {fn or 'namespace scope'}: build "
+            "orchestrating->endpoint OPDUs with Opdu::command and endpoint "
+            "replies and reports with Opdu::reply; an OPDU written out field "
+            "by field is the copy that drifts"))
+    return out
+
+
 LINK_RE = re.compile(r"target_link_libraries\s*\(\s*cmtos_(\w+)([^)]*)\)")
 INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"/\n]+)/[^"\n]*"', re.M)
 LAYER_DIR_RE = re.compile(r"(?:^|/)src/(\w+)/")
@@ -1298,6 +1337,7 @@ ALL_CHECKS = (
     check_hot_path_map,
     check_endpoint_teardown,
     check_handshake_retransmit,
+    check_opdu_construction,
     check_layering,
 )
 
@@ -1616,6 +1656,43 @@ void Llo::retry() {
 }
 """
 
+OC_PROBE = """\
+#include "orch/opdu.h"
+Opdu Opdu::command(OpduType type, OrchSessionId session, VcId vc, NodeId orch, std::uint32_t e) {
+  Opdu o;
+  o.type = OpduType::kSessReq;
+  return o;
+}
+void SessionTable::release(OrchSessionId s) {
+  Opdu o;
+  o.type = OpduType::kSessRel;
+  if (o.type == OpduType::kSessRel) send(o);
+}
+void RegulationEngine::handle_prime(const Opdu& o) {
+  auto report = [&] { Opdu p; p .type =
+      OpduType::kPrimed; };
+  Opdu ack = Opdu::reply(OpduType::kPrimeAck, o.session, o.vc, node_);
+}
+void Llo::handle_time_req(const Opdu& o) {
+  Opdu resp;
+  resp.type = OpduType::kTimeResp;
+  Opdu nack;
+  nack.type = OpduType::kEpochNack;  // cmtos-analyze: allow(opdu-construction)
+}
+"""
+OC_EXPECT = {
+    (9, "opdu-construction"),   # an OPDU built field by field
+    (13, "opdu-construction"),  # inside a lambda: the enclosing function counts
+}
+
+# Outside src/orch the same assignment is a test or bench building a probe.
+OC_PASS_PROBE = """\
+void build_probe() {
+  Opdu o;
+  o.type = OpduType::kRegInd;
+}
+"""
+
 LY_PROBE = """\
 #include <map>
 #include "net/packet.h"
@@ -1654,6 +1731,8 @@ PROBES = (
     ("src/net/probe_release.cpp", ET_NET_PROBE, set()),
     ("src/transport/probe_handshake.h", HS_PROBE, HS_EXPECT),
     ("src/orch/probe_handshake.cpp", HS_PASS_PROBE, set()),
+    ("src/orch/probe_opdu.cpp", OC_PROBE, OC_EXPECT),
+    ("src/transport/probe_opdu.cpp", OC_PASS_PROBE, set()),
     ("src/transport/probe_layering.h", LY_PROBE, LY_EXPECT),
     ("src/orch/probe_layering.h", LY_PASS_PROBE, set()),
 )
