@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -86,17 +86,11 @@ void Link::start_serialising() {
 }
 
 void Link::finish_serialising() {
-  // Pop the frames that were committed to the wire at start time (a
-  // higher-priority arrival during serialisation must not be mistaken for
-  // them — it merely wins the *next* serialisation slot).
-  const auto band = static_cast<std::size_t>(serialising_band_);
+  // The frames committed to the wire at start time are the first `count`
+  // of their band (a higher-priority arrival during serialisation must not
+  // be mistaken for them — it merely wins the *next* serialisation slot).
+  auto& q = queues_[static_cast<std::size_t>(serialising_band_)];
   const auto count = static_cast<std::size_t>(serialising_count_);
-  auto& q = queues_[band];
-  std::deque<Packet> committed;
-  for (std::size_t i = 0; i < count; ++i) {
-    committed.push_back(std::move(q.front()));
-    q.pop_front();
-  }
   serialising_ = false;
   serialising_band_ = -1;
   serialising_count_ = 0;
@@ -104,15 +98,18 @@ void Link::finish_serialising() {
   // Frames finishing serialisation on a link that went down mid-transfer
   // are cut off: they never reach the far end.
   if (!up_) {
-    stats_.dropped_down += static_cast<std::int64_t>(committed.size());
+    stats_.dropped_down += static_cast<std::int64_t>(count);
+    for (std::size_t i = 0; i < count; ++i) q.pop_front();
     if (first_nonempty_band() >= 0) start_serialising();
     return;
   }
 
   // Loss and bit-error draws are per packet, in wire order, whether or not
-  // the episode was batched.
-  std::deque<Packet> survivors;
-  for (auto& p : committed) {
+  // the episode was batched.  Survivors leave the band queue for the
+  // vector their delivery event will carry.
+  std::vector<Packet> survivors = take_packet_vector(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    Packet& p = q.front();
     ++stats_.packets_sent;
     stats_.bytes_sent += static_cast<std::int64_t>(p.wire_size());
 
@@ -131,16 +128,19 @@ void Link::finish_serialising() {
 
     if (lost) {
       ++stats_.dropped_loss;
-      continue;
+    } else {
+      impair(p);
+      survivors.push_back(std::move(p));
     }
-    impair(p);
-    survivors.push_back(std::move(p));
+    q.pop_front();
   }
 
-  if (count == 1) {
+  if (survivors.empty()) {
+    give_packet_vector(std::move(survivors));
+  } else if (count == 1) {
     // Legacy path: per-packet jitter draw, per-packet delivery event.
-    if (!survivors.empty()) propagate(std::move(survivors.front()));
-  } else if (!survivors.empty()) {
+    propagate(std::move(survivors));
+  } else {
     propagate_batch(std::move(survivors));
   }
 
@@ -196,7 +196,7 @@ void Link::impair(Packet& p) {
   }
 }
 
-void Link::propagate(Packet&& p) {
+void Link::propagate(std::vector<Packet>&& one) {
   Duration delay = cfg_.propagation_delay;
   if (cfg_.jitter > 0) delay += rng_.uniform(0, cfg_.jitter);
   // Reordering: hold this packet back by an extra bounded delay so packets
@@ -221,30 +221,20 @@ void Link::propagate(Packet&& p) {
   // only when this hop terminates the packet and its handler touches
   // shared state (Packet::global_delivery).  Transit hops merely enqueue
   // on the next link, which is local to the receiving shard.
+  const Packet& p = one.front();
   const bool global = p.global_delivery && p.dst == to_;
   const Time when = from_rt_.now() + delay;
-  const auto schedule = [this, global](Time at, Packet&& pkt) {
-    auto shared = std::make_shared<Packet>(std::move(pkt));
-    auto fn = [this, shared]() mutable {
-      ++shared->hops;
-      if (deliver_) deliver_(std::move(*shared));
-    };
-    if (global) {
-      (void)to_rt_.at_global(at, std::move(fn));
-    } else {
-      (void)to_rt_.at(at, std::move(fn));
-    }
-  };
   if (dup_delay) {
-    Packet copy = p;
-    schedule(when, std::move(p));
-    schedule(from_rt_.now() + *dup_delay, std::move(copy));
+    std::vector<Packet> copy = take_packet_vector(1);
+    copy.push_back(p);
+    deliver_at(when, global, std::move(one));
+    deliver_at(from_rt_.now() + *dup_delay, global, std::move(copy));
   } else {
-    schedule(when, std::move(p));
+    deliver_at(when, global, std::move(one));
   }
 }
 
-void Link::propagate_batch(std::deque<Packet>&& batch) {
+void Link::propagate_batch(std::vector<Packet>&& batch) {
   Duration delay = cfg_.propagation_delay;
   if (cfg_.jitter > 0) delay += rng_.uniform(0, cfg_.jitter);
   // Duplication inside a batch: the copy rides the same delivery event,
@@ -252,26 +242,39 @@ void Link::propagate_batch(std::deque<Packet>&& batch) {
   // batch — a batch is one serialisation episode, so its members share one
   // wire interval by construction.
   if (cfg_.dup_rate > 0) {
-    for (auto it = batch.begin(); it != batch.end(); ++it) {
-      if (rng_.bernoulli(cfg_.dup_rate)) {
+    std::vector<Packet> with_dups = take_packet_vector(batch.size() * 2);
+    for (auto& p : batch) {
+      const bool dup = rng_.bernoulli(cfg_.dup_rate);
+      with_dups.push_back(std::move(p));
+      if (dup) {
         ++stats_.duplicated;
-        Packet copy = *it;  // copy first: insert shifts the referenced slot
-        it = batch.insert(std::next(it), std::move(copy));
+        with_dups.push_back(with_dups.back());
       }
     }
+    give_packet_vector(std::exchange(batch, std::move(with_dups)));
   }
   // One delivery event hands the whole surviving batch to the receiving
   // shard in wire order.  Every member was checked batch-eligible at
   // commit time (media priority, shard-local terminal delivery), so the
   // event never needs a serial round.
-  const Time when = from_rt_.now() + delay;
-  auto shared = std::make_shared<std::deque<Packet>>(std::move(batch));
-  (void)to_rt_.at(when, [this, shared]() mutable {
-    for (auto& p : *shared) {
+  deliver_at(from_rt_.now() + delay, false, std::move(batch));
+}
+
+void Link::deliver_at(Time at, bool global, std::vector<Packet>&& pkts) {
+  // The vector itself is the event's capture (no box around it), and goes
+  // back to the spare-vector cache once its packets are handed on.
+  auto fn = [this, pkts = std::move(pkts)]() mutable {
+    for (auto& p : pkts) {
       ++p.hops;
       if (deliver_) deliver_(std::move(p));
     }
-  });
+    give_packet_vector(std::move(pkts));
+  };
+  if (global) {
+    (void)to_rt_.at_global(at, std::move(fn));
+  } else {
+    (void)to_rt_.at(at, std::move(fn));
+  }
 }
 
 }  // namespace cmtos::net

@@ -15,12 +15,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/node_runtime.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -163,10 +164,15 @@ class Link {
   /// Applies the byzantine impairments to a committed packet in wire
   /// order: bit flips (bit_error_rate), then truncation (truncate_rate).
   void impair(Packet& p);
-  void propagate(Packet&& p);
+  /// Delivers one surviving packet (a one-element vector) with its own
+  /// jitter, reorder and duplication draws.
+  void propagate(std::vector<Packet>&& one);
   /// Delivers a whole surviving media batch with one event (propagation +
   /// one jitter draw); every member is handed to deliver_ in wire order.
-  void propagate_batch(std::deque<Packet>&& batch);
+  void propagate_batch(std::vector<Packet>&& batch);
+  /// Schedules the delivery event that hands `pkts` to deliver_ in order
+  /// at the receiving node.
+  void deliver_at(Time at, bool global, std::vector<Packet>&& pkts);
 
   /// Highest-priority nonempty band, or -1.
   int first_nonempty_band() const;
@@ -178,7 +184,9 @@ class Link {
   NodeId from_, to_;
   DeliverFn deliver_;
   std::function<void()> retune_;
-  std::array<std::deque<Packet>, kPriorityBands> queues_;
+  // One FIFO per band.  They keep their capacity, so a link in steady state
+  // queues without allocating.
+  std::array<RingDeque<Packet>, kPriorityBands> queues_;
   bool serialising_ = false;
   int serialising_band_ = -1;   // band of the frame(s) currently on the wire
   int serialising_count_ = 0;   // committed packets in this episode (>1 only

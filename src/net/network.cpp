@@ -131,22 +131,16 @@ void Network::send(Packet&& pkt) {
   sim::NodeRuntime& src_rt = nodes_.at(pkt.src)->runtime();
   const bool global = pkt.global_delivery && pkt.src == pkt.dst;
   const Time when = pkt.injected_at;
-  auto shared = std::make_shared<Packet>(std::move(pkt));
-  auto fn = [this, shared]() mutable {
-    const NodeId at = shared->src;
-    forward(std::move(*shared), at);
-  };
-  if (global) {
-    (void)src_rt.at_global(when, std::move(fn));
-  } else {
-    (void)src_rt.at(when, std::move(fn));
-  }
+  std::vector<Packet> one = take_packet_vector(1);
+  one.push_back(std::move(pkt));
+  inject(src_rt, when, global, std::move(one));
 }
 
 void Network::send(std::vector<Packet>&& burst) {
   if (burst.empty()) return;
   if (burst.size() == 1) {
     send(std::move(burst.front()));
+    give_packet_vector(std::move(burst));
     return;
   }
   CMTOS_ASSERT(routes_valid_, "net.routes_stale");
@@ -160,6 +154,7 @@ void Network::send(std::vector<Packet>&& burst) {
     // A loopback global delivery cannot share the burst's local injection
     // event; this is not a data-plane shape, so take the slow path whole.
     for (auto& pkt : burst) send(std::move(pkt));
+    give_packet_vector(std::move(burst));
     return;
   }
   // Stamping is identical to send(): one id per packet from the calling
@@ -173,14 +168,26 @@ void Network::send(std::vector<Packet>&& burst) {
     pkt.injected_at = when;
     pkt.id = id_rt.next_node_unique_id();
   }
-  sim::NodeRuntime& src_rt = nodes_.at(src)->runtime();
-  auto shared = std::make_shared<std::vector<Packet>>(std::move(burst));
-  (void)src_rt.at(when, [this, shared]() mutable {
-    for (auto& pkt : *shared) {
+  inject(nodes_.at(src)->runtime(), when, false, std::move(burst));
+}
+
+void Network::inject(sim::NodeRuntime& src_rt, Time when, bool global,
+                     std::vector<Packet>&& pkts) {
+  // The vector itself is the injection event's capture (no box around
+  // it), and goes back to the spare-vector cache once its packets are
+  // forwarded.
+  auto fn = [this, pkts = std::move(pkts)]() mutable {
+    for (auto& pkt : pkts) {
       const NodeId at = pkt.src;
       forward(std::move(pkt), at);
     }
-  });
+    give_packet_vector(std::move(pkts));
+  };
+  if (global) {
+    (void)src_rt.at_global(when, std::move(fn));
+  } else {
+    (void)src_rt.at(when, std::move(fn));
+  }
 }
 
 void Network::forward(Packet&& pkt, NodeId at) {

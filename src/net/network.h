@@ -158,6 +158,9 @@ class Network {
   };
   using ResvTable = SlotTable<Reservation>;
 
+  /// Schedules the injection event that forwards `pkts` in order from
+  /// their source node.
+  void inject(sim::NodeRuntime& src_rt, Time when, bool global, std::vector<Packet>&& pkts);
   void forward(Packet&& pkt, NodeId at);
   Reservation* resv(ReservationId id) {
     return id == kNoReservation ? nullptr : reservations_.get(ResvTable::Handle::unpack(id));

@@ -219,6 +219,9 @@ void SessionTable::run_op(OrchSessionId s, OpduType type, std::uint8_t flags,
   set_phase(s, *sess, shape.attempt);
 
   for (const auto& i : targets) send_to_both_ends(s, type, flags, i);
+  // A group whose every member died (kVcDead) has no ack to wait for: the
+  // op concludes now instead of at its timeout.
+  if (targets.empty()) finish_op(s, *sess);
 }
 
 void SessionTable::regulate(OrchSessionId s, VcId vc, std::int64_t target_seq,

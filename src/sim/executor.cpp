@@ -199,7 +199,7 @@ void Executor::work_round() {
 }
 
 void Executor::drain_outboxes() {
-  std::vector<NodeRuntime::Deferred> all;
+  auto& all = drained_;
   for (auto& s : shards_) {
     if (s->outbox_.empty()) continue;
     for (auto& d : s->outbox_) all.push_back(std::move(d));
@@ -220,6 +220,7 @@ void Executor::drain_outboxes() {
     const Time t = std::max(d.time, d.target->now());
     (void)d.target->insert_direct(t, std::move(d.fn), d.global);
   }
+  all.clear();
 }
 
 void Executor::start_workers(unsigned n) {

@@ -117,6 +117,8 @@ class Executor {
   std::uint64_t serial_rounds_ = 0;
   std::uint64_t parallel_rounds_ = 0;
   std::vector<std::unique_ptr<NodeRuntime>> shards_;
+  // drain_outboxes' merge buffer; it keeps its capacity across rounds.
+  std::vector<NodeRuntime::Deferred> drained_;
 
   // Worker pool (threads_ - 1 workers; the calling thread participates).
   // Handoff is spin-then-block: rounds are often far shorter than a futex

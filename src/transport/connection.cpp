@@ -42,6 +42,9 @@ constexpr std::size_t kMaxTpduPayload = 1400;
 /// NAK retry interval and cap (error-correction class).
 constexpr Duration kNakRetryAfter = 60 * kMillisecond;
 constexpr int kNakMaxTries = 3;
+/// Up-front reservation cap for a paced burst's packet vector; a larger
+/// pacing_burst grows the vector as it fills.
+constexpr std::uint32_t kBurstReserveMax = 64;
 }  // namespace
 
 Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
@@ -362,8 +365,11 @@ void Connection::pacer_tick() {
   // pacer then sleeps the sum of their per-TPDU intervals, so the average
   // rate is exactly the burst-1 schedule's.
   const std::uint32_t burst_max = std::max<std::uint16_t>(1, request_.pacing_burst);
+  // The staged burst becomes the network's injection event; its vector is
+  // sized once, from the network's spare-vector cache.
   std::vector<net::Packet> burst;
   auto* staging = burst_max > 1 ? &burst : nullptr;
+  if (staging != nullptr) burst = net::take_packet_vector(std::min(burst_max, kBurstReserveMax));
   Duration sleep = 0;
   std::uint32_t sent = 0;
   while (sent < burst_max) {
@@ -376,7 +382,11 @@ void Connection::pacer_tick() {
     send_data_tpdu(std::move(dt), retrans, staging);
     ++sent;
   }
-  if (staging != nullptr && !staging->empty()) entity_.send_dt_burst(std::move(burst));
+  if (!burst.empty()) {
+    entity_.send_dt_burst(std::move(burst));
+  } else if (staging != nullptr) {
+    net::give_packet_vector(std::move(burst));
+  }
   if (sent == 0) return;  // woken by data_available
   schedule_pacer(sleep);
 }
@@ -614,6 +624,7 @@ void Connection::handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes) {
   Partial& p = partials_[useq];
   if (p.frag_count == 0) {
     p.frag_count = dt.frag_count;
+    p.frags = std::move(spare_frags_);  // the last completed OSDU's slots
     p.frags.resize(dt.frag_count);
     p.event = dt.event;
     p.src_timestamp = dt.src_timestamp;
@@ -689,6 +700,8 @@ void Connection::complete_osdu(std::int64_t osdu_seq) {
   if (completed_.empty()) last_hole_progress_ = sched_.now();
   completed_.emplace(osdu_seq, std::move(osdu));
   deliver_ready();
+  p.frags.clear();
+  spare_frags_ = std::move(p.frags);
 }
 
 void Connection::deliver_ready() {

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -42,6 +41,7 @@
 #include "transport/service.h"
 #include "transport/stream_buffer.h"
 #include "transport/tpdu.h"
+#include "util/ring_deque.h"
 #include "util/thread_annotations.h"
 
 namespace cmtos::transport {
@@ -305,7 +305,7 @@ class CMTOS_SHARD_AFFINE Connection {
   bool pacer_armed_ = false;
   std::uint32_t next_osdu_seq_ = 0;     // stamped on submit()
   std::uint32_t next_tpdu_seq_ = 0;
-  std::deque<DataTpdu> txq_;            // fragments awaiting (re)transmission
+  RingDeque<DataTpdu> txq_;             // fragments awaiting (re)transmission
   // Pruned in seq order by cumulative acks (lower_bound walks); ordered.
   std::map<std::uint32_t, DataTpdu> retain_;  // sent TPDUs kept for NAK service  // cmtos-analyze: allow(hot-path-map)
   std::size_t retain_limit_ = 512;
@@ -334,7 +334,8 @@ class CMTOS_SHARD_AFFINE Connection {
   // In-order delivery drains these smallest-seq-first; ordered by design.
   std::map<std::int64_t, Partial> partials_;   // unwrapped osdu_seq -> partial  // cmtos-analyze: allow(hot-path-map)
   std::map<std::int64_t, Osdu> completed_;     // awaiting in-order delivery  // cmtos-analyze: allow(hot-path-map)
-  std::deque<Osdu> delivery_queue_;                 // ready, waiting for ring space
+  std::vector<PayloadView> spare_frags_;  // a completed Partial's frags, kept for its capacity
+  RingDeque<Osdu> delivery_queue_;                  // ready, waiting for ring space
   std::int64_t next_deliver_seq_ = 0;               // next expected OSDU seq
   std::int64_t last_delivered_seq_ = -1;
   std::int64_t highest_completed_seq_ = -1;

@@ -177,19 +177,6 @@ std::optional<ControlTpdu> ControlTpdu::decode(std::span<const std::uint8_t> wir
 namespace {
 
 // DataTpdu header fields, in wire order.
-void write_dt_header(ByteWriter& w, const DataTpdu& t) {
-  w.u8(wire_enum(TpduType::kDT));
-  w.u64(t.vc);
-  w.u32(t.tpdu_seq);
-  w.u32(t.osdu_seq);
-  w.u64(t.event);
-  w.u16(t.frag_index);
-  w.u16(t.frag_count);
-  w.u8(t.flags);
-  w.i64(t.src_timestamp);
-  w.i64(t.true_submit);
-}
-
 bool read_dt_header(ByteReader& r, DataTpdu& t) {
   if (static_cast<TpduType>(r.u8()) != TpduType::kDT) return false;
   t.vc = r.u64();
@@ -207,18 +194,34 @@ bool read_dt_header(ByteReader& r, DataTpdu& t) {
 }  // namespace
 
 void DataTpdu::encode_onto(net::Packet& pkt) const {
-  pkt.payload.clear();
-  pkt.payload.reserve(kDtPacketHeaderBytes);
-  ByteWriter w(pkt.payload);
-  write_dt_header(w, *this);
+  // The header is fixed-size, so it is written in place into the packet's
+  // inline area: no allocation, no per-byte append.  The field order and
+  // widths are read_dt_header's, little-endian.
+  const std::span<std::uint8_t> out = pkt.payload.overwrite_inline(kDtPacketHeaderBytes);
+  std::uint8_t* p = out.data();
+  const auto put = [&p](std::uint64_t v, std::size_t n) {
+    // Byte extraction, truncation intended.  cmtos-lint: allow(narrowing-in-codec)
+    for (std::size_t i = 0; i < n; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put(wire_enum(TpduType::kDT), 1);
+  put(vc, 8);
+  put(tpdu_seq, 4);
+  put(osdu_seq, 4);
+  put(event, 8);
+  put(frag_index, 2);
+  put(frag_count, 2);
+  put(flags, 1);
+  put(static_cast<std::uint64_t>(src_timestamp), 8);
+  put(static_cast<std::uint64_t>(true_submit), 8);
   // Payload length and the frame-body CRC ride in the header; the bytes
   // themselves ride as a refcounted view.  The trailing CRC covers the
   // header (including the frame CRC field), so header bit flips, frame
   // truncation (length mismatch) and frame-body flips are all caught
   // without ever copying the frame into the wire image.
-  w.u32(narrow<std::uint32_t>(payload.size()));
-  w.u32(crc32(std::span<const std::uint8_t>(payload.data(), payload.size())));
-  w.u32(crc32(pkt.payload));
+  put(narrow<std::uint32_t>(payload.size()), 4);
+  put(crc32(std::span<const std::uint8_t>(payload.data(), payload.size())), 4);
+  put(crc32(out.first(kDtPacketHeaderBytes - 4)), 4);
+  CMTOS_DCHECK(p == out.data() + out.size());
   pkt.frame = payload;
 }
 

@@ -100,9 +100,10 @@ enum DtFlags : std::uint8_t {
 
 /// Bytes DataTpdu::encode_onto writes into pkt.payload: the DT header
 /// fields (46), the payload length (4), the frame-body CRC (4) and the
-/// header CRC trailer (4).  The encoder reserves exactly this much, so each
-/// DT header costs one allocation instead of a doubling sequence.
+/// header CRC trailer (4).  It fits the packet's inline byte area, so the
+/// encoder writes it in place and a DT header costs no allocation.
 inline constexpr std::size_t kDtPacketHeaderBytes = 58;
+static_assert(kDtPacketHeaderBytes <= net::PacketBytes::kInlineBytes);
 
 /// Data TPDU: one fragment of one OSDU.
 struct DataTpdu {
@@ -124,9 +125,10 @@ struct DataTpdu {
   PayloadView payload;
 
   /// Zero-copy packet encoding (two-world split): the serialized header
-  /// (fields + payload length + frame-body CRC + CRC over the header) goes
-  /// into pkt.payload; the fragment rides as pkt.frame, a refcounted view —
-  /// no media byte is copied.
+  /// (fields + payload length + frame-body CRC + CRC over the header) is
+  /// written into pkt.payload's inline area; the fragment rides as
+  /// pkt.frame, a refcounted view — no media byte is copied and nothing is
+  /// allocated.
   void encode_onto(net::Packet& pkt) const;
 
   /// Inverse of encode_onto: verifies the header CRC, the payload length

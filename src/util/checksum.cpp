@@ -12,12 +12,15 @@
 //    Portable and endian-safe (bytes are assembled little-endian by hand),
 //    it runs the whole input on targets without carry-less multiply and the
 //    last < 16 bytes everywhere.
-//  * PCLMULQDQ folding (x86-64, chosen once at first call from CPUID): four
-//    128-bit lanes fold 64 bytes per step, then collapse to 128 bits, fold
-//    16-byte blocks and Barrett-reduce to the 32-bit register.  Constants
-//    and structure follow Gopal et al., "Fast CRC Computation for Generic
-//    Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in the
-//    bit-reflected form zlib/Chromium's crc32_simd uses.
+//  * PCLMULQDQ folding (x86-64, chosen once at first call from CPUID) for
+//    every input of 16 bytes or more: from 64 bytes up, four 128-bit lanes
+//    fold 64 bytes per step and collapse to one; below that (a 54-byte DT
+//    header, a short control PDU) the single lane starts at once.  The lane
+//    then folds the remaining 16-byte blocks and Barrett-reduces to the
+//    32-bit register.  Constants and structure follow Gopal et al., "Fast
+//    CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+//    (Intel, 2009), in the bit-reflected form zlib/Chromium's crc32_simd
+//    uses.
 //
 // Both kernels advance the same pre-/post-inverted register, so chaining
 // (`seed` = a previous result) and every encoded byte are unchanged.
@@ -66,8 +69,8 @@ std::uint32_t crc_slice8(std::uint32_t c, const std::uint8_t* p, std::size_t n) 
 
 #if defined(__x86_64__)
 
-/// Smallest input the folding kernel accepts (one 64-byte block).
-constexpr std::size_t kFoldMin = 64;
+/// Smallest input the folding kernel accepts (one 16-byte block).
+constexpr std::size_t kFoldMin = 16;
 
 // Intrinsics inline only into functions compiled for their ISA, so the
 // helpers carry the folding function's target attribute too.
@@ -85,7 +88,7 @@ CMTOS_CLMUL_TARGET inline __m128i fold(__m128i x, __m128i k, __m128i next) {
   return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
 }
 
-// Advances the (inverted) register `c` over n bytes at p; n >= 64 and a
+// Advances the (inverted) register `c` over n bytes at p; n >= 16 and a
 // multiple of 16.
 CMTOS_CLMUL_TARGET std::uint32_t crc_fold(std::uint32_t c, const std::uint8_t* p,
                                           std::size_t n) {
@@ -96,22 +99,26 @@ CMTOS_CLMUL_TARGET std::uint32_t crc_fold(std::uint32_t c, const std::uint8_t* p
   const __m128i mask32 = _mm_setr_epi32(-1, 0, -1, 0);
 
   __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
-  __m128i x2 = load(p + 16);
-  __m128i x3 = load(p + 32);
-  __m128i x4 = load(p + 48);
-  p += 64;
-  n -= 64;
+  p += 16;
+  n -= 16;
 
-  for (; n >= 64; p += 64, n -= 64) {
-    x1 = fold(x1, k1k2, load(p));
-    x2 = fold(x2, k1k2, load(p + 16));
-    x3 = fold(x3, k1k2, load(p + 32));
-    x4 = fold(x4, k1k2, load(p + 48));
+  if (n >= 48) {
+    // Four lanes while a whole 64-byte block remains, then collapse.
+    __m128i x2 = load(p);
+    __m128i x3 = load(p + 16);
+    __m128i x4 = load(p + 32);
+    p += 48;
+    n -= 48;
+    for (; n >= 64; p += 64, n -= 64) {
+      x1 = fold(x1, k1k2, load(p));
+      x2 = fold(x2, k1k2, load(p + 16));
+      x3 = fold(x3, k1k2, load(p + 32));
+      x4 = fold(x4, k1k2, load(p + 48));
+    }
+    x1 = fold(x1, k3k4, x2);
+    x1 = fold(x1, k3k4, x3);
+    x1 = fold(x1, k3k4, x4);
   }
-
-  x1 = fold(x1, k3k4, x2);
-  x1 = fold(x1, k3k4, x3);
-  x1 = fold(x1, k3k4, x4);
   for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load(p));
 
   // 128 -> 64 bits.

@@ -64,7 +64,7 @@ using cmtos::transport::kDtPacketHeaderBytes;
 Bytes dt_wire(const DataTpdu& t) {
   cmtos::net::Packet pkt;
   t.encode_onto(pkt);
-  Bytes out = pkt.payload;
+  Bytes out(pkt.payload.begin(), pkt.payload.end());
   out.insert(out.end(), pkt.frame.data(), pkt.frame.data() + pkt.frame.size());
   return out;
 }

@@ -170,8 +170,9 @@ TEST(Byzantine, QuarantineEscalatesToPeerMisbehavingTeardown) {
     pkt.dst = w.a->id;
     pkt.proto = net::Proto::kTransportControl;
     pkt.priority = net::Priority::kControl;
-    pkt.payload = {tag, 0xde, 0xad, 0xbe, 0xef};
-    append_crc32(pkt.payload);
+    std::vector<std::uint8_t> body{tag, 0xde, 0xad, 0xbe, 0xef};
+    append_crc32(body);
+    pkt.payload = std::move(body);
     return pkt;
   };
   for (int i = 0; i < 20; ++i) w.platform.network().send(garbage(99));
@@ -204,8 +205,9 @@ TEST(Byzantine, FewMalformedPdusDoNotEscalate) {
     pkt.dst = w.a->id;
     pkt.proto = net::Proto::kTransportControl;
     pkt.priority = net::Priority::kControl;
-    pkt.payload = {99, 1, 2, 3};
-    append_crc32(pkt.payload);
+    std::vector<std::uint8_t> body{99, 1, 2, 3};
+    append_crc32(body);
+    pkt.payload = std::move(body);
     return pkt;
   };
   for (int i = 0; i < 5; ++i) w.platform.network().send(garbage());
@@ -272,6 +274,105 @@ TEST(Byzantine, SingleBitFlipInEveryFrameLaneIsRefused) {
     EXPECT_FALSE(transport::DataTpdu::decode_packet(pkt, &fault).has_value())
         << "flip at byte " << at << " accepted";
     EXPECT_EQ(fault, WireFault::kChecksum) << "flip at byte " << at;
+  }
+}
+
+// The DT header lives in the packet's inline byte area; the link's bit
+// flips and truncations must reach those bytes exactly as they reach a
+// heap-held control PDU, and the receiver must refuse every damaged one.
+struct DtLink {
+  explicit DtLink(const net::LinkConfig& cfg) {
+    a = net.add_node("a");
+    b = net.add_node("b");
+    net.add_link(a, b, cfg);
+    net.finalize_routes();
+    net.node(b).set_handler(net::Proto::kTransportData,
+                            [this](net::Packet&& p) { got.push_back(std::move(p)); });
+  }
+  net::Packet packet(std::uint32_t seq, std::size_t frame_bytes) const {
+    transport::DataTpdu dt;
+    dt.vc = 42;
+    dt.tpdu_seq = seq;
+    dt.osdu_seq = seq;
+    dt.payload = PayloadView::adopt(std::vector<std::uint8_t>(frame_bytes, 0x5a));
+    net::Packet pkt;
+    pkt.src = a;
+    pkt.dst = b;
+    dt.encode_onto(pkt);
+    return pkt;
+  }
+  sim::Scheduler sched;
+  net::Network net{sched, Rng(5)};
+  net::NodeId a = net::kInvalidNode, b = net::kInvalidNode;
+  std::vector<net::Packet> got;
+};
+
+TEST(Byzantine, BitFlipsInAnInlineDtHeaderAreRefused) {
+  net::LinkConfig cfg;
+  cfg.bit_error_rate = 2e-3;  // a 90-byte wire image: about 3 in 4 packets damaged
+  cfg.queue_limit_packets = 1000;
+  DtLink w(cfg);
+  // No frame: every flip lands in the 58 header bytes.
+  for (std::uint32_t i = 0; i < 400; ++i) w.net.send(w.packet(i, 0));
+  w.sched.run();
+  ASSERT_EQ(w.got.size(), 400u);
+  std::int64_t refused = 0;
+  for (const auto& p : w.got) {
+    ASSERT_EQ(p.payload.size(), transport::kDtPacketHeaderBytes);
+    WireFault fault = WireFault::kNone;
+    if (!transport::DataTpdu::decode_packet(p, &fault)) {
+      EXPECT_EQ(fault, WireFault::kChecksum);
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_EQ(refused, w.net.link(w.a, w.b)->stats().corrupted);
+}
+
+TEST(Byzantine, TruncatedInlineDtHeaderOrFrameIsRefused) {
+  net::LinkConfig cfg;
+  cfg.truncate_rate = 1.0;
+  cfg.queue_limit_packets = 1000;
+  DtLink w(cfg);
+  for (std::uint32_t i = 0; i < 400; ++i) w.net.send(w.packet(i, 100));
+  w.sched.run();
+  ASSERT_EQ(w.got.size(), 400u);
+  int header_cuts = 0, frame_cuts = 0;
+  for (const auto& p : w.got) {
+    WireFault fault = WireFault::kNone;
+    EXPECT_FALSE(transport::DataTpdu::decode_packet(p, &fault).has_value());
+    if (p.payload.size() < transport::kDtPacketHeaderBytes) {
+      // Cut inside the header: the header CRC no longer matches.
+      EXPECT_EQ(fault, WireFault::kChecksum);
+      ++header_cuts;
+    } else {
+      // Header intact, frame shorter than its length field says.
+      EXPECT_EQ(fault, WireFault::kBadLength);
+      ++frame_cuts;
+    }
+  }
+  EXPECT_GT(header_cuts, 0);
+  EXPECT_GT(frame_cuts, 0);
+}
+
+TEST(Byzantine, DuplicatedDtHeaderIsIndependentOfTheOriginal) {
+  net::LinkConfig cfg;
+  cfg.dup_rate = 1.0;
+  DtLink w(cfg);
+  w.net.send(w.packet(7, 100));
+  w.sched.run();
+  ASSERT_EQ(w.got.size(), 2u);
+  // Flip one header byte of each copy in turn: the other still decodes.
+  for (std::size_t damaged : {0u, 1u}) {
+    net::Packet& hit = w.got[damaged];
+    hit.payload[5] ^= 0x10;
+    WireFault fault = WireFault::kNone;
+    EXPECT_FALSE(transport::DataTpdu::decode_packet(hit, &fault).has_value());
+    EXPECT_EQ(fault, WireFault::kChecksum);
+    const auto other = transport::DataTpdu::decode_packet(w.got[1 - damaged]);
+    ASSERT_TRUE(other.has_value());
+    EXPECT_EQ(other->tpdu_seq, 7u);
+    hit.payload[5] ^= 0x10;  // mend it before damaging the other copy
   }
 }
 

@@ -425,8 +425,9 @@ const Ending kEndings[] = {
          pkt.dst = w.s1->id;
          pkt.proto = net::Proto::kTransportControl;
          pkt.priority = net::Priority::kControl;
-         pkt.payload = {99, 0xde, 0xad, 0xbe, 0xef};
-         append_crc32(pkt.payload);
+         std::vector<std::uint8_t> body{99, 0xde, 0xad, 0xbe, 0xef};
+         append_crc32(body);
+         pkt.payload = std::move(body);
          w.platform.network().send(std::move(pkt));
        }
      },

@@ -743,6 +743,30 @@ TEST(LloStateMachine, FailedOpRevertsPhaseAndMembership) {
   }
 }
 
+TEST(LloStateMachine, GroupOpOverAnEmptyGroupConcludesAtOnce) {
+  // The session's only stream is disconnected: its endpoints report
+  // kVcDead and the group is left empty.  A group op over it has no ack to
+  // wait for, so it concludes in the call instead of at the op timeout.
+  OrchWorld w;
+  bool established = false;
+  w.llo().orch_request(1, {w.vcs()[0]}, [&](bool o, OrchReason) { established = o; });
+  w.p->run_until(kSecond);
+  ASSERT_TRUE(established);
+  w.vstream->disconnect();
+  w.p->run_until(2 * kSecond);
+
+  std::optional<bool> primed;
+  OrchReason reason = OrchReason::kTimeout;
+  w.llo().prime(1, false, [&](bool ok, OrchReason r) {
+    primed = ok;
+    reason = r;
+  });
+  ASSERT_TRUE(primed.has_value());  // no simulated time passed
+  EXPECT_TRUE(*primed);
+  EXPECT_EQ(reason, OrchReason::kOk);
+  EXPECT_EQ(w.llo().session_phase(1), orch::SessionPhase::kPrimed);
+}
+
 TEST(LloStateMachine, OverlappingGroupOpsAreOpInProgress) {
   OrchWorld w;
   w.llo().orch_request(1, w.vcs(), [](bool, OrchReason) {});

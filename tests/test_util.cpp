@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "util/byte_io.h"
 #include "util/checksum.h"
 #include "util/ring_buffer.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/time.h"
@@ -143,8 +146,10 @@ TEST(Checksum, MatchesBitwiseReferenceAtEveryOffset) {
   const auto buf = random_bytes(4096 + 64, 37);
   const std::span<const std::uint8_t> all(buf);
   for (std::size_t off = 0; off < 64; ++off) {
-    for (std::size_t len : {0, 1, 7, 8, 15, 16, 17, 63, 64, 65, 79, 80, 127, 128, 129, 200,
-                            1400, 4096}) {
+    // 16 to 63 bytes fold on one lane (54: the DT header body), 64 and up
+    // on four.
+    for (std::size_t len : {0, 1, 7, 8, 15, 16, 17, 31, 32, 48, 54, 63, 64, 65, 79, 80, 127,
+                            128, 129, 200, 1400, 4096}) {
       const auto s = all.subspan(off, len);
       ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << " len " << len;
     }
@@ -167,11 +172,12 @@ TEST(Checksum, MatchesBitwiseReferenceWithRandomSeeds) {
 
 TEST(Checksum, ChainingMatchesOneShotAcrossFoldThreshold) {
   // crc32(b, crc32(a)) == crc32(a || b) with the split at every position
-  // mod 16 on both sides of the 64-byte folding threshold, so either half
-  // may run folded, table-only or both.
+  // mod 16 on both sides of the 16-byte folding threshold and of the
+  // 64-byte four-lane one, so either half may run table-only, folded on
+  // one lane, folded on four, or a mix.
   const auto buf = random_bytes(2048, 47);
   const std::span<const std::uint8_t> all(buf);
-  for (std::size_t total : {48, 64, 80, 127, 128, 143, 200, 1400}) {
+  for (std::size_t total : {16, 17, 31, 48, 54, 64, 80, 127, 128, 143, 200, 1400}) {
     const auto whole = all.first(total);
     const std::uint32_t one_shot = crc32(whole);
     for (std::size_t split = 0; split <= std::min<std::size_t>(total, 144); ++split) {
@@ -249,6 +255,51 @@ TEST(RingBuffer, WrapAroundStress) {
     while (!rb.empty()) EXPECT_EQ(rb.pop(), next_out++);
   }
   EXPECT_EQ(next_in, next_out);
+}
+
+TEST(RingDeque, MatchesStdDequeAcrossWrapAndGrowth) {
+  // Pushes at both ends and pops at both ends, with the head wrapped
+  // around the buffer when it grows, in the same order as std::deque.
+  RingDeque<int> rd;
+  std::deque<int> ref;
+  Rng r(19);
+  for (int i = 0; i < 5000; ++i) {
+    const auto op = r.uniform(0, 3);
+    if (op == 0) {
+      rd.push_back(i);
+      ref.push_back(i);
+    } else if (op == 1) {
+      rd.push_front(i);
+      ref.push_front(i);
+    } else if (ref.empty()) {
+      continue;
+    } else if (op == 2) {
+      rd.pop_front();
+      ref.pop_front();
+    } else {
+      rd.pop_back();
+      ref.pop_back();
+    }
+    ASSERT_EQ(rd.size(), ref.size());
+    for (std::size_t k = 0; k < ref.size(); k += 7) {
+      ASSERT_EQ(rd[k], ref[k]);
+    }
+  }
+}
+
+TEST(RingDeque, PopsAndClearReleaseTheirElements) {
+  // A popped slot must not pin what its element held (a queued packet's
+  // frame): the element is destroyed on pop, not left moved-from.
+  auto held = std::make_shared<int>(7);
+  RingDeque<std::shared_ptr<int>> rd;
+  for (int i = 0; i < 20; ++i) rd.push_back(held);
+  EXPECT_EQ(held.use_count(), 21);
+  rd.pop_front();
+  rd.pop_back();
+  EXPECT_EQ(held.use_count(), 19);
+  rd.clear();
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_TRUE(rd.empty());
 }
 
 TEST(ByteIo, RoundTripsAllTypes) {

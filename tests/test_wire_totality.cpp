@@ -147,7 +147,7 @@ TEST(WireTotality, HeartbeatTpduRefusesCountsTheBytesCannotHold) {
   auto wire = t.encode();
   // The entry count sits after the fixed fields (type 1 + 4 x u32 + u64 +
   // flags 1 = 26 bytes); stomp it and re-seal the CRC.
-  wire.resize(wire.size() - 4);
+  wire.erase(wire.end() - 4, wire.end());
   wire[26] = 0xff;
   wire[27] = 0xff;
   append_crc32(wire);

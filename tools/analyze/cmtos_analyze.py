@@ -122,6 +122,16 @@ Checks
                         epoch or the reply address.  The clock-sync probe
                         (Llo::estimate_clock_offset, Llo::handle_time_req)
                         carries no session and passes.
+  dataplane-alloc       The per-fragment data path allocates nothing in
+                        steady state (DESIGN.md "Allocation budget"): a
+                        `std::deque<Packet>` in src/net/ (a chunk every few
+                        packets; link bands are capacity-keeping
+                        RingDeques), a `make_shared` of a std::vector or
+                        std::deque of Packets anywhere in src/ (the vector
+                        moves into the event's capture instead) and a
+                        ByteWriter in DataTpdu::encode_onto (the 58-byte DT
+                        header is written in place into the packet's inline
+                        bytes) each bring a per-packet allocation back.
   layering              The src/ layers include only downward: an
                         `#include "<dir>/..."` in src/<layer>/ may name its
                         own layer or a library its CMake target links,
@@ -190,6 +200,7 @@ CHECKS = (
     "endpoint-teardown",
     "handshake-retransmit",
     "opdu-construction",
+    "dataplane-alloc",
     "layering",
 )
 
@@ -1274,6 +1285,46 @@ def check_opdu_construction(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
+NET_DIR_RE = re.compile(r"(^|/)src/net/")
+SRC_DIR_RE = re.compile(r"(^|/)src/")
+_PACKET_T = r"(?:(?:cmtos\s*::\s*)?net\s*::\s*)?Packet\s*>"
+DEQUE_PACKET_RE = re.compile(r"\bstd\s*::\s*deque\s*<\s*" + _PACKET_T)
+SHARED_PACKETS_RE = re.compile(
+    r"\bmake_shared\s*<\s*std\s*::\s*(?:vector|deque)\s*<\s*" + _PACKET_T + r"\s*>")
+BYTE_WRITER_RE = re.compile(r"\bByteWriter\b")
+DT_HEADER_ENCODER = "DataTpdu::encode_onto"
+
+
+def check_dataplane_alloc(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags the per-packet allocation shapes the allocation-free data path
+    removed: a std::deque of Packets in src/net/, a make_shared'd vector or
+    deque of Packets in src/, a ByteWriter in DataTpdu::encode_onto."""
+    if not SRC_DIR_RE.search(sf.rel):
+        return []
+    out = []
+    if NET_DIR_RE.search(sf.rel):
+        for m in DEQUE_PACKET_RE.finditer(sf.code):
+            out.append(Finding(
+                sf.rel, sf.line_of(m.start()), "dataplane-alloc",
+                "std::deque of Packets in src/net/ allocates a chunk every few "
+                "packets as it slides; queue packets in a RingDeque, which "
+                "keeps its capacity"))
+    for m in SHARED_PACKETS_RE.finditer(sf.code):
+        out.append(Finding(
+            sf.rel, sf.line_of(m.start()), "dataplane-alloc",
+            "make_shared of a Packet container is one more allocation per "
+            "batch; move the container into the event's capture (it fits the "
+            "EventFn inline budget)"))
+    for m in BYTE_WRITER_RE.finditer(sf.code):
+        if enclosing_function(sf, m.start()) == DT_HEADER_ENCODER:
+            out.append(Finding(
+                sf.rel, sf.line_of(m.start()), "dataplane-alloc",
+                "ByteWriter in DataTpdu::encode_onto appends byte by byte to a "
+                "heap vector; write the fixed-size DT header in place into the "
+                "packet's inline bytes"))
+    return out
+
+
 LINK_RE = re.compile(r"target_link_libraries\s*\(\s*cmtos_(\w+)([^)]*)\)")
 INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"/\n]+)/[^"\n]*"', re.M)
 LAYER_DIR_RE = re.compile(r"(?:^|/)src/(\w+)/")
@@ -1338,6 +1389,7 @@ ALL_CHECKS = (
     check_endpoint_teardown,
     check_handshake_retransmit,
     check_opdu_construction,
+    check_dataplane_alloc,
     check_layering,
 )
 
@@ -1693,6 +1745,47 @@ void build_probe() {
 }
 """
 
+DA_PROBE = """\
+#include "net/packet.h"
+struct Bands {
+  std::array<std::deque<Packet>, 2> queues;
+  std::deque<cmtos::net::Packet> spill;
+  RingDeque<Packet> ring;
+  std::deque<Osdu> delivery;
+};
+void Link::propagate_batch(std::vector<Packet>&& batch) {
+  auto shared = std::make_shared<std::vector<net::Packet>>(std::move(batch));
+  auto one = std::make_shared<Packet>(std::move(batch.front()));
+  std::deque<Packet> spare;  // cmtos-analyze: allow(dataplane-alloc)
+}
+"""
+DA_EXPECT = {
+    (3, "dataplane-alloc"),   # a link band that allocates as it slides
+    (4, "dataplane-alloc"),   # qualified element type
+    (9, "dataplane-alloc"),   # a batch boxed for its delivery event
+}
+
+DA_TRANSPORT_PROBE = """\
+void DataTpdu::encode_onto(net::Packet& pkt) const {
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  w.u8(16);
+}
+std::vector<std::uint8_t> AckTpdu::encode() const {
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  return out;
+}
+void TransportEntity::send_burst(std::vector<net::Packet>&& burst) {
+  auto boxed = std::make_shared<std::deque<Packet>>();
+  std::deque<Packet> staged;
+}
+"""
+DA_TRANSPORT_EXPECT = {
+    (3, "dataplane-alloc"),   # the DT header built through a ByteWriter
+    (12, "dataplane-alloc"),  # make_shared of a packet deque outside src/net
+}
+
 LY_PROBE = """\
 #include <map>
 #include "net/packet.h"
@@ -1733,6 +1826,8 @@ PROBES = (
     ("src/orch/probe_handshake.cpp", HS_PASS_PROBE, set()),
     ("src/orch/probe_opdu.cpp", OC_PROBE, OC_EXPECT),
     ("src/transport/probe_opdu.cpp", OC_PASS_PROBE, set()),
+    ("src/net/probe_alloc.cpp", DA_PROBE, DA_EXPECT),
+    ("src/transport/probe_alloc.cpp", DA_TRANSPORT_PROBE, DA_TRANSPORT_EXPECT),
     ("src/transport/probe_layering.h", LY_PROBE, LY_EXPECT),
     ("src/orch/probe_layering.h", LY_PASS_PROBE, set()),
 )
