@@ -257,8 +257,7 @@ void Connection::flush() {
     retain_.clear();
   } else {
     buffer_.flush(now);
-    partials_.clear();
-    completed_.clear();
+    window_.clear();
     delivery_queue_.clear();
     nak_tries_.clear();
     // After a seek the source's sequence counters keep running; resync to
@@ -548,7 +547,7 @@ bool Connection::on_data(const net::Packet& pkt) {
     }
   }
 
-  handle_data_tpdu(std::move(*dt), pkt.wire_size());
+  handle_data_tpdu(std::move(*dt));
 
   if (window) {
     const std::uint16_t frags_per_osdu = static_cast<std::uint16_t>(std::max<std::int64_t>(
@@ -604,8 +603,7 @@ void Connection::drop_duplicate_tpdu() {
   obs::Tracer::global().instant("TPDU.dup", trace_pid_, trace_tid_);
 }
 
-void Connection::handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes) {
-  (void)wire_bytes;
+void Connection::handle_data_tpdu(DataTpdu&& dt) {
   const std::int64_t useq = unwrap_osdu_seq(dt.osdu_seq);
   if (next_deliver_seq_ >= 0 && useq < next_deliver_seq_) {
     // Stale: late retransmission or network duplicate of an OSDU already
@@ -613,56 +611,42 @@ void Connection::handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes) {
     drop_duplicate_tpdu();
     return;
   }
-  if (completed_.count(useq) > 0) {
-    // Duplicate of a completed-but-undelivered OSDU.  Without this guard
-    // it would recreate a Partial, re-complete, double-count the OSDU and
-    // re-fire the arrival hook.
+  Slot& s = window_[useq];
+  if (s.ready) {
+    // Duplicate of a reassembled-but-undelivered OSDU: it must not
+    // re-complete, double-count the OSDU or re-fire the arrival hook.
     drop_duplicate_tpdu();
     return;
   }
-
-  Partial& p = partials_[useq];
-  if (p.frag_count == 0) {
-    p.frag_count = dt.frag_count;
-    p.frags = std::move(spare_frags_);  // the last completed OSDU's slots
-    p.frags.resize(dt.frag_count);
-    p.event = dt.event;
-    p.src_timestamp = dt.src_timestamp;
-    p.true_submit = dt.true_submit;
+  if (s.frags.empty()) {
+    // First fragment in: size the slot from its header.
+    s.frags = std::move(spare_frags_);  // the last reassembled OSDU's slots
+    s.frags.resize(dt.frag_count);
+    s.osdu.seq = dt.osdu_seq;
+    s.osdu.event = dt.event;
+    s.osdu.src_timestamp = dt.src_timestamp;
+    s.osdu.true_submit = dt.true_submit;
   }
-  if (dt.frag_index >= p.frags.size()) return;  // malformed
-  if (!p.frags[dt.frag_index].empty() || (p.frag_count == 1 && p.frags_received > 0)) {
+  if (dt.frag_index >= s.frags.size()) return;  // malformed
+  if (!s.frags[dt.frag_index].empty()) {
     drop_duplicate_tpdu();
     return;
   }
-  p.frags[dt.frag_index] = std::move(dt.payload);
-  ++p.frags_received;
-  if (p.frags_received == p.frag_count) complete_osdu(useq);
+  s.frags[dt.frag_index] = std::move(dt.payload);
+  if (++s.frags_received == s.frags.size()) complete_osdu(useq, s);
 }
 
-void Connection::complete_osdu(std::int64_t osdu_seq) {
-  auto it = partials_.find(osdu_seq);
-  CMTOS_ASSERT(it != partials_.end(), "vc.reassembly");
-  if (it == partials_.end()) return;
-  Partial p = std::move(it->second);
-  partials_.erase(it);
-
-  Osdu osdu;
-  osdu.seq = static_cast<std::uint32_t>(osdu_seq);
-  osdu.event = p.event;
-  osdu.src_timestamp = p.src_timestamp;
-  osdu.true_submit = p.true_submit;
-
+void Connection::complete_osdu(std::int64_t osdu_seq, Slot& s) {
   std::size_t total = 0;
-  for (const auto& f : p.frags) total += f.size();
+  for (const auto& f : s.frags) total += f.size();
   // Fragments of one OSDU are consecutive slices of the frame the source
   // wrote, so reassembly is normally pure index arithmetic: verify
   // contiguity and re-join by extending the first fragment's view.
   bool contiguous = total > 0;
   if (contiguous) {
-    const auto* frame = p.frags.front().frame();
-    std::size_t expect_off = p.frags.front().offset();
-    for (const auto& f : p.frags) {
+    const auto* frame = s.frags.front().frame();
+    std::size_t expect_off = s.frags.front().offset();
+    for (const auto& f : s.frags) {
       if (f.frame() != frame || f.offset() != expect_off) {
         contiguous = false;
         break;
@@ -670,84 +654,78 @@ void Connection::complete_osdu(std::int64_t osdu_seq) {
       expect_off += f.size();
     }
   }
-  if (total == 0) {
-    osdu.data = PayloadView();
-  } else if (contiguous) {
-    osdu.data = p.frags.front().extend(total);
-  } else {
+  if (contiguous) {
+    s.osdu.data = s.frags.front().extend(total);
+  } else if (total > 0) {
     // Gather fallback (fragments from distinct frames, e.g. decoded via
     // the flat wire image): one pool-backed copy, counted in pool stats.
     auto& pool = FramePool::global();
     FrameLease lease = pool.lease(total);
     std::size_t off = 0;
-    for (const auto& f : p.frags) {
+    for (const auto& f : s.frags) {
       std::memcpy(lease.data() + off, f.data(), f.size());
       off += f.size();
     }
     pool.count_copy(total);
-    osdu.data = std::move(lease).freeze(total);
+    s.osdu.data = std::move(lease).freeze(total);
   }
+  s.frags.clear();
+  spare_frags_ = std::move(s.frags);
 
   ++stats_.osdus_completed;
   highest_completed_seq_ = std::max<std::int64_t>(highest_completed_seq_, osdu_seq);
-  if (monitor_) monitor_->on_osdu_completed(entity_.local_now() - p.src_timestamp);
-  if (on_osdu_arrival_) on_osdu_arrival_(osdu);
+  if (monitor_) monitor_->on_osdu_completed(entity_.local_now() - s.osdu.src_timestamp);
+  if (on_osdu_arrival_) on_osdu_arrival_(s.osdu);
 
   // Delivery stalls behind a hole only once an OSDU waits past it: the
   // hole timeout and the NAK retry clock run from then, not from the last
   // in-order delivery, so a repair that is already on its way (NAK sent
   // when the gap showed, retransmission a pacer tick later) is not skipped.
-  if (completed_.empty()) last_hole_progress_ = sched_.now();
-  completed_.emplace(osdu_seq, std::move(osdu));
+  if (first_ready() < 0) last_hole_progress_ = sched_.now();
+  s.ready = true;
   deliver_ready();
-  p.frags.clear();
-  spare_frags_ = std::move(p.frags);
+}
+
+std::int64_t Connection::first_ready() const {
+  for (const auto& [seq, slot] : window_) {
+    if (slot.ready) return seq;
+  }
+  return -1;
+}
+
+void Connection::skip_to(std::int64_t seq) {
+  // Both sides of the subtraction live on the unwrapped 64-bit timeline,
+  // so the count stays exact across 32-bit seq wrap.
+  if (next_deliver_seq_ >= 0) stats_.osdus_skipped += seq - next_deliver_seq_;
+  // Nothing can complete a fragment below the cursor, and its frames must
+  // not stay pinned until close.
+  window_.erase(window_.begin(), window_.lower_bound(seq));
+  next_deliver_seq_ = seq;
 }
 
 void Connection::deliver_ready() {
-  if (next_deliver_seq_ < 0 && !completed_.empty()) {
-    // Resync after open/flush: adopt the first completed OSDU as the base,
-    // and release any partials stranded below it (fragments that arrived
-    // pre-resync, e.g. with a sibling checksum-dropped): nothing can
-    // complete them, and their frames must not stay pinned until close.
-    next_deliver_seq_ = completed_.begin()->first;
-    for (auto it = partials_.begin(); it != partials_.end();) {
-      it = it->first < next_deliver_seq_ ? partials_.erase(it) : std::next(it);
-    }
+  if (next_deliver_seq_ < 0) {
+    // Resync after flush: adopt the first reassembled OSDU as the base,
+    // releasing fragments that arrived pre-resync below it (e.g. with a
+    // sibling checksum-dropped).
+    const std::int64_t first = first_ready();
+    if (first >= 0) skip_to(first);
   }
-  for (;;) {
-    auto it = completed_.find(next_deliver_seq_);
-    if (it == completed_.end()) {
-      // If the hole below the next completed OSDU cannot be explained by an
-      // outstanding transport-level recovery, the source dropped those
-      // OSDUs deliberately (Orch.Regulate max-drop#): skip ahead at once.
-      if (!completed_.empty() && nak_tries_.empty()) {
-        bool partial_below = false;
-        const std::int64_t first_ready = completed_.begin()->first;
-        for (auto& [seq, _] : partials_) {
-          if (seq >= next_deliver_seq_ && seq < first_ready) {
-            partial_below = true;
-            break;
-          }
-        }
-        if (!partial_below) {
-          // Both sides of the subtraction live on the unwrapped 64-bit
-          // timeline, so the count stays exact across 32-bit seq wrap.
-          stats_.osdus_skipped += first_ready - next_deliver_seq_;
-          // Purge partials below the skip point (give_up_on_holes does the
-          // same): any stray below the cursor would pin its frames forever
-          // once the cursor moves past it.
-          for (auto pit = partials_.begin(); pit != partials_.end();) {
-            pit = pit->first < first_ready ? partials_.erase(pit) : std::next(pit);
-          }
-          next_deliver_seq_ = first_ready;
-          continue;
-        }
-      }
-      break;
+  while (!window_.empty()) {
+    auto it = window_.begin();
+    // An incomplete OSDU at the front waits for its fragments (or for the
+    // hole timeout in give_up_on_holes).
+    if (!it->second.ready) break;
+    if (it->first != next_deliver_seq_) {
+      // Nothing is reassembling below the first ready OSDU.  Unless an
+      // outstanding transport-level recovery explains the hole, the source
+      // dropped those OSDUs deliberately (Orch.Regulate max-drop#): skip
+      // ahead at once.
+      if (!nak_tries_.empty()) break;
+      skip_to(it->first);
     }
-    delivery_queue_.push_back(std::move(it->second));
-    completed_.erase(it);
+    delivery_queue_.push_back(std::move(it->second.osdu));
+    window_.erase(it);
     ++next_deliver_seq_;
     last_hole_progress_ = sched_.now();
   }
@@ -776,8 +754,7 @@ void Connection::push_delivery_queue() {
 }
 
 bool Connection::has_holes() const {
-  return !nak_tries_.empty() || (!completed_.empty() && next_deliver_seq_ >= 0 &&
-                                 completed_.begin()->first > next_deliver_seq_);
+  return !nak_tries_.empty() || (next_deliver_seq_ >= 0 && first_ready() > next_deliver_seq_);
 }
 
 void Connection::give_up_on_holes() {
@@ -811,16 +788,10 @@ void Connection::give_up_on_holes() {
   // budget: continuous media must keep moving.
   const Duration hole_timeout =
       std::max<Duration>(50 * kMillisecond, 2 * agreed_.delay_jitter);
-  if (!completed_.empty() && next_deliver_seq_ >= 0 &&
-      completed_.begin()->first > next_deliver_seq_ &&
-      now - last_hole_progress_ > hole_timeout) {
-    const std::int64_t first_ready = completed_.begin()->first;
-    stats_.osdus_skipped += first_ready - next_deliver_seq_;
-    // Purge partials below the skip point.
-    for (auto it = partials_.begin(); it != partials_.end();) {
-      it = it->first < first_ready ? partials_.erase(it) : std::next(it);
-    }
-    next_deliver_seq_ = first_ready;
+  if (next_deliver_seq_ < 0 || now - last_hole_progress_ <= hole_timeout) return;
+  const std::int64_t ready = first_ready();
+  if (ready > next_deliver_seq_) {
+    skip_to(ready);
     last_hole_progress_ = now;
     deliver_ready();
   }

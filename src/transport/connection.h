@@ -236,6 +236,15 @@ class CMTOS_SHARD_AFFINE Connection {
   void set_next_osdu_seq(std::uint32_t seq) { next_osdu_seq_ = seq; }
 
  private:
+  /// One OSDU in the reassembly window: collects fragments until all are
+  /// in, then holds the reassembled OSDU in place until delivery.
+  struct Slot {
+    std::size_t frags_received = 0;
+    bool ready = false;              // reassembled: `osdu.data` is set
+    Osdu osdu;                       // header fields from the first fragment
+    std::vector<PayloadView> frags;  // one per fragment: refcounted slices, no copies
+  };
+
   /// The only writer of state_: checks the move against the legal-transition
   /// table (CMTOS_ASSERT "vc.transition") before committing it.
   void set_state(VcState next);
@@ -255,18 +264,24 @@ class CMTOS_SHARD_AFFINE Connection {
   void on_retransmit_timeout();
 
   // --- sink side ---
-  void handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes);
+  void handle_data_tpdu(DataTpdu&& dt);
   /// Discards a duplicate data TPDU (GBN stale seq, repeated fragment,
   /// re-delivery of a completed or already-consumed OSDU): counts it so a
   /// duplication storm is visible, and nothing else — a dup must never
   /// re-fire hooks or re-enter reassembly.
   void drop_duplicate_tpdu();
   void note_gap(std::uint32_t from_seq, std::uint32_t to_seq);
-  void complete_osdu(std::int64_t osdu_seq);
+  void complete_osdu(std::int64_t osdu_seq, Slot& slot);
   /// Maps the 32-bit on-wire OSDU seq onto the unwrapped 64-bit delivery
   /// timeline via serial-number arithmetic (nearest projection to the
   /// delivery cursor), so reassembly state survives seq wraparound.
   std::int64_t unwrap_osdu_seq(std::uint32_t seq) const;
+  /// Seq of the first reassembled OSDU in the window, or -1 if none.
+  std::int64_t first_ready() const;
+  /// Moves the delivery cursor to `seq` and drops every window entry below
+  /// it (resync after flush, a deliberate source drop, a timed-out hole);
+  /// OSDUs jumped over count as skipped unless resyncing.
+  void skip_to(std::int64_t seq);
   void deliver_ready();
   void push_delivery_queue();
   /// Immediate FeedbackTpdu (space-available / flush): the low-latency
@@ -319,24 +334,17 @@ class CMTOS_SHARD_AFFINE Connection {
   Duration rto_ = 200 * kMillisecond;
 
   // === sink state ===
-  struct Partial {
-    std::uint16_t frag_count = 0;
-    std::uint16_t frags_received = 0;
-    std::uint64_t event = 0;
-    Time src_timestamp = 0;
-    Time true_submit = 0;
-    std::vector<PayloadView> frags;  // refcounted slices, no per-frag copies
-  };
   std::uint32_t expected_tpdu_seq_ = 0;
   bool tpdu_resync_ = true;  // adopt the next TPDU's seq (fresh open / after flush)
-  // Reassembly state is keyed by the *unwrapped* OSDU seq (see
+  // The reassembly window, keyed by the *unwrapped* OSDU seq (see
   // unwrap_osdu_seq) so ordering stays correct across 32-bit wraparound.
-  // In-order delivery drains these smallest-seq-first; ordered by design.
-  std::map<std::int64_t, Partial> partials_;   // unwrapped osdu_seq -> partial  // cmtos-analyze: allow(hot-path-map)
-  std::map<std::int64_t, Osdu> completed_;     // awaiting in-order delivery  // cmtos-analyze: allow(hot-path-map)
-  std::vector<PayloadView> spare_frags_;  // a completed Partial's frags, kept for its capacity
+  // Every key is at or above next_deliver_seq_ (once resynced): delivery
+  // drains it smallest-seq-first and skip_to range-erases below the
+  // cursor; ordered by design.
+  std::map<std::int64_t, Slot> window_;  // cmtos-analyze: allow(hot-path-map)
+  std::vector<PayloadView> spare_frags_;  // a reassembled Slot's frags, kept for its capacity
   RingDeque<Osdu> delivery_queue_;                  // ready, waiting for ring space
-  std::int64_t next_deliver_seq_ = 0;               // next expected OSDU seq
+  std::int64_t next_deliver_seq_ = 0;               // next expected OSDU seq (-1: resync)
   std::int64_t last_delivered_seq_ = -1;
   std::int64_t highest_completed_seq_ = -1;
   // Holes are retried oldest-first and pruned by seq range; ordered.

@@ -251,6 +251,12 @@ std::optional<DataTpdu> DataTpdu::decode_packet(const net::Packet& pkt,
     const std::uint32_t len = r.u32();
     const std::uint32_t frame_crc = r.u32();
     if (cmtos::wire::hardening()) {
+      if (t.frag_count == 0 || t.frag_index >= t.frag_count) {
+        // The header CRC held, so the peer built a fragment no OSDU can
+        // have; the sink could never complete its reassembly slot.
+        set_fault(fault, WireFault::kBadType);
+        return std::nullopt;
+      }
       if (len != pkt.frame.size()) {
         // Header/frame mismatch: the link truncated (or duplicated bytes
         // of) the frame in flight.

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Soak verdict and sharded-runtime determinism check (DESIGN.md section 10).
 
-Runs every row of `soak --list` at --threads 1/2/8 with the same seed.  Each
+Runs a row of `soak --list` (every row without the argument) at --threads
+1/2/8 with the same seed.  Each
 run must exit 0 (the row's oracles and the shared contract oracle held), and
 its stdout (fault log, sweep lines) and metric snapshot (--json) must be
 byte-identical across thread counts.  --threads 1 is the determinism oracle:
@@ -10,7 +11,9 @@ so any divergence here is a cross-shard ordering bug, not noise.  stderr
 carries the log lines, which shards of one parallel round write in
 wall-clock order, so it must match as a multiset of lines.
 
-Usage: determinism_check.py <soak-binary>
+Usage: determinism_check.py <soak-binary> [row]
+
+ctest runs it once per row as determinism.<row> (tests/CMakeLists.txt).
 """
 
 import json
@@ -36,10 +39,14 @@ def run(cmd):
 
 
 def main():
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         raise SystemExit(__doc__)
     soak = sys.argv[1]
     rows = run([soak, "--list"])[0].split()
+    if len(sys.argv) == 3:
+        if sys.argv[2] not in rows:
+            raise SystemExit(f"FAIL: {sys.argv[2]} is not a row of soak --list")
+        rows = [sys.argv[2]]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for row in rows:

@@ -11,6 +11,7 @@
 #include "media/sync_meter.h"
 #include "platform/host.h"
 #include "platform/stream.h"
+#include "transport/tpdu.h"
 
 namespace cmtos::test {
 
@@ -57,6 +58,27 @@ struct PairPlatform {
   platform::Host* a = nullptr;
   platform::Host* b = nullptr;
 };
+
+/// Hands a crafted data TPDU of VC `vc` to `w.b`'s transport entity as if
+/// it had just come in from `w.a`: one fragment (`frag_index` of
+/// `frag_count`) of OSDU `osdu_seq`, carrying 100 bytes in a frame of its
+/// own.  Sink tests use it to place fragments exactly.
+inline void inject_dt(PairPlatform& w, transport::VcId vc, std::uint32_t tpdu_seq,
+                      std::uint32_t osdu_seq, std::uint16_t frag_index,
+                      std::uint16_t frag_count) {
+  transport::DataTpdu dt;
+  dt.vc = vc;
+  dt.tpdu_seq = tpdu_seq;
+  dt.osdu_seq = osdu_seq;
+  dt.frag_index = frag_index;
+  dt.frag_count = frag_count;
+  dt.payload = PayloadView::adopt(std::vector<std::uint8_t>(100, 0x6b));
+  net::Packet pkt;
+  pkt.src = w.a->id;
+  pkt.dst = w.b->id;
+  dt.encode_onto(pkt);
+  w.platform.network().node(w.b->id).handler(net::Proto::kTransportData)(std::move(pkt));
+}
 
 /// A scripted transport user for control-plane tests: records every
 /// indication it receives and applies a configurable accept policy.

@@ -108,8 +108,9 @@ Bytes gen_data(Rng& rng) {
   t.tpdu_seq = static_cast<std::uint32_t>(rng.next_u64());
   t.osdu_seq = static_cast<std::uint32_t>(rng.next_u64());
   t.event = rng.next_u64();
-  t.frag_index = static_cast<std::uint16_t>(rng.uniform(0, 64));
+  // frag_index < frag_count: the decoder refuses any other pair.
   t.frag_count = static_cast<std::uint16_t>(rng.uniform(1, 64));
+  t.frag_index = static_cast<std::uint16_t>(rng.uniform(0, t.frag_count - 1));
   t.flags = static_cast<std::uint8_t>(rng.uniform(0, 1));
   t.src_timestamp = rng.uniform(0, 1'000'000'000);
   Bytes payload(static_cast<std::size_t>(rng.uniform(0, 64)));
@@ -360,8 +361,8 @@ bool fuzz_packet_path(Rng& rng) {
   t.vc = static_cast<std::uint32_t>(rng.next_u64());
   t.tpdu_seq = static_cast<std::uint32_t>(rng.next_u64());
   t.osdu_seq = static_cast<std::uint32_t>(rng.next_u64());
-  t.frag_index = static_cast<std::uint16_t>(rng.uniform(0, 8));
   t.frag_count = static_cast<std::uint16_t>(rng.uniform(1, 8));
+  t.frag_index = static_cast<std::uint16_t>(rng.uniform(0, t.frag_count - 1));
   Bytes payload(static_cast<std::size_t>(rng.uniform(0, 64)));
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
   t.payload = cmtos::PayloadView::adopt(std::move(payload));

@@ -152,6 +152,41 @@ TEST(Byzantine, ChecksumDroppedFragmentAccounting) {
     for (auto b : o.data) EXPECT_EQ(b, 5);  // delivered bytes always intact
 }
 
+// A CRC-valid DT naming a fragment no OSDU can have (frag_count 0) is
+// refused at decode.  Accepted, it left a reassembly slot that can never
+// complete inside a deliberate source-drop gap, and the OSDUs after the gap
+// waited for the hole timeout instead of being delivered at once.
+TEST(Byzantine, ImpossibleFragmentFieldsAreRefusedAtDecode) {
+  PairPlatform w;
+  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 50.0, 1024);
+  req.buffer_osdus = 16;
+  Wire wire(w, req);
+  ASSERT_NE(wire.source, nullptr);
+  auto& bad_type = obs::Registry::global().counter("wire.decode_failed",
+                                                   {{"pdu", "dt"}, {"reason", "bad_type"}});
+  const auto refused_before = bad_type.value();
+
+  // Seqs 0-5 queue at the source, one every 20 ms; the three newest (3-5)
+  // never leave it.
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(wire.source->submit(payload(200, 3)));
+  ASSERT_EQ(wire.source->drop_at_source(3), 3u);
+  const Time t0 = w.platform.scheduler().now();
+  w.platform.run_until(t0 + 30 * kMillisecond);  // OSDUs 0 and 1 are in
+  // A stale TPDU seq, so only the fragment fields are out of line.
+  inject_dt(w, wire.vc, /*tpdu_seq=*/0, /*osdu_seq=*/4, /*frag_index=*/0, /*frag_count=*/0);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(wire.source->submit(payload(200, 3)));  // 6, 7
+
+  // OSDU 7 is in by t0 + 81 ms.  Behind a never-completing slot at 4, OSDU
+  // 6 would wait for the 100 ms hole timeout (twice the 50 ms jitter).
+  w.platform.run_until(t0 + 120 * kMillisecond);
+  const auto got = drain(*wire.sink);
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got[3].seq, 6u);
+  EXPECT_EQ(got[4].seq, 7u);
+  EXPECT_EQ(wire.sink->stats().osdus_skipped, 3);
+  EXPECT_EQ(bad_type.value() - refused_before, 1);
+}
+
 // Sixteen CRC-valid but structurally-invalid control TPDUs from one peer
 // escalate the quarantine: the victim tears down that peer's VCs with
 // kPeerMisbehaving and drops its traffic pre-decode from then on.

@@ -240,6 +240,59 @@ TEST(DataTransfer, FlushDiscardsStaleMediaAndResyncs) {
   for (const auto& o : got) EXPECT_EQ(o.data[0], 9);  // no stale bytes
 }
 
+// After a sink flush the first OSDU reassembled becomes the new base: a
+// fragment stranded below it is released, never delivered, and its late
+// sibling is a duplicate.
+TEST(DataTransfer, FlushResyncsAtTheFirstReassembledOsdu) {
+  PairPlatform w;
+  Wire wire(w, basic_request({w.a->id, 1}, {w.b->id, 2}, 50.0, 4096));
+  ASSERT_NE(wire.sink, nullptr);
+  wire.sink->flush();
+  inject_dt(w, wire.vc, 100, 40, 0, 2);  // OSDU 40, first of two fragments
+  inject_dt(w, wire.vc, 101, 41, 0, 1);  // OSDU 41, whole
+  const auto got = drain(*wire.sink);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].seq, 41u);
+  EXPECT_EQ(wire.sink->stats().tpdus_dup_dropped, 0);
+
+  inject_dt(w, wire.vc, 102, 40, 1, 2);  // OSDU 40's second fragment, late
+  w.platform.run_until(w.platform.scheduler().now() + kSecond);
+  EXPECT_TRUE(drain(*wire.sink).empty());
+  EXPECT_EQ(wire.sink->stats().tpdus_dup_dropped, 1);
+  EXPECT_EQ(wire.sink->stats().osdus_skipped, 0);  // a resync skips nothing
+}
+
+// Without correction a lost fragment is a hole only the timeout clears:
+// the OSDU behind it waits out max(50 ms, 2 x jitter), is delivered once,
+// and the lost fragment turning up late is a duplicate.
+TEST(ErrorControl, LostFragmentIsSkippedAfterTheHoleTimeout) {
+  PairPlatform w;
+  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 50.0, 4096);
+  req.service_class.error_control = ErrorControl::kIndicate;
+  Wire wire(w, req);  // 50 ms jitter: a 100 ms hole timeout
+  ASSERT_NE(wire.sink, nullptr);
+  inject_dt(w, wire.vc, 0, 0, 0, 2);  // OSDU 0 loses its second fragment
+  inject_dt(w, wire.vc, 2, 1, 0, 1);  // OSDU 1, whole
+  EXPECT_EQ(wire.sink->stats().tpdus_lost, 1);
+
+  const Time t0 = w.platform.scheduler().now();
+  w.platform.run_until(t0 + 80 * kMillisecond);
+  EXPECT_TRUE(drain(*wire.sink).empty());
+  EXPECT_EQ(wire.sink->stats().osdus_skipped, 0);
+
+  w.platform.run_until(t0 + 500 * kMillisecond);
+  const auto got = drain(*wire.sink);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].seq, 1u);
+  EXPECT_EQ(wire.sink->stats().osdus_skipped, 1);
+
+  inject_dt(w, wire.vc, 1, 0, 1, 2);  // the lost fragment, late
+  EXPECT_EQ(wire.sink->stats().tpdus_dup_dropped, 1);
+  w.platform.run_until(t0 + kSecond);
+  EXPECT_TRUE(drain(*wire.sink).empty());
+  EXPECT_EQ(wire.sink->stats().osdus_skipped, 1);
+}
+
 TEST(ErrorControl, LossWithoutCorrectionSkipsAndCounts) {
   net::LinkConfig lossy = lan_link();
   lossy.loss_rate = 0.2;

@@ -14,7 +14,8 @@
 #
 # Usage: tools/coverage.sh [build-dir]     (default: build-cov at the repo root)
 # Needs only gcc's gcov and python3.  A tool to run by hand, not a CI gate:
-# about 3 minutes on a 4-core x86-64 machine.
+# about 7 minutes from an empty build-cov/ on a 4-core x86-64 machine
+# (about 2 of them the Debug build, 1 the Debug regulation.drift row).
 
 set -euo pipefail
 
