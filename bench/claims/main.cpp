@@ -10,7 +10,10 @@
 // every matching row.  --seed overrides each row's committed seed.  After
 // the rows the driver checks the oracle every row shares — no contract
 // violation — then writes the metrics snapshot (--json) and closes the
-// Chrome trace-event file (--trace).
+// Chrome trace-event file (--trace).  The snapshot's meta names the claim
+// and stamps the machine and build as perfbench's result files do:
+// revision (--revision, "unknown" without it), cpu, nproc, build_type and
+// compiler.
 //
 // Exit status: 0 when every oracle held, 1 when one failed, 2 on a usage
 // error.
@@ -18,12 +21,30 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "claims.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+
+namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace cmtos;
@@ -36,10 +57,12 @@ int main(int argc, char** argv) {
 
   const char* usage =
       "usage: claims [--claim NAME|AREA] [--seed N] [--json PATH] [--trace PATH]\n"
+      "              [--revision R]\n"
       "       claims --list\n";
   std::string only;
   std::string json_path;
   std::string trace_path;
+  std::string revision = "unknown";
   bool seeded = false;
   std::uint64_t seed = 0;
   for (int i = 1; i < argc; ++i) {
@@ -56,6 +79,8 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && has_value) {
       trace_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--revision") == 0 && has_value) {
+      revision = argv[++i];
     } else {
       std::fputs(usage, stderr);
       return 2;
@@ -94,7 +119,13 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::Tracer::global().stop();
   if (!json_path.empty()) {
     const std::string claim = only.empty() ? "all" : only;
-    if (!obs::Registry::global().write_json(json_path, {{"claim", claim}}))
+    const obs::Labels meta = {{"claim", claim},
+                              {"revision", revision},
+                              {"cpu", cpu_model()},
+                              {"nproc", std::to_string(std::thread::hardware_concurrency())},
+                              {"build_type", CLAIMS_BUILD_TYPE},
+                              {"compiler", CLAIMS_COMPILER}};
+    if (!obs::Registry::global().write_json(json_path, meta))
       std::fprintf(stderr, "warning: cannot write metrics to %s\n", json_path.c_str());
   }
   return passed ? 0 : 1;

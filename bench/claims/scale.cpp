@@ -13,12 +13,16 @@
 //                     cycles/OSDU with the full population resident;
 //   scale.federation  domain HLOs digest per-VC regulation reports into
 //                     per-interval aggregates; the root's intake is
-//                     O(domains), verified by the report counters.
+//                     O(domains), verified by the report counters;
+//   scale.shards      executor shard-head reads per fired event with 10 and
+//                     1,000 idle shards beside one busy pair: idle shards
+//                     cost nothing once their head-time bounds are exact.
 //
 // Nanosecond and cycle figures are wall-clock: printed and recorded, never
-// gated.  Allocation and byte counts are deterministic and gated.
+// gated.  Allocation, byte and head-read counts are deterministic and gated.
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <unordered_map>
 
@@ -346,6 +350,49 @@ FedResult run_federation(std::uint64_t seed, std::size_t domains,
   return r;
 }
 
+// --- section 5: idle shards ----------------------------------------------
+
+struct ShardsResult {
+  std::size_t events = 0;
+  double probes_per_event = 0;
+  double ns_per_event = 0;
+};
+
+/// One busy shard pair — a self-rescheduling local chain on each, a delivery
+/// from one to the other every tenth tick, and a global event every 5 ms —
+/// beside `idle` shards that each hold one far-future timer and one
+/// cancelled near timer.  Runs 2 s of simulated time at 1 ms lookahead.
+ShardsResult run_shards(std::size_t idle) {
+  sim::Scheduler sched;
+  sim::Executor& exec = sched.executor();
+  exec.set_lookahead(kMillisecond);
+  sim::NodeRuntime& a = exec.add_shard();
+  sim::NodeRuntime& b = exec.add_shard();
+  for (std::size_t i = 0; i < idle; ++i) {
+    sim::NodeRuntime& rt = exec.add_shard();
+    rt.at(kSecond * 3600, [] {});
+    rt.at(kMillisecond, [] {}).cancel();
+  }
+  std::uint64_t ticks = 0;
+  std::function<void()> tick_b = [&] { b.after(100 * kMicrosecond, tick_b); };
+  std::function<void()> tick_a = [&] {
+    if (++ticks % 10 == 0) b.at(a.now() + kMillisecond, [] {});
+    a.after(100 * kMicrosecond, tick_a);
+  };
+  std::function<void()> global = [&] { a.after_global(5 * kMillisecond, global); };
+  a.at(0, tick_a);
+  b.at(50 * kMicrosecond, tick_b);
+  a.at_global(kMillisecond, global);
+
+  const std::uint64_t probes0 = exec.head_probes();
+  ShardsResult r;
+  const double secs = wall_seconds([&] { r.events = sched.run_until(2 * kSecond); });
+  const auto events = static_cast<double>(std::max<std::size_t>(1, r.events));
+  r.probes_per_event = static_cast<double>(exec.head_probes() - probes0) / events;
+  r.ns_per_event = secs * 1e9 / events;
+  return r;
+}
+
 void tables_row(std::uint64_t, Oracle& check) {
   const auto t = run_table_micro(10'000, 1'000'000);
   row("%-28s %14s %18s", "table", "lookup ns/op", "churn allocs/op");
@@ -423,6 +470,30 @@ void federation_row(std::uint64_t seed, Oracle& check) {
   check.near("per-VC reports absorbed per root aggregate", f.fanin_ratio, 4.0);
 }
 
+void shards_row(std::uint64_t, Oracle& check) {
+  const auto few = run_shards(10);
+  const auto many = run_shards(1000);
+  row("%-12s %12s %18s %14s", "idle shards", "events", "head reads/event", "ns/event");
+  row("%-12d %12zu %18.3f %14.1f", 10, few.events, few.probes_per_event, few.ns_per_event);
+  row("%-12d %12zu %18.3f %14.1f", 1000, many.events, many.probes_per_event,
+      many.ns_per_event);
+  const double ratio = many.probes_per_event / std::max(1e-9, few.probes_per_event);
+  row("%s", "");
+  row("head reads per event, 1,000/10 idle shards: %.3f  (1.0 = idle shards are free)", ratio);
+  headline("scale.shard_probes_per_event", few.probes_per_event, {{"idle_shards", "10"}});
+  headline("scale.shard_probes_per_event", many.probes_per_event, {{"idle_shards", "1000"}});
+  headline("scale.shard_ns_per_event", few.ns_per_event, {{"idle_shards", "10"}});
+  headline("scale.shard_ns_per_event", many.ns_per_event, {{"idle_shards", "1000"}});
+  headline("scale.shard_probes_ratio", ratio);
+  // The count is a pure function of queue state.  An executor loop that
+  // reads every shard's head per round or per serial event shows up here
+  // as reads per event growing with the idle population.
+  check.near("events fired beside 10 and 1,000 idle shards",
+             static_cast<double>(many.events), static_cast<double>(few.events), 0);
+  check.at_most("head reads per event at 1,000 idle shards", many.probes_per_event, 4);
+  check.at_most("head reads per event, 1,000/10 idle shards", ratio, 1.5);
+}
+
 }  // namespace
 
 std::vector<Claim> scale_claims() {
@@ -434,6 +505,8 @@ std::vector<Claim> scale_claims() {
       {"scale.churn", "scale-out core: 10k concurrent VCs under connect/disconnect churn",
        20260807, churn_row},
       {"scale.federation", "scale-out core: federated HLO fan-in", 31, federation_row},
+      {"scale.shards", "sharded executor: head reads per event beside 1,000 idle shards", 0,
+       shards_row},
   };
 }
 

@@ -27,6 +27,10 @@ NodeRuntime& Executor::add_shard() {
   // equal per-shard streams regardless of worker count.
   const std::uint64_t shard_seed = seed_ ^ (0x2545f4914f6cdd1dull * (id + 1));
   shards_.push_back(std::unique_ptr<NodeRuntime>(new NodeRuntime(this, id, shard_seed)));
+  head_lb_.push_back(kTimeNever);
+  global_lb_.push_back(kTimeNever);
+  // Sized with the shard array, so building a round's list never allocates.
+  round_shards_.reserve(head_lb_.capacity());
   return *shards_.back();
 }
 
@@ -44,19 +48,41 @@ std::size_t Executor::live_events() const {
   return n;
 }
 
-Time Executor::min_head_time() {
-  Time t = kTimeNever;
-  for (auto& s : shards_) {
-    const NodeRuntime::HeapEntry* h = s->head();
-    if (h != nullptr && h->time < t) t = h->time;
-  }
-  return t;
+Time Executor::probe(std::uint32_t i, bool global) {
+  ++head_probes_;
+  NodeRuntime& s = *shards_[i];
+  if (global) return s.global_head_time();
+  const NodeRuntime::HeapEntry* h = s.head();
+  return h != nullptr ? h->time : kTimeNever;
 }
 
-Time Executor::min_global_time() {
-  Time t = kTimeNever;
-  for (auto& s : shards_) t = std::min(t, s->global_head_time());
-  return t;
+Executor::Earliest Executor::earliest(bool global) {
+  std::vector<Time>& lb = global ? global_lb_ : head_lb_;
+  for (;;) {
+    // The least bound (its first shard: ties go to the lowest index) and
+    // the least bound among the other shards.
+    std::uint32_t first = 0;
+    Time m1 = kTimeNever;
+    Time m2 = kTimeNever;
+    for (std::uint32_t i = 0; i < lb.size(); ++i) {
+      const Time t = lb[i];
+      if (t < m1) {
+        m2 = m1;
+        m1 = t;
+        first = i;
+      } else if (t < m2) {
+        m2 = t;
+      }
+    }
+    if (m1 == kTimeNever) return {nullptr, kTimeNever};
+    // Every bound is <= its shard's head, so a refreshed head below every
+    // other bound is the earliest head.  A fire or cancel left the bound
+    // stale-low otherwise: keep the refreshed head and rescan.
+    const Time exact = probe(first, global);
+    CMTOS_ASSERT(exact >= m1, "sched.head_bound");
+    lb[first] = exact;
+    if (exact == m1 || exact < m2) return {shards_[first].get(), exact};
+  }
 }
 
 std::size_t Executor::run(std::size_t limit) {
@@ -64,15 +90,7 @@ std::size_t Executor::run(std::size_t limit) {
   // mode behind Scheduler::run(limit) and unit tests.
   std::size_t fired = 0;
   while (fired < limit) {
-    NodeRuntime* best = nullptr;
-    Time best_time = kTimeNever;
-    for (auto& s : shards_) {
-      const NodeRuntime::HeapEntry* h = s->head();
-      if (h != nullptr && (best == nullptr || h->time < best_time)) {
-        best = s.get();
-        best_time = h->time;
-      }
-    }
+    NodeRuntime* best = earliest(false).shard;
     if (best == nullptr) {
       // Drained: every shard's clock joins the latest executed time, as at
       // the end of run_until, so work injected afterwards (Scheduler::now()
@@ -92,14 +110,14 @@ std::size_t Executor::run_until(Time t) {
   fired_ = 0;
   const Time bound = t >= kTimeNever ? kTimeNever : t + 1;  // events at exactly t run
   for (;;) {
-    const Time tmin = min_head_time();
+    const Time tmin = earliest(false).time;
     if (tmin >= bound) break;
     Time horizon = tmin > kTimeNever - lookahead_ ? kTimeNever : tmin + lookahead_;
     if (horizon > bound) horizon = bound;
     // Tracing serialises everything: the tracer's sim-time stamp and event
     // stream are global, and a deterministic trace byte order is part of
     // the determinism contract (DESIGN.md §10).
-    const bool serial = obs::Tracer::global().enabled() || min_global_time() < horizon;
+    const bool serial = obs::Tracer::global().enabled() || earliest(true).time < horizon;
     if (serial) {
       ++serial_rounds_;
       run_serial_round(horizon);
@@ -120,18 +138,9 @@ void Executor::run_serial_round(Time horizon) {
   // directly (no outbox) — serial rounds are serial at every thread count,
   // so the insertion order is deterministic by construction.
   for (;;) {
-    NodeRuntime* best = nullptr;
-    Time best_time = kTimeNever;
-    for (auto& s : shards_) {
-      const NodeRuntime::HeapEntry* h = s->head();
-      if (h == nullptr || h->time >= horizon) continue;
-      if (best == nullptr || h->time < best_time) {
-        best = s.get();
-        best_time = h->time;
-      }
-    }
-    if (best == nullptr) return;
-    best->execute_head();
+    const Earliest e = earliest(false);
+    if (e.time >= horizon) return;
+    e.shard->execute_head();
     ++fired_;
   }
 }
@@ -141,14 +150,22 @@ void Executor::run_parallel_round(Time horizon) {
   round_horizon_ = horizon;
   round_next_.store(0, std::memory_order_relaxed);
   round_fired_.store(0, std::memory_order_relaxed);
+  round_probes_.store(0, std::memory_order_relaxed);
+  // The round's shards: every shard whose bound is below the horizon.  A
+  // bound never exceeds its head, so no runnable shard is left out; a
+  // stale one finds its head past the horizon and stops at once.
+  round_shards_.clear();
+  for (std::uint32_t i = 0; i < shard_count(); ++i)
+    if (head_lb_[i] < horizon) round_shards_.push_back(i);
   // Small-round elision: waking the pool costs more than draining one or
   // two shards inline.  Which thread executes a shard never affects event
-  // order (per-shard order plus the sorted outbox drain carry determinism),
-  // and the runnable count is pure queue state, so this stays reproducible.
+  // order (per-shard order plus the sorted outbox drain carry determinism).
+  // The runnable count must stay pure queue state to stay reproducible, so
+  // it counts refreshed heads, never possibly stale bounds.
   unsigned runnable = 0;
-  for (auto& s : shards_) {
-    const NodeRuntime::HeapEntry* h = s->head();
-    if (h != nullptr && h->time < horizon && ++runnable > 2) break;
+  for (const std::uint32_t i : round_shards_) {
+    head_lb_[i] = probe(i, false);
+    if (head_lb_[i] < horizon && ++runnable > 2) break;
   }
   if (!workers_.empty() && runnable > 2) {
     round_active_.store(static_cast<unsigned>(workers_.size()), std::memory_order_relaxed);
@@ -175,35 +192,47 @@ void Executor::run_parallel_round(Time horizon) {
   }
   parallel_phase_ = false;
   fired_ += round_fired_.load(std::memory_order_relaxed);
+  head_probes_ += round_probes_.load(std::memory_order_relaxed);
   drain_outboxes();
 }
 
 void Executor::work_round() {
-  const std::uint32_t n = shard_count();
+  const auto n = static_cast<std::uint32_t>(round_shards_.size());
   std::size_t fired = 0;
+  std::uint64_t probes = 0;
   for (;;) {
-    const std::uint32_t i = round_next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) break;
+    const std::uint32_t k = round_next_.fetch_add(1, std::memory_order_relaxed);
+    if (k >= n) break;
+    const std::uint32_t i = round_shards_[k];
     NodeRuntime& s = *shards_[i];
     for (;;) {
       const NodeRuntime::HeapEntry* h = s.head();
-      if (h == nullptr || h->time >= round_horizon_) break;
-      // A global event spawned mid-round (defer_global) parks the shard:
-      // the next round will be serial and run it in merged order.
-      if (s.slots_[h->slot].global) break;
+      ++probes;
+      // The shard stops at an empty queue, at the horizon, or in front of
+      // a global event spawned mid-round (defer_global), which the next
+      // (serial) round runs in merged order.  Only this thread writes the
+      // shard's bound during the round: cross-shard inserts wait in
+      // outboxes until the barrier.
+      if (h == nullptr || h->time >= round_horizon_ || s.slots_[h->slot].global) {
+        head_lb_[i] = h != nullptr ? h->time : kTimeNever;
+        break;
+      }
       s.execute_head();
       ++fired;
     }
   }
   round_fired_.fetch_add(fired, std::memory_order_relaxed);
+  round_probes_.fetch_add(probes, std::memory_order_relaxed);
 }
 
 void Executor::drain_outboxes() {
+  // Only a shard that ran this round can hold outbox entries.
   auto& all = drained_;
-  for (auto& s : shards_) {
-    if (s->outbox_.empty()) continue;
-    for (auto& d : s->outbox_) all.push_back(std::move(d));
-    s->outbox_.clear();
+  for (const std::uint32_t i : round_shards_) {
+    NodeRuntime& s = *shards_[i];
+    if (s.outbox_.empty()) continue;
+    for (auto& d : s.outbox_) all.push_back(std::move(d));
+    s.outbox_.clear();
   }
   if (all.empty()) return;
   std::sort(all.begin(), all.end(),

@@ -3,7 +3,8 @@
 // Conservative parallel discrete-event executor over node shards.
 //
 // Time advances in lock-stepped rounds.  Each round:
-//   1. T_min  = earliest pending event time across all shards.
+//   1. T_min  = earliest pending event time across all shards, read from
+//      a per-shard array of head-time lower bounds (see earliest()).
 //   2. H      = min(T_min + L, bound), where L is the lookahead — the
 //      minimum in-flight link latency reported by the network.  Every
 //      cross-shard delivery scheduled by an event at time t lands at
@@ -12,14 +13,16 @@
 //   3. Classify: if any shard holds a *global* event earlier than H (or
 //      tracing is enabled), the round is serial — events across all shards
 //      run one at a time in (time, shard, seq) order and may touch shared
-//      state.  Otherwise the round is parallel: each shard independently
-//      drains its own events below H in (time, seq) order, stopping early
-//      if its head becomes a global event (which then forces the next
-//      round serial).
+//      state; each next event comes from the same bound array.  Otherwise
+//      the round is parallel: each shard whose bound is below H
+//      independently drains its own events below H in (time, seq) order,
+//      stopping early if its head becomes a global event (which then
+//      forces the next round serial), and stores its exact head as its
+//      bound when it stops.  Shards at or past H are never touched.
 //   4. Barrier: schedule calls that targeted another shard during a
-//      parallel round were buffered in per-shard outboxes; they are applied
-//      in deterministic (source time, source shard, source seq, index)
-//      order.
+//      parallel round were buffered in the outboxes of the shards that
+//      ran; they are applied in deterministic (source time, source shard,
+//      source seq, index) order.
 //
 // The same classification and execution rules run at every worker count:
 // at --threads 1 a "parallel" round simply visits the shards sequentially.
@@ -90,21 +93,33 @@ class Executor {
   /// unexpected serial-round majority).
   std::uint64_t serial_rounds() const { return serial_rounds_; }
   std::uint64_t parallel_rounds() const { return parallel_rounds_; }
+  /// Shard head reads (one per queue inspection of a shard) since
+  /// construction.  A pure function of queue state, like the round counts:
+  /// idle shards cost none once their bounds are exact.
+  std::uint64_t head_probes() const { return head_probes_; }
 
  private:
   friend class NodeRuntime;
 
-  /// Earliest pending event time across shards, kTimeNever when idle.
-  Time min_head_time();
-  /// Earliest pending *global* event time across shards.
-  Time min_global_time();
+  struct Earliest {
+    NodeRuntime* shard;  // nullptr when every queue is empty
+    Time time;
+  };
+  /// The shard holding the earliest pending event — or, with `global`, the
+  /// earliest global event — with ties to the lowest shard index.  Scans
+  /// the bound array and refreshes only the argmin shard.  An insert only
+  /// lowers a bound; a fire or a cancel may leave it stale-low until it is
+  /// refreshed here or at the end of the shard's parallel round.
+  Earliest earliest(bool global);
+  /// Reads shard `i`'s exact head (or global head) time and counts it.
+  Time probe(std::uint32_t i, bool global);
   void run_serial_round(Time horizon);
   void run_parallel_round(Time horizon);
   void drain_outboxes();
 
   void start_workers(unsigned n);
   void stop_workers();
-  /// Executes shards (claimed via round_next_) below round_horizon_.
+  /// Executes round_shards_ (claimed via round_next_) below round_horizon_.
   void work_round();
 
   static thread_local NodeRuntime* current_;
@@ -116,7 +131,16 @@ class Executor {
   std::size_t fired_ = 0;  // events fired in the current run_* call
   std::uint64_t serial_rounds_ = 0;
   std::uint64_t parallel_rounds_ = 0;
+  std::uint64_t head_probes_ = 0;
   std::vector<std::unique_ptr<NodeRuntime>> shards_;
+  // Per-shard lower bounds on the head time and the global head time
+  // (kTimeNever for an empty queue).  NodeRuntime::insert_direct lowers its
+  // own shard's entries; during a parallel round only the thread running a
+  // shard writes that shard's entries.
+  std::vector<Time> head_lb_;
+  std::vector<Time> global_lb_;
+  // The current parallel round's shards (bound below the horizon).
+  std::vector<std::uint32_t> round_shards_;
   // drain_outboxes' merge buffer; it keeps its capacity across rounds.
   std::vector<NodeRuntime::Deferred> drained_;
 
@@ -134,8 +158,9 @@ class Executor {
   std::atomic<unsigned> round_active_{0};    // workers still inside the round
   std::atomic<bool> shutdown_{false};
   Time round_horizon_ = 0;
-  std::atomic<std::uint32_t> round_next_{0};  // shard claim cursor
+  std::atomic<std::uint32_t> round_next_{0};  // round_shards_ claim cursor
   std::atomic<std::size_t> round_fired_{0};
+  std::atomic<std::uint64_t> round_probes_{0};
 };
 
 }  // namespace cmtos::sim

@@ -58,11 +58,17 @@ EventHandle NodeRuntime::insert_direct(Time t, EventFn fn, bool global) {
 
   const HeapEntry e{t, next_seq_++, idx, s.gen};
   enqueue_entry(e);
+  // The executor's lower bounds on this shard's head times only ever drop
+  // here (Executor::earliest).
+  Time& head_lb = exec_->head_lb_[shard_];
+  if (t < head_lb) head_lb = t;
   if (global) {
-    // Exact mirror for min_global_time(), regardless of where the primary
-    // entry resides (near heap, wheel bucket, or far heap).
+    // Exact mirror for the earliest global event, regardless of where the
+    // primary entry resides (near heap, wheel bucket, or far heap).
     global_heap_.push_back(e);
     std::push_heap(global_heap_.begin(), global_heap_.end(), Later{});
+    Time& global_lb = exec_->global_lb_[shard_];
+    if (t < global_lb) global_lb = t;
   }
   live_.fetch_add(1, std::memory_order_relaxed);
   return EventHandle(this, idx, s.gen);

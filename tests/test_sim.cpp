@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "sim/clock.h"
 #include "sim/scheduler.h"
+#include "util/rng.h"
 #include "util/slot_table.h"
 
 namespace cmtos::sim {
@@ -107,6 +110,149 @@ TEST(Scheduler, NegativeDelayClampsToNow) {
   s.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(s.now(), 100);
+}
+
+// --- sim::Executor: event order across many shards, round structure at any
+// worker count, idle edges ---
+
+/// One fired event: (time, shard, per-shard insertion index).
+struct Fired {
+  Time time;
+  std::uint32_t shard;
+  int index;
+  auto operator<=>(const Fired&) const = default;
+};
+
+TEST(Executor, RunFiresInTimeShardInsertionOrderAcrossManyShards) {
+  Scheduler s;
+  Executor& exec = s.executor();
+  std::vector<NodeRuntime*> shards;
+  for (int i = 0; i < 200; ++i) shards.push_back(&exec.add_shard());
+
+  Rng rng(20261018);
+  std::vector<Fired> expected;
+  std::vector<Fired> fired;
+  for (NodeRuntime* rt : shards) {
+    const std::uint32_t id = rt->shard();
+    int index = 0;
+    // A cancelled event ahead of everything else on every third shard: the
+    // shard's earliest entry is dead by the time the run starts.
+    if (id % 3 == 0) rt->at(0, [] { ADD_FAILURE() << "cancelled event fired"; }).cancel();
+    const int events = static_cast<int>(rng.uniform(0, 6));
+    for (int k = 0; k < events; ++k, ++index) {
+      // Coarse times give ties within a shard and across shards; every
+      // tenth event lands past the timer wheel's span.
+      Time t = rng.uniform(1, 40) * kMillisecond;
+      if (rng.uniform(0, 9) == 0) t += 6 * 3600 * kSecond;
+      const Fired f{t, id, index};
+      auto fn = [&fired, f] { fired.push_back(f); };
+      if (rng.bernoulli(0.3)) {
+        rt->at_global(t, fn);
+      } else {
+        rt->at(t, fn);
+      }
+      expected.push_back(f);
+    }
+    // Cancelling the shard's earliest live event leaves its bound stale.
+    if (id % 5 == 1 && events > 0) {
+      const Time early = rng.uniform(0, 2) * kMillisecond;
+      rt->at_global(early, [] { ADD_FAILURE() << "cancelled event fired"; }).cancel();
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  // Single-step in uneven batches so every selection restarts from scratch.
+  std::size_t total = 0;
+  for (std::size_t batch = 1;; batch = batch % 7 + 1) {
+    const std::size_t n = s.run(batch);
+    total += n;
+    if (n < batch) break;
+  }
+  EXPECT_EQ(total, expected.size());
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+/// A world of `shards` runtimes whose local chains post deliveries to other
+/// shards at least the lookahead ahead, plus control-shard global events;
+/// returns per-shard fire logs and the round counts.
+struct RoundWorld {
+  std::vector<std::vector<std::int64_t>> logs;
+  std::uint64_t serial_rounds = 0;
+  std::uint64_t parallel_rounds = 0;
+  std::size_t events = 0;
+};
+
+RoundWorld run_round_world(unsigned threads) {
+  constexpr std::size_t kShards = 24;
+  constexpr Duration kLookahead = kMillisecond;
+  Scheduler s;
+  Executor& exec = s.executor();
+  exec.set_lookahead(kLookahead);
+  s.set_threads(threads);
+  std::vector<NodeRuntime*> rts;
+  for (std::size_t i = 0; i < kShards; ++i) rts.push_back(&exec.add_shard());
+  RoundWorld w;
+  w.logs.resize(kShards);
+
+  std::vector<std::function<void()>> ticks(kShards);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    ticks[i] = [&, i] {
+      NodeRuntime& rt = *rts[i];
+      auto& log = w.logs[i];
+      log.push_back(rt.now());
+      // Every third shard delivers to a neighbour on every other tick.
+      if (i % 3 == 0 && log.size() % 2 == 0) {
+        const std::size_t to = (i * 7 + 5) % kShards;
+        NodeRuntime& dst = *rts[to];
+        const Time at = rt.now() + kLookahead + rt.rng().uniform(0, 500);
+        dst.at(at, [&w, &dst, to, from = static_cast<Time>(i)] {
+          w.logs[to].push_back(-dst.now() - from);
+        });
+      }
+      const auto period = static_cast<Duration>(i % 5 + 1) * 300 * kMicrosecond;
+      if (rt.now() < 400 * kMillisecond) rt.after(period, ticks[i]);
+    };
+    rts[i]->at(static_cast<Time>(i) * 10 * kMicrosecond, ticks[i]);
+  }
+  // Global control-shard events make some rounds serial.
+  for (int k = 1; k <= 20; ++k) s.at(k * 17 * kMillisecond, [] {});
+  for (int step = 1; step <= 5; ++step) w.events += s.run_until(step * 100 * kMillisecond);
+  w.serial_rounds = exec.serial_rounds();
+  w.parallel_rounds = exec.parallel_rounds();
+  return w;
+}
+
+TEST(Executor, RoundsAndFireLogsMatchAtOneAndFourThreads) {
+  const RoundWorld one = run_round_world(1);
+  const RoundWorld four = run_round_world(4);
+  EXPECT_GT(one.serial_rounds, 0u);
+  EXPECT_GT(one.parallel_rounds, 0u);
+  EXPECT_EQ(one.events, four.events);
+  EXPECT_EQ(one.serial_rounds, four.serial_rounds);
+  EXPECT_EQ(one.parallel_rounds, four.parallel_rounds);
+  for (std::size_t i = 0; i < one.logs.size(); ++i)
+    EXPECT_EQ(one.logs[i], four.logs[i]) << "shard " << i;
+}
+
+TEST(Executor, RunUntilAdvancesEveryClockWhenIdle) {
+  {
+    Scheduler s;
+    Executor& exec = s.executor();
+    NodeRuntime& rt = exec.add_shard();
+    exec.add_shard();
+    rt.at(5 * kMillisecond, [] { ADD_FAILURE() << "cancelled event fired"; }).cancel();
+    EXPECT_EQ(s.run_until(10 * kMillisecond), 0u);
+    for (std::uint32_t i = 0; i < exec.shard_count(); ++i)
+      EXPECT_EQ(exec.shard(i).now(), 10 * kMillisecond);
+  }
+  {
+    Scheduler s;
+    Executor& exec = s.executor();
+    for (int i = 0; i < 3; ++i) exec.add_shard();
+    EXPECT_EQ(s.run_until(7 * kMillisecond), 0u);
+    for (std::uint32_t i = 0; i < exec.shard_count(); ++i)
+      EXPECT_EQ(exec.shard(i).now(), 7 * kMillisecond);
+  }
 }
 
 // --- sim::Timer: at most one pending event, cancelled by re-arm, move-assign
