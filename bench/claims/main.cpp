@@ -12,8 +12,9 @@
 // violation — then writes the metrics snapshot (--json) and closes the
 // Chrome trace-event file (--trace).  The snapshot's meta names the claim
 // and stamps the machine and build as perfbench's result files do:
-// revision (--revision, "unknown" without it), cpu, nproc, build_type and
-// compiler.
+// revision (--revision, "unknown" without it), cpu, nproc, build_type,
+// compiler and crc_kernel (the CRC-32 kernel this CPU dispatches to, which
+// the wall-clock series depend on).
 //
 // Exit status: 0 when every oracle held, 1 when one failed, 2 on a usage
 // error.
@@ -28,6 +29,7 @@
 
 #include "claims.h"
 #include "obs/metrics.h"
+#include "util/checksum.h"
 #include "obs/trace.h"
 
 namespace {
@@ -119,12 +121,14 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::Tracer::global().stop();
   if (!json_path.empty()) {
     const std::string claim = only.empty() ? "all" : only;
+    const char* crc_kernel = cmtos::detail::to_string(cmtos::detail::crc32_kernel());
     const obs::Labels meta = {{"claim", claim},
                               {"revision", revision},
                               {"cpu", cpu_model()},
                               {"nproc", std::to_string(std::thread::hardware_concurrency())},
                               {"build_type", CLAIMS_BUILD_TYPE},
-                              {"compiler", CLAIMS_COMPILER}};
+                              {"compiler", CLAIMS_COMPILER},
+                              {"crc_kernel", crc_kernel}};
     if (!obs::Registry::global().write_json(json_path, meta))
       std::fprintf(stderr, "warning: cannot write metrics to %s\n", json_path.c_str());
   }

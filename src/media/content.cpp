@@ -22,7 +22,15 @@ void fill_frame(std::span<std::uint8_t> out, std::uint32_t track_id, std::uint32
   const std::size_t body_len = out.size() - kHeaderBytes;
   const auto body = out.subspan(kHeaderBytes);
   Rng rng((static_cast<std::uint64_t>(track_id) << 32) | index);
-  for (auto& b : body) b = static_cast<std::uint8_t>(rng.next_u64());
+  // All eight bytes of each draw, little-endian, so the body is the same on
+  // every host.
+  std::size_t i = 0;
+  for (; i + 8 <= body_len; i += 8) {
+    const std::uint64_t v = rng.next_u64();
+    for (std::size_t k = 0; k < 8; ++k) body[i + k] = static_cast<std::uint8_t>(v >> (8 * k));
+  }
+  for (std::uint64_t v = rng.next_u64(); i < body_len; ++i, v >>= 8)
+    body[i] = static_cast<std::uint8_t>(v);
   put_u32(out.data(), track_id);
   put_u32(out.data() + 4, index);
   put_u32(out.data() + 8, static_cast<std::uint32_t>(body_len));

@@ -66,6 +66,7 @@ Opdu Opdu::reply(OpduType type, OrchSessionId session, transport::VcId vc, net::
 
 std::vector<std::uint8_t> Opdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(kOpduWireBytes + kOpduVcEntryBytes * vcs.size());
   ByteWriter w(out);
   w.u8(wire_enum(type));
   w.u64(session);

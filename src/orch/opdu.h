@@ -179,6 +179,11 @@ struct Opdu {
                                     WireFault* fault = nullptr);
 };
 
+/// Encoded OPDU size (CRC trailer included) with an empty `vcs` list; each
+/// `vcs` entry adds kOpduVcEntryBytes.
+inline constexpr std::size_t kOpduWireBytes = 161;
+inline constexpr std::size_t kOpduVcEntryBytes = 16;
+
 inline constexpr std::uint8_t kOpduFlagFlush = 1;
 inline constexpr std::uint8_t kOpduFlagSourceTarget = 2;
 

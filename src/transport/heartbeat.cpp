@@ -65,7 +65,7 @@ void HeartbeatEngine::arm(net::NodeId node, Peer& p, Time at) {
 
 void HeartbeatEngine::on_tick(net::NodeId node) {
   if (find(node) == nullptr) return;
-  std::vector<FeedbackTpdu> feedback = collect_feedback(node);
+  collect_feedback(node);
   // The hole sweep may re-enter user code that closes the pair's last VC.
   Peer* p = find(node);
   if (p == nullptr) return;
@@ -81,8 +81,8 @@ void HeartbeatEngine::on_tick(net::NodeId node) {
     }
     keepalive = now >= p->next_keepalive;
   }
-  if (!feedback.empty() || flags != 0 || keepalive) {
-    emit(node, p, std::move(feedback), flags);
+  if (!feedback_.empty() || flags != 0 || keepalive) {
+    emit(node, p, feedback_, flags);
     if (liveness()) p->next_keepalive = now + ent_.to_true(cfg.keepalive_interval);
   }
   Time next = kTimeNever;
@@ -91,7 +91,8 @@ void HeartbeatEngine::on_tick(net::NodeId node) {
   if (next != kTimeNever) arm(node, *p, next);
 }
 
-std::vector<FeedbackTpdu> HeartbeatEngine::collect_feedback(net::NodeId node) {
+void HeartbeatEngine::collect_feedback(net::NodeId node) {
+  feedback_.clear();
   Peer* p = find(node);
   sweep_.swap(p->watch);
   p->watch.clear();
@@ -103,11 +104,10 @@ std::vector<FeedbackTpdu> HeartbeatEngine::collect_feedback(net::NodeId node) {
     Connection* c = ent_.sink(vc);
     if (c != nullptr && c->has_holes()) c->give_up_on_holes();
   }
-  std::vector<FeedbackTpdu> out;
   p = find(node);
   if (p == nullptr) {
     sweep_.clear();
-    return out;
+    return;
   }
   // Phase 2: compare each sink's feedback with what the peer acknowledged.
   // A changed value first rides heartbeat next_seq_ + 1, the one emit()
@@ -123,7 +123,7 @@ std::vector<FeedbackTpdu> HeartbeatEngine::collect_feedback(net::NodeId node) {
       r.seq = next_seq_ + 1;
       r.acked = false;
     }
-    if (!r.acked) out.push_back(value);
+    if (!r.acked) feedback_.push_back(value);
     if (!r.acked || c->has_holes()) {
       p->watch.push_back(vc);
     } else {
@@ -131,23 +131,34 @@ std::vector<FeedbackTpdu> HeartbeatEngine::collect_feedback(net::NodeId node) {
     }
   }
   sweep_.clear();
-  return out;
 }
 
-void HeartbeatEngine::emit(net::NodeId node, const Peer* p, std::vector<FeedbackTpdu> feedback,
+void HeartbeatEngine::emit(net::NodeId node, const Peer* p, std::span<const FeedbackTpdu> feedback,
                            std::uint8_t flags, std::uint32_t ack) {
-  HeartbeatTpdu hb;
+  HeartbeatTpdu& hb = tx_;
   hb.incarnation = incarnation_;
   hb.seq = ++next_seq_;
   hb.ack = p != nullptr ? p->recv_seq : ack;
-  if (p != nullptr) {
-    hb.vc_count = p->vc_count;
-    hb.digest = p->digest;
-  }
+  hb.vc_count = p != nullptr ? p->vc_count : 0;
+  hb.digest = p != nullptr ? p->digest : 0;
   hb.flags = flags;
-  hb.feedback = std::move(feedback);
-  if ((flags & kHbCarriesIds) != 0) hb.ids = held_with(node);
-  ent_.send_tpdu(node, net::Proto::kTransportData, hb.encode());
+  hb.feedback.assign(feedback.begin(), feedback.end());
+  if ((flags & kHbCarriesIds) != 0) {
+    hb.ids = held_with(node);
+  } else {
+    hb.ids.clear();
+  }
+  hb.encode_into(wire_);
+  ent_.send_tpdu(node, net::Proto::kTransportData, std::span<const std::uint8_t>(wire_));
+}
+
+bool HeartbeatEngine::receive(net::NodeId src, std::span<const std::uint8_t> wire,
+                              WireFault* fault) {
+  // Safe to reuse: a send never re-enters a receiver synchronously, so no
+  // second heartbeat is decoded while on_heartbeat still reads rx_.
+  if (!HeartbeatTpdu::decode_into(wire, rx_, fault)) return false;
+  on_heartbeat(src, rx_);
+  return true;
 }
 
 void HeartbeatEngine::on_heartbeat(net::NodeId src, const HeartbeatTpdu& hb) {

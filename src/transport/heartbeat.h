@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/address.h"
@@ -77,7 +78,9 @@ class CMTOS_SHARD_AFFINE HeartbeatEngine {
   /// A checksum-valid packet from `peer` arrived (liveness).
   void heard_from(net::NodeId peer);
 
-  void on_heartbeat(net::NodeId src, const HeartbeatTpdu& hb);
+  /// A heartbeat's wire bytes arrived from `src`: decodes them into a
+  /// reused record and handles it; false (with `fault` set) on refusal.
+  bool receive(net::NodeId src, std::span<const std::uint8_t> wire, WireFault* fault);
 
   /// Restart: later heartbeats carry a new incarnation.
   void restart() { ++incarnation_; }
@@ -104,12 +107,14 @@ class CMTOS_SHARD_AFFINE HeartbeatEngine {
   /// Arms the record's tick at `at` unless it already fires no later.
   void arm(net::NodeId node, Peer& p, Time at);
   void on_tick(net::NodeId node);
-  /// Examines the watch list: hole sweep, then the feedback entries to send
-  /// (stamped with the seq of the heartbeat about to carry them).
-  std::vector<FeedbackTpdu> collect_feedback(net::NodeId node);
+  void on_heartbeat(net::NodeId src, const HeartbeatTpdu& hb);
+  /// Examines the watch list: hole sweep, then fills feedback_ with the
+  /// entries to send (stamped with the seq of the heartbeat about to carry
+  /// them).
+  void collect_feedback(net::NodeId node);
   /// Sends one heartbeat to `node`.  `p` is its record, or null when we
   /// hold no VC with it (then `ack` is the seq being answered).
-  void emit(net::NodeId node, const Peer* p, std::vector<FeedbackTpdu> feedback,
+  void emit(net::NodeId node, const Peer* p, std::span<const FeedbackTpdu> feedback,
             std::uint8_t flags = 0, std::uint32_t ack = 0);
   /// VC ids held with `node`: open endpoints plus connects awaiting its CC.
   std::vector<VcId> held_with(net::NodeId node) const;
@@ -125,7 +130,12 @@ class CMTOS_SHARD_AFFINE HeartbeatEngine {
   /// and re-created.
   std::uint32_t next_seq_ = 0;
   FlatMap<net::NodeId, Peer> peers_;
-  std::vector<VcId> sweep_;  // scratch: the watch list being examined
+  // Scratch kept across ticks, so a steady-state exchange allocates nothing.
+  std::vector<VcId> sweep_;              // the watch list being examined
+  std::vector<FeedbackTpdu> feedback_;   // collect_feedback's entries
+  HeartbeatTpdu tx_;                     // emit's heartbeat
+  std::vector<std::uint8_t> wire_;       // emit's encoding
+  HeartbeatTpdu rx_;                     // receive's decoded heartbeat
 };
 
 }  // namespace cmtos::transport

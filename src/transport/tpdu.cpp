@@ -416,6 +416,12 @@ std::uint64_t vc_digest(VcId vc) {
 
 std::vector<std::uint8_t> HeartbeatTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  encode_into(out);
+  return out;
+}
+
+void HeartbeatTpdu::encode_into(std::vector<std::uint8_t>& out) const {
+  out.clear();
   const bool with_ids = (flags & kHbCarriesIds) != 0;
   out.reserve(kHeartbeatFixedBytes + feedback.size() * kFeedbackEntryBytes +
               (with_ids ? 4 + ids.size() * 8 : 0));
@@ -434,21 +440,26 @@ std::vector<std::uint8_t> HeartbeatTpdu::encode() const {
     for (VcId vc : ids) w.u64(vc);
   }
   append_crc32(out);
-  return out;
 }
 
 std::optional<HeartbeatTpdu> HeartbeatTpdu::decode(std::span<const std::uint8_t> wire,
                                                    WireFault* fault) {
+  HeartbeatTpdu t;
+  if (!decode_into(wire, t, fault)) return std::nullopt;
+  return t;
+}
+
+bool HeartbeatTpdu::decode_into(std::span<const std::uint8_t> wire, HeartbeatTpdu& t,
+                                WireFault* fault) {
   set_fault(fault, WireFault::kNone);
   const auto body = checked_body(wire, fault);
-  if (!body) return std::nullopt;
+  if (!body) return false;
   try {
     ByteReader r(*body);
     if (static_cast<TpduType>(r.u8()) != TpduType::kHB) {
       set_fault(fault, WireFault::kBadType);
-      return std::nullopt;
+      return false;
     }
-    HeartbeatTpdu t;
     t.incarnation = r.u32();
     t.seq = r.u32();
     t.ack = r.u32();
@@ -457,30 +468,32 @@ std::optional<HeartbeatTpdu> HeartbeatTpdu::decode(std::span<const std::uint8_t>
     t.flags = r.u8();
     if ((t.flags & ~(kHbCarriesIds | kHbWantsIds)) != 0) {
       set_fault(fault, WireFault::kBadType);
-      return std::nullopt;
+      return false;
     }
     // Counts are range-checked against the bytes actually present before
     // reserving: a stomped count must not drive the allocation.
     const std::uint32_t n = r.u32();
     if (n > r.remaining() / kFeedbackEntryBytes) {
       set_fault(fault, WireFault::kBadLength);
-      return std::nullopt;
+      return false;
     }
+    t.feedback.clear();
     t.feedback.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) t.feedback.push_back(read_feedback(r));
+    t.ids.clear();
     if ((t.flags & kHbCarriesIds) != 0) {
       const std::uint32_t k = r.u32();
       if (k > r.remaining() / 8) {
         set_fault(fault, WireFault::kBadLength);
-        return std::nullopt;
+        return false;
       }
       t.ids.reserve(k);
       for (std::uint32_t i = 0; i < k; ++i) t.ids.push_back(r.u64());
     }
-    return t;
+    return true;
   } catch (const DecodeError&) {
     set_fault(fault, WireFault::kTruncated);
-    return std::nullopt;
+    return false;
   }
 }
 

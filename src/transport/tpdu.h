@@ -208,10 +208,16 @@ struct HeartbeatTpdu {
   std::vector<VcId> ids;          // present only with kHbCarriesIds
 
   std::vector<std::uint8_t> encode() const;
+  /// encode() into `out`, replacing its contents and keeping its capacity.
+  void encode_into(std::vector<std::uint8_t>& out) const;
   /// Total: refuses unknown flag bits, entry or id counts the remaining
   /// bytes cannot hold, and a bad CRC trailer.
   static std::optional<HeartbeatTpdu> decode(std::span<const std::uint8_t> wire,
                                              WireFault* fault = nullptr);
+  /// decode() into `out`, reusing its vectors' capacity; false on refusal
+  /// (`out` is then unspecified).
+  static bool decode_into(std::span<const std::uint8_t> wire, HeartbeatTpdu& out,
+                          WireFault* fault = nullptr);
 };
 
 /// One VC's contribution to HeartbeatTpdu::digest (a splitmix64 finalizer,

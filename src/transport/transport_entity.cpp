@@ -135,17 +135,30 @@ Duration TransportEntity::handshake_delay() {
 
 void TransportEntity::send_tpdu(net::NodeId dst, net::Proto proto,
                                 std::vector<std::uint8_t> payload, net::Priority priority) {
+  net::Packet pkt = tpdu_packet(dst, proto, priority);
+  pkt.payload = std::move(payload);
+  network_.send(std::move(pkt));
+}
+
+void TransportEntity::send_tpdu(net::NodeId dst, net::Proto proto,
+                                std::span<const std::uint8_t> payload, net::Priority priority) {
+  net::Packet pkt = tpdu_packet(dst, proto, priority);
+  pkt.payload.assign(payload.begin(), payload.end());
+  network_.send(std::move(pkt));
+}
+
+net::Packet TransportEntity::tpdu_packet(net::NodeId dst, net::Proto proto,
+                                         net::Priority priority) const {
   net::Packet pkt;
   pkt.src = node_;
   pkt.dst = dst;
   pkt.proto = proto;
   pkt.priority = priority;
-  pkt.payload = std::move(payload);
   // Control TPDU handlers release reservations and call into (possibly
   // facade-side) users: their terminal delivery must run in a serial
   // round.  The data plane (DT/AK/NAK/FB/HB) stays shard-local.
   pkt.global_delivery = (proto == net::Proto::kTransportControl);
-  network_.send(std::move(pkt));
+  return pkt;
 }
 
 void TransportEntity::send_dt(net::NodeId dst, const DataTpdu& dt) {
@@ -321,11 +334,7 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
   const auto refused = [&](const char* pdu) { note_wire_refusal(pkt.src, pdu, fault); };
   if (*type == TpduType::kHB) {
     // The heartbeat is per node pair and carries no VC id.
-    if (auto hb = HeartbeatTpdu::decode(pkt.payload, &fault)) {
-      heartbeat_.on_heartbeat(pkt.src, *hb);
-    } else {
-      refused("hb");
-    }
+    if (!heartbeat_.receive(pkt.src, pkt.payload, &fault)) refused("hb");
     return;
   }
   const auto vc = peek_vc(pkt.payload);

@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -159,6 +160,10 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// the rounds they complete in.
   void send_tpdu(net::NodeId dst, net::Proto proto, std::vector<std::uint8_t> payload,
                  net::Priority priority = net::Priority::kControl);
+  /// Same, copying the bytes (inline in the packet when they fit), for a
+  /// sender that encodes through a reused buffer.
+  void send_tpdu(net::NodeId dst, net::Proto proto, std::span<const std::uint8_t> payload,
+                 net::Priority priority = net::Priority::kControl);
 
   /// The one retransmitted handshake (RCR, CR, RN): stores the encoded TPDU
   /// `wire` in the Handshake that `find()` returns, sends it to `peer` and
@@ -253,6 +258,8 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   friend class HeartbeatEngine;
   friend class RenegotiationEngine;
 
+  /// A TPDU packet to `dst` with its header fields set and no payload yet.
+  net::Packet tpdu_packet(net::NodeId dst, net::Proto proto, net::Priority priority) const;
   void on_control_packet(net::Packet&& pkt);
   void on_data_packet(net::Packet&& pkt);
   /// The registry collector: every live endpoint's per-VC series.

@@ -4,9 +4,16 @@
 // All cmtos PDUs (transport headers, OPDUs, RPC messages) are encoded with
 // these, so encodings are identical across hosts regardless of native
 // byte order — exactly what a wire format requires.
+//
+// They are the codec's field kernels and inline into every encoder and
+// decoder: a u16/u32/u64 field is one bounds check and one whole-word load
+// or store on little-endian hosts (big-endian hosts assemble bytes), and
+// the DecodeError throw of an underrun sits in one cold out-of-line
+// function.
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -49,9 +56,9 @@ class ByteWriter {
   explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, 2); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
+  void u16(std::uint16_t v) { raw(v); }
+  void u32(std::uint32_t v) { raw(v); }
+  void u64(std::uint64_t v) { raw(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
@@ -71,12 +78,17 @@ class ByteWriter {
   }
 
  private:
-  void raw(const void* p, std::size_t n) {
-    // Encode little-endian explicitly.
-    std::uint64_t v = 0;
-    std::memcpy(&v, p, n);
-    // Byte extraction, truncation intended.  cmtos-lint: allow(narrowing-in-codec)
-    for (std::size_t i = 0; i < n; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  // Appends v little-endian: its own bytes on a little-endian host.
+  template <typename T>
+  void raw(T v) {
+    std::uint8_t b[sizeof(T)];
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(b, &v, sizeof(T));
+    } else {
+      // Byte extraction, truncation intended.  cmtos-lint: allow(narrowing-in-codec)
+      for (std::size_t i = 0; i < sizeof(T); ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    out_.insert(out_.end(), b, b + sizeof(T));
   }
   std::vector<std::uint8_t>& out_;
 };
@@ -86,6 +98,12 @@ class DecodeError : public std::runtime_error {
  public:
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// Throws the ByteReader underrun; out of line and cold so the readers'
+/// fast path stays small enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_underrun() {
+  throw DecodeError("byte stream underrun");
+}
 
 /// Why a PDU decode rejected its input.  Every decoder is total over
 /// arbitrary bytes and classifies its refusals with this taxonomy; the
@@ -117,11 +135,10 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> in) : in_(in) {}
 
-  std::uint8_t u8() { return take(1)[0]; }
-  // le(n) reads exactly n bytes, so these casts cannot truncate.
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }  // cmtos-lint: allow(narrowing-in-codec)
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }  // cmtos-lint: allow(narrowing-in-codec)
-  std::uint64_t u64() { return le(8); }
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
     const std::uint64_t bits = u64();
@@ -143,15 +160,24 @@ class ByteReader {
 
  private:
   std::span<const std::uint8_t> take(std::size_t n) {
-    if (remaining() < n) throw DecodeError("byte stream underrun");
+    if (remaining() < n) throw_underrun();
     auto s = in_.subspan(pos_, n);
     pos_ += n;
     return s;
   }
-  std::uint64_t le(std::size_t n) {
-    auto s = take(n);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(s[i]) << (8 * i);
+  // Reads one little-endian T: one bounds check, one load on a
+  // little-endian host.
+  template <typename T>
+  T le() {
+    const std::uint8_t* p = take(sizeof(T)).data();
+    T v;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, sizeof(T));
+    } else {
+      v = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    }
     return v;
   }
   std::span<const std::uint8_t> in_;

@@ -14,8 +14,31 @@
 namespace cmtos {
 
 /// Computes the CRC-32 of `data`, optionally continuing from a previous
-/// value (pass the previous return value as `seed` to chain).
+/// value (pass the previous return value as `seed` to chain).  Runs the
+/// widest kernel the CPU supports (detail::crc32_kernel()).
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
+
+namespace detail {
+
+/// The CRC-32 kernels (see checksum.cpp): slice-by-8 tables, the 128-bit
+/// PCLMULQDQ fold and the 512-bit VPCLMULQDQ fold.
+enum class CrcKernel : std::uint8_t { kTable, kFold128, kFold512 };
+
+/// "table", "fold128" or "fold512".
+const char* to_string(CrcKernel k);
+
+/// Whether this CPU (and build target) can run kernel `k`.
+bool crc32_kernel_supported(CrcKernel k);
+
+/// The kernel crc32() dispatches to, chosen once from CPUID.
+CrcKernel crc32_kernel();
+
+/// crc32() through kernel `k`; nullopt when the CPU lacks it.  For tests
+/// and benchmarks that compare kernels.
+std::optional<std::uint32_t> crc32_with(CrcKernel k, std::span<const std::uint8_t> data,
+                                        std::uint32_t seed = 0);
+
+}  // namespace detail
 
 /// Appends the CRC-32 of the current contents of `wire` as a little-endian
 /// trailer.  Every control-plane PDU encoding (control TPDUs, OPDUs, RPC

@@ -20,6 +20,8 @@
 
 #include "fixtures.h"
 #include "media/content.h"
+#include "orch/opdu.h"
+#include "transport/heartbeat.h"
 #include "util/frame_pool.h"
 
 namespace cmtos::test {
@@ -111,13 +113,80 @@ TEST(SteadyStateAlloc, MediaPathAllocationsFlatAfterWarmup) {
   // Absolute ceiling: flatness alone would accept a per-fragment allocation
   // added uniformly to every window.  The ceiling is the measured level with
   // inline DT headers, capacity-keeping link queues, recycled packet
-  // vectors and one reassembly window at the sink (~1.83 on GCC 12 /
-  // libstdc++: the window's one map node per OSDU plus control traffic)
-  // plus 25%, so one more allocation per OSDU fails it.
-  constexpr double kMaxAllocsPerOsdu = 1.83 * 1.25;
+  // vectors, one reassembly window at the sink and heartbeat buffers kept
+  // across ticks (~1.04 on GCC 12 / libstdc++: the window's one map node
+  // per OSDU plus control traffic) plus 25%, so one more allocation per
+  // OSDU fails it.
+  constexpr double kMaxAllocsPerOsdu = 1.04 * 1.25;
   for (int i = 0; i < kWindows; ++i)
     EXPECT_LE(win[i].allocs_per_osdu(), kMaxAllocsPerOsdu)
         << "allocs/OSDU above ceiling in window " << i;
+}
+
+TEST(SteadyStateAlloc, OpduEncodeAllocatesOnlyItsImage) {
+  // Opdu::encode reserves its exact wire size: one allocation, the
+  // returned vector, with or without a vcs list.
+  constexpr int kEncodes = 100;
+  for (std::size_t vcs : {0, 3}) {
+    auto o = orch::Opdu::command(orch::OpduType::kRegulateSrc, 7, 9, 1, 3);
+    o.vcs.resize(vcs);
+    const std::int64_t heap0 = bench::heap_allocs();
+    std::size_t bytes = 0;
+    for (int i = 0; i < kEncodes; ++i) bytes += o.encode().size();
+    EXPECT_LE(bench::heap_allocs() - heap0, kEncodes) << vcs << " vcs";
+    EXPECT_EQ(bytes, kEncodes * (orch::kOpduWireBytes + vcs * orch::kOpduVcEntryBytes));
+  }
+}
+
+TEST(SteadyStateAlloc, HeartbeatExchangeAllocatesNothing) {
+  // A rate-based sink whose application reads one OSDU per step reports a
+  // changed free-slot count each step: one feedback-carrying heartbeat to
+  // the source, answered by an ack heartbeat (liveness keepalives ride
+  // along).  The source has nothing left to send, so heartbeats are the
+  // only traffic, and once warmed an exchange must not touch the heap.
+  PairPlatform w;
+  transport::TransportConfig tc;
+  tc.keepalive_interval = 30 * kMillisecond;
+  tc.peer_dead_after = 10 * kSecond;
+  w.a->entity.set_config(tc);
+  w.b->entity.set_config(tc);
+  ScriptedUser src_user(w.a->entity), dst_user(w.b->entity);
+  w.a->entity.bind(1, &src_user);
+  w.b->entity.bind(2, &dst_user);
+  constexpr std::uint32_t kRing = 200;
+  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 100.0, 200);
+  req.service_class.profile = transport::ProtocolProfile::kRateBasedCm;
+  req.service_class.error_control = transport::ErrorControl::kNone;
+  req.buffer_osdus = kRing;
+  const auto vc = w.a->entity.t_connect_request(req);
+  w.platform.run_until(500 * kMillisecond);
+  auto* source = w.a->entity.source(vc);
+  auto* sink = w.b->entity.sink(vc);
+  ASSERT_NE(source, nullptr);
+  ASSERT_NE(sink, nullptr);
+
+  // Fill the sink's ring while its application reads nothing.
+  for (std::uint32_t i = 0; i < kRing; ++i)
+    ASSERT_TRUE(source->submit(std::vector<std::uint8_t>(200, 1)));
+  w.platform.run_until(w.platform.scheduler().now() + kSecond);
+
+  auto step = [&] {
+    ASSERT_TRUE(sink->receive().has_value());
+    w.platform.run_until(w.platform.scheduler().now() + 2 * transport::kFeedbackPeriod);
+  };
+  // Warmup, 6 s: the engines' scratch buffers grow to fit an exchange, and
+  // the simulator's timer wheel turns once (4.1 s), so each bucket an armed
+  // tick lands in already holds capacity.
+  for (int i = 0; i < 150; ++i) step();
+
+  const auto& to_source = *w.platform.network().link(w.b->id, w.a->id);
+  const std::int64_t heartbeats0 = to_source.stats().packets_sent;
+  const std::int64_t heap0 = bench::heap_allocs();
+  constexpr int kSteps = 40;
+  for (int i = 0; i < kSteps; ++i) step();
+  const std::int64_t heap_allocs = bench::heap_allocs() - heap0;
+  ASSERT_GE(to_source.stats().packets_sent - heartbeats0, kSteps);
+  EXPECT_EQ(heap_allocs, 0);
 }
 
 }  // namespace

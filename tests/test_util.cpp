@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/byte_io.h"
@@ -187,6 +188,72 @@ TEST(Checksum, ChainingMatchesOneShotAcrossFoldThreshold) {
   }
 }
 
+// Every kernel the host supports against the bitwise reference, kernel by
+// kernel (crc32() itself runs only the widest one).
+class CrcKernelTest : public ::testing::TestWithParam<detail::CrcKernel> {
+ protected:
+  void SetUp() override {
+    if (!detail::crc32_kernel_supported(GetParam()))
+      GTEST_SKIP() << "CPU lacks the " << detail::to_string(GetParam()) << " CRC kernel";
+  }
+  std::uint32_t crc(std::span<const std::uint8_t> s, std::uint32_t seed = 0) const {
+    return detail::crc32_with(GetParam(), s, seed).value();
+  }
+};
+
+TEST_P(CrcKernelTest, MatchesBitwiseAtEveryLengthOffsetAndSeed) {
+  // Every length 0..4096 from every start offset 0..63, each offset with
+  // its own random seed; the reference advances one byte per length.
+  const auto buf = random_bytes(4096 + 64, 53);
+  Rng r(59);
+  for (std::size_t off = 0; off < 64; ++off) {
+    const auto seed = static_cast<std::uint32_t>(r.next_u64());
+    std::uint32_t ref = ~seed;  // the bitwise register over buf[off, off + len)
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto s = std::span<const std::uint8_t>(buf).subspan(off, len);
+      ASSERT_EQ(crc(s, seed), ~ref) << "offset " << off << " len " << len;
+      ref ^= buf[off + len];
+      for (int k = 0; k < 8; ++k) ref = (ref & 1) ? 0xedb88320u ^ (ref >> 1) : ref >> 1;
+    }
+  }
+}
+
+TEST_P(CrcKernelTest, ChainingMatchesOneShotAcrossThresholds) {
+  // Splits on both sides of the 16-byte fold, 64-byte four-lane and
+  // 256-byte 512-bit thresholds, so either half may take any path.
+  const auto buf = random_bytes(4096, 61);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t total : {16, 17, 31, 63, 64, 65, 127, 255, 256, 257, 271, 320, 511, 512,
+                            513, 1400, 4096}) {
+    const auto whole = all.first(total);
+    const std::uint32_t one_shot = crc32_bitwise(whole);
+    for (std::size_t split = 0; split <= std::min<std::size_t>(total, 300); ++split)
+      ASSERT_EQ(crc(whole.subspan(split), crc(whole.first(split))), one_shot)
+          << "total " << total << " split " << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Checksum, CrcKernelTest,
+                         ::testing::Values(detail::CrcKernel::kTable, detail::CrcKernel::kFold128,
+                                           detail::CrcKernel::kFold512),
+                         [](const auto& param_info) {
+                           return std::string(detail::to_string(param_info.param));
+                         });
+
+TEST(Checksum, DispatchesToTheWidestSupportedKernel) {
+  const auto k = detail::crc32_kernel();
+  EXPECT_TRUE(detail::crc32_kernel_supported(k));
+  if (k != detail::CrcKernel::kFold512) {
+    EXPECT_FALSE(detail::crc32_kernel_supported(detail::CrcKernel::kFold512));
+  }
+  if (k == detail::CrcKernel::kTable) {
+    EXPECT_FALSE(detail::crc32_kernel_supported(detail::CrcKernel::kFold128));
+  }
+  EXPECT_TRUE(detail::crc32_kernel_supported(detail::CrcKernel::kTable));
+  const auto buf = random_bytes(1400, 67);
+  EXPECT_EQ(crc32(buf), detail::crc32_with(k, buf).value());
+}
+
 TEST(OnlineStats, MeanVarMinMax) {
   OnlineStats s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
@@ -324,6 +391,46 @@ TEST(ByteIo, RoundTripsAllTypes) {
   EXPECT_EQ(r.str(), "hello");
   EXPECT_EQ(r.blob(), (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_TRUE(r.at_end());
+}
+
+TEST(ByteIo, RoundTripsEveryWidthLittleEndian) {
+  std::vector<std::uint8_t> buf;
+  ByteWriter w(buf);
+  w.u8(0x81);
+  w.u16(0x8382);
+  w.u32(0x87868584u);
+  w.u64(0x8f8e8d8c8b8a8988ull);
+  ASSERT_EQ(buf.size(), 15u);
+  for (std::size_t i = 0; i < buf.size(); ++i) EXPECT_EQ(buf[i], 0x81 + i) << "byte " << i;
+
+  ByteReader r(buf);
+  EXPECT_EQ(r.u8(), 0x81);
+  EXPECT_EQ(r.u16(), 0x8382);
+  EXPECT_EQ(r.u32(), 0x87868584u);
+  EXPECT_EQ(r.u64(), 0x8f8e8d8c8b8a8988ull);
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(ByteIo, UnderrunThrowsAtEveryWidth) {
+  // One byte short of each width, at the start and after a whole field: the
+  // read throws and consumes nothing.
+  const std::vector<std::uint8_t> buf(15, 0xa5);
+  for (std::size_t width : {1, 2, 4, 8}) {
+    for (std::size_t lead : {std::size_t{0}, width}) {
+      ByteReader r(std::span<const std::uint8_t>(buf).first(lead + width - 1));
+      const auto read = [&] {
+        switch (width) {
+          case 1: (void)r.u8(); break;
+          case 2: (void)r.u16(); break;
+          case 4: (void)r.u32(); break;
+          default: (void)r.u64(); break;
+        }
+      };
+      if (lead > 0) read();
+      EXPECT_THROW(read(), DecodeError) << "width " << width << " lead " << lead;
+      EXPECT_EQ(r.remaining(), width - 1) << "width " << width << " lead " << lead;
+    }
+  }
 }
 
 TEST(ByteIo, UnderrunThrows) {

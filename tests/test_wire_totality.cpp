@@ -16,6 +16,7 @@
 #include "transport/tpdu.h"
 #include "util/checksum.h"
 #include "util/frame_pool.h"
+#include "util/wire_hardening.h"
 
 namespace cmtos {
 namespace {
@@ -78,6 +79,24 @@ TEST(WireTotality, ControlTpduEveryType) {
     t.buffer_osdus = 16;
     sweep<ControlTpdu>(t.encode(), "control_tpdu");
   }
+}
+
+TEST(WireTotality, ControlTpduUnderrunIsTruncated) {
+  // With the CRC trailer unchecked (hardening off) nothing stops a proper
+  // prefix of the body before the ByteReader does: the underrun in the
+  // u8, u16, u32 or u64 field the cut lands in must surface as kTruncated.
+  ControlTpdu t;
+  t.type = TpduType::kCR;
+  t.vc = 7;
+  const auto wire = t.encode();
+  cmtos::wire::set_hardening(false);
+  for (std::size_t len = 0; len + 4 < wire.size(); ++len) {
+    WireFault fault = WireFault::kNone;
+    EXPECT_FALSE(ControlTpdu::decode(std::span(wire).first(len), &fault).has_value())
+        << "body prefix of length " << len << " accepted";
+    EXPECT_EQ(fault, WireFault::kTruncated) << "body prefix of length " << len;
+  }
+  cmtos::wire::set_hardening(true);
 }
 
 TEST(WireTotality, DataTpdu) {
