@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 
 namespace cmtos::net {
 
@@ -24,6 +25,9 @@ using Tsap = std::uint16_t;
 struct NetAddress {
   NodeId node = kInvalidNode;
   Tsap tsap = 0;
+
+  /// Fields in wire order (util/wire_codec.h).
+  static constexpr auto wire_fields() { return std::tuple{&NetAddress::node, &NetAddress::tsap}; }
 
   friend bool operator==(const NetAddress&, const NetAddress&) = default;
   friend auto operator<=>(const NetAddress&, const NetAddress&) = default;

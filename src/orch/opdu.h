@@ -15,12 +15,14 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "net/address.h"
 #include "transport/service.h"
 #include "util/byte_io.h"
 #include "util/time.h"
+#include "util/wire_codec.h"
 
 namespace cmtos::orch {
 
@@ -33,6 +35,11 @@ struct OrchVcInfo {
   transport::VcId vc = transport::kInvalidVc;
   net::NodeId src_node = net::kInvalidNode;
   net::NodeId sink_node = net::kInvalidNode;
+
+  /// Fields in wire order (util/wire_codec.h).
+  static constexpr auto wire_fields() {
+    return std::tuple{&OrchVcInfo::vc, &OrchVcInfo::src_node, &OrchVcInfo::sink_node};
+  }
 
   friend bool operator==(const OrchVcInfo&, const OrchVcInfo&) = default;
 };
@@ -79,6 +86,18 @@ enum class OpduType : std::uint8_t {
                        // superseded; `epoch` carries the fence now in force
 };
 
+/// Every OpduType: the decoder's range check, the fuzz family and the
+/// totality sweep all read this one list.
+inline constexpr OpduType kOpduTypes[] = {
+    OpduType::kSessReq,   OpduType::kSessAck,      OpduType::kSessRel,     OpduType::kPrime,
+    OpduType::kPrimeAck,  OpduType::kPrimed,       OpduType::kStart,       OpduType::kStartAck,
+    OpduType::kStop,      OpduType::kStopAck,      OpduType::kAdd,         OpduType::kRemove,
+    OpduType::kRemoveAck, OpduType::kRegulateSink, OpduType::kRegulateSrc, OpduType::kDrop,
+    OpduType::kRegInd,    OpduType::kSrcStats,     OpduType::kEventReg,    OpduType::kEventInd,
+    OpduType::kDelayed,   OpduType::kDelayedAck,   OpduType::kVcDead,      OpduType::kTimeReq,
+    OpduType::kTimeResp,  OpduType::kEpochNack};
+constexpr std::span<const OpduType> wire_values(OpduType) { return kOpduTypes; }
+
 /// Reasons carried in negative acks.
 enum class OrchReason : std::uint8_t {
   kOk = 0,
@@ -94,6 +113,7 @@ enum class OrchReason : std::uint8_t {
   kIllegalTransition = 10,  // primitive not legal in the session's phase
   kStaleEpoch = 11,         // OPDU carries an epoch older than the fence
 };
+constexpr auto wire_values(OrchReason) { return wire::upto<OrchReason::kStaleEpoch>(); }
 
 const char* to_string(OrchReason r);
 
@@ -158,6 +178,21 @@ struct Opdu {
   Time t_peer = 0;    // peer's local clock when answering
   std::uint32_t probe_id = 0;
 
+  /// Fields in wire order (util/wire_codec.h).  Every type writes every
+  /// field: 161 bytes with the CRC trailer, plus 16 per `vcs` entry.
+  static constexpr auto wire_fields() {
+    return std::tuple{&Opdu::type,          &Opdu::session,      &Opdu::vc,
+                      &Opdu::orch_node,     &Opdu::epoch,        &Opdu::vcs,
+                      &Opdu::flags,         &Opdu::ok,           &Opdu::reason,
+                      &Opdu::target_seq,    &Opdu::max_drop,     &Opdu::interval,
+                      &Opdu::interval_id,   &Opdu::src_node,     &Opdu::drop_count,
+                      &Opdu::delivered_seq, &Opdu::dropped,      &Opdu::app_blocked,
+                      &Opdu::proto_blocked, &Opdu::pattern,      &Opdu::mask,
+                      &Opdu::event_value,   &Opdu::osdu_seq,     &Opdu::source_side,
+                      &Opdu::osdus_behind,  &Opdu::timestamp,    &Opdu::t_origin,
+                      &Opdu::t_peer,        &Opdu::probe_id};
+  }
+
   /// An OPDU from the orchestrating node `orch_node` to an endpoint,
   /// stamped with the session's fencing `epoch`.  A sink's kDrop is one
   /// too: it acts for the orchestrating node, so it carries that node's
@@ -178,11 +213,6 @@ struct Opdu {
   static std::optional<Opdu> decode(std::span<const std::uint8_t> wire,
                                     WireFault* fault = nullptr);
 };
-
-/// Encoded OPDU size (CRC trailer included) with an empty `vcs` list; each
-/// `vcs` entry adds kOpduVcEntryBytes.
-inline constexpr std::size_t kOpduWireBytes = 161;
-inline constexpr std::size_t kOpduVcEntryBytes = 16;
 
 inline constexpr std::uint8_t kOpduFlagFlush = 1;
 inline constexpr std::uint8_t kOpduFlagSourceTarget = 2;

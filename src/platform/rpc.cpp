@@ -1,84 +1,15 @@
 #include "platform/rpc.h"
 
 #include "obs/wire_stats.h"
-#include "util/byte_io.h"
-#include "util/checksum.h"
 #include "util/logging.h"
-#include "util/wire_hardening.h"
 
 namespace cmtos::platform {
 
-namespace {
+std::vector<std::uint8_t> RpcMsg::encode() const { return wire::encode(*this); }
 
-enum class MsgKind : std::uint8_t { kRequest = 1, kReply = 2 };
-
-void set_fault(WireFault* fault, WireFault f) {
-  if (fault != nullptr) *fault = f;
+std::optional<RpcMsg> RpcMsg::decode(std::span<const std::uint8_t> in, WireFault* fault) {
+  return wire::decode<RpcMsg>(in, fault);
 }
-
-struct RpcMsg {
-  MsgKind kind = MsgKind::kRequest;
-  std::uint64_t call_id = 0;
-  net::NodeId caller = net::kInvalidNode;
-  RpcOutcome outcome = RpcOutcome::kOk;
-  std::string interface;
-  std::string op;
-  std::vector<std::uint8_t> body;
-
-  std::vector<std::uint8_t> encode() const {
-    std::vector<std::uint8_t> out;
-    ByteWriter w(out);
-    w.u8(wire_enum(kind));
-    w.u64(call_id);
-    w.u32(caller);
-    w.u8(wire_enum(outcome));
-    w.str(interface);
-    w.str(op);
-    w.blob(body);
-    append_crc32(out);  // adversarial wire model: links flip real bytes
-    return out;
-  }
-  /// Total over arbitrary bytes: CRC-verified, enum fields range-checked.
-  static std::optional<RpcMsg> decode(std::span<const std::uint8_t> wire,
-                                      WireFault* fault = nullptr) {
-    if (cmtos::wire::hardening()) {
-      auto body_span = strip_crc32(wire);
-      if (!body_span) {
-        set_fault(fault, WireFault::kChecksum);
-        return std::nullopt;
-      }
-      wire = *body_span;
-    }
-    try {
-      ByteReader r(wire);
-      RpcMsg m;
-      const std::uint8_t raw_kind = r.u8();
-      if (raw_kind != wire_enum(MsgKind::kRequest) &&
-          raw_kind != wire_enum(MsgKind::kReply)) {
-        set_fault(fault, WireFault::kBadType);
-        return std::nullopt;
-      }
-      m.kind = static_cast<MsgKind>(raw_kind);
-      m.call_id = r.u64();
-      m.caller = r.u32();
-      const std::uint8_t raw_outcome = r.u8();
-      if (raw_outcome > wire_enum(RpcOutcome::kAppError)) {
-        set_fault(fault, WireFault::kBadType);
-        return std::nullopt;
-      }
-      m.outcome = static_cast<RpcOutcome>(raw_outcome);
-      m.interface = r.str();
-      m.op = r.str();
-      m.body = r.blob();
-      return m;
-    } catch (const DecodeError&) {
-      set_fault(fault, WireFault::kTruncated);
-      return std::nullopt;
-    }
-  }
-};
-
-}  // namespace
 
 std::string to_string(RpcOutcome o) {
   switch (o) {
@@ -117,7 +48,7 @@ void RpcRuntime::unregister_interface(const std::string& interface) {
 void RpcRuntime::invoke(net::NodeId node, const std::string& interface, const std::string& op,
                         std::vector<std::uint8_t> args, Duration delay_bound, ReplyFn reply) {
   RpcMsg m;
-  m.kind = MsgKind::kRequest;
+  m.kind = RpcKind::kRequest;
   m.call_id = next_call_++;
   m.caller = node_;
   m.interface = interface;
@@ -158,9 +89,9 @@ void RpcRuntime::on_packet(net::Packet&& pkt) {
     obs::wire_decode_failed("rpc", fault);
     return;
   }
-  if (m->kind == MsgKind::kRequest) {
+  if (m->kind == RpcKind::kRequest) {
     RpcMsg reply;
-    reply.kind = MsgKind::kReply;
+    reply.kind = RpcKind::kReply;
     reply.call_id = m->call_id;
     reply.caller = m->caller;
     auto ifc = interfaces_.find(m->interface);

@@ -21,11 +21,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
 #include "sim/scheduler.h"
 #include "util/time.h"
+#include "util/wire_codec.h"
 
 namespace cmtos::platform {
 
@@ -36,8 +38,36 @@ enum class RpcOutcome : std::uint8_t {
   kNoSuchOperation = 3,
   kAppError = 4,       // handler reported failure
 };
+constexpr auto wire_values(RpcOutcome) { return wire::upto<RpcOutcome::kAppError>(); }
 
 std::string to_string(RpcOutcome o);
+
+enum class RpcKind : std::uint8_t { kRequest = 1, kReply = 2 };
+inline constexpr RpcKind kRpcKinds[] = {RpcKind::kRequest, RpcKind::kReply};
+constexpr std::span<const RpcKind> wire_values(RpcKind) { return kRpcKinds; }
+
+/// One REX message on the wire: an invocation or its reply.
+struct RpcMsg {
+  RpcKind kind = RpcKind::kRequest;
+  std::uint64_t call_id = 0;
+  net::NodeId caller = net::kInvalidNode;
+  RpcOutcome outcome = RpcOutcome::kOk;
+  std::string interface;
+  std::string op;
+  std::vector<std::uint8_t> body;
+
+  /// Fields in wire order (util/wire_codec.h).
+  static constexpr auto wire_fields() {
+    return std::tuple{&RpcMsg::kind,      &RpcMsg::call_id, &RpcMsg::caller, &RpcMsg::outcome,
+                      &RpcMsg::interface, &RpcMsg::op,      &RpcMsg::body};
+  }
+
+  /// Encoding ends with a CRC-32 trailer (links flip real bytes).
+  std::vector<std::uint8_t> encode() const;
+  /// Total over arbitrary bytes: CRC-verified, enum fields range-checked.
+  static std::optional<RpcMsg> decode(std::span<const std::uint8_t> wire,
+                                      WireFault* fault = nullptr);
+};
 
 /// Handler for one operation: request bytes in, reply bytes out; returning
 /// nullopt maps to kAppError.

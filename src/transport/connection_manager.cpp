@@ -205,8 +205,7 @@ void ConnectionManager::handle_cr(const ControlTpdu& t) {
   // period that is not positive is refused before any endpoint exists.
   if (user == nullptr || req.sample_period <= 0) {
     reply.accepted = 0;
-    reply.reason = static_cast<std::uint8_t>(user == nullptr ? DisconnectReason::kNoSuchTsap
-                                                             : DisconnectReason::kProtocolError);
+    reply.reason = user == nullptr ? DisconnectReason::kNoSuchTsap : DisconnectReason::kProtocolError;
     ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, reply.encode());
     return;
   }
@@ -246,7 +245,7 @@ void ConnectionManager::connect_response(VcId vc, bool accept,
   reply.dst = req.dst;
   if (!accept) {
     reply.accepted = 0;
-    reply.reason = static_cast<std::uint8_t>(DisconnectReason::kRejectedByUser);
+    reply.reason = DisconnectReason::kRejectedByUser;
     ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, reply.encode());
     return;
   }
@@ -279,7 +278,7 @@ void ConnectionManager::handle_cc(const ControlTpdu& t) {
     return;
   }
   if (!t.accepted) {
-    fail_connect(t.vc, abort_connect(t.vc), static_cast<DisconnectReason>(t.reason));
+    fail_connect(t.vc, abort_connect(t.vc), t.reason);
     return;
   }
   PendingCc pend = std::move(it->second);
@@ -330,7 +329,7 @@ void ConnectionManager::notify_initiator(VcId vc, const ConnectRequest& req, boo
   t.dst = req.dst;
   t.accepted = accepted ? 1 : 0;
   t.agreed = agreed;
-  t.reason = static_cast<std::uint8_t>(reason);
+  t.reason = reason;
   ent_.send_tpdu(req.initiator.node, net::Proto::kTransportControl, t.encode());
 }
 
@@ -344,7 +343,7 @@ void ConnectionManager::handle_rcc(const ControlTpdu& t) {
     if (t.accepted) {
       u->t_connect_confirm(t.vc, t.agreed);
     } else {
-      u->t_disconnect_indication(t.vc, static_cast<DisconnectReason>(t.reason));
+      u->t_disconnect_indication(t.vc, t.reason);
     }
   }
 }
@@ -386,7 +385,7 @@ void ConnectionManager::send_dr(net::NodeId peer, VcId vc, DisconnectReason reas
   ControlTpdu dr;
   dr.type = TpduType::kDR;
   dr.vc = vc;
-  dr.reason = static_cast<std::uint8_t>(reason);
+  dr.reason = reason;
   ent_.send_tpdu(peer, net::Proto::kTransportControl, dr.encode());
 }
 
@@ -404,13 +403,12 @@ void ConnectionManager::handle_dr(const ControlTpdu& t) {
   // already gone, not re-enter a map we hold an iterator into.
   const auto gone = ent_.detach(t.vc);
   if (gone == nullptr) return;
-  const auto reason = static_cast<DisconnectReason>(t.reason);
-  ent_.deliver_disconnect(t.vc, gone->local_tsap(), reason);
+  ent_.deliver_disconnect(t.vc, gone->local_tsap(), t.reason);
   ControlTpdu dc;
   dc.type = TpduType::kDC;
   dc.vc = t.vc;
   ent_.send_tpdu(gone->peer_node(), net::Proto::kTransportControl, dc.encode());
-  if (ent_.on_vc_closed_) ent_.on_vc_closed_(t.vc, reason);
+  if (ent_.on_vc_closed_) ent_.on_vc_closed_(t.vc, t.reason);
 }
 
 void ConnectionManager::handle_dc(const ControlTpdu&) {

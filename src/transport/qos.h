@@ -29,6 +29,7 @@
 #include <string>
 
 #include "util/time.h"
+#include "util/wire_codec.h"
 
 namespace cmtos::transport {
 
@@ -53,6 +54,13 @@ struct QosParams {
 
   std::string to_string() const;
 
+  /// Fields in wire order (util/wire_codec.h).
+  static constexpr auto wire_fields() {
+    return std::tuple{&QosParams::osdu_rate,         &QosParams::max_osdu_bytes,
+                      &QosParams::end_to_end_delay,  &QosParams::delay_jitter,
+                      &QosParams::packet_error_rate, &QosParams::bit_error_rate};
+  }
+
   friend bool operator==(const QosParams&, const QosParams&) = default;
 };
 
@@ -69,6 +77,10 @@ struct QosTolerance {
   /// True if `offer` lies within [worst, preferred] on every axis
   /// (direction-aware: higher rate is better, lower delay is better, ...).
   bool acceptable(const QosParams& offer) const;
+
+  static constexpr auto wire_fields() {
+    return std::tuple{&QosTolerance::preferred, &QosTolerance::worst};
+  }
 
   friend bool operator==(const QosTolerance&, const QosTolerance&) = default;
 };
@@ -90,6 +102,13 @@ struct QosViolation {
 
   bool any() const { return throughput || delay || jitter || packet_errors || bit_errors; }
   std::string to_string() const;
+
+  /// One byte on the wire, throughput at bit 0.
+  static constexpr auto wire_fields() {
+    return std::tuple{wire::Bits<&QosViolation::throughput, &QosViolation::delay,
+                                 &QosViolation::jitter, &QosViolation::packet_errors,
+                                 &QosViolation::bit_errors>{}};
+  }
 
   friend bool operator==(const QosViolation&, const QosViolation&) = default;
 };

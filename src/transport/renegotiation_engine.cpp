@@ -168,7 +168,7 @@ void RenegotiationEngine::send_rnc(net::NodeId to, VcId vc, const QosParams* agr
     reply.accepted = 1;
     reply.agreed = *agreed;
   } else {
-    reply.reason = static_cast<std::uint8_t>(refusal);
+    reply.reason = refusal;
   }
   ent_.send_tpdu(to, net::Proto::kTransportControl, reply.encode());
 }

@@ -30,6 +30,7 @@ enum class ProtocolProfile : std::uint8_t {
   kRateBasedCm = 0,
   kWindowBased = 1,
 };
+constexpr auto wire_values(ProtocolProfile) { return wire::upto<ProtocolProfile::kWindowBased>(); }
 
 /// §3.4: user-oriented error-control class selection: "(i) error detection
 /// and indication, (ii) error detection and correction, and (iii) error
@@ -40,6 +41,7 @@ enum class ErrorControl : std::uint8_t {
   kCorrect = 2,              // (ii)
   kCorrectAndIndicate = 3,   // (iii)
 };
+constexpr auto wire_values(ErrorControl) { return wire::upto<ErrorControl::kCorrectAndIndicate>(); }
 
 constexpr bool wants_indication(ErrorControl e) {
   return e == ErrorControl::kIndicate || e == ErrorControl::kCorrectAndIndicate;
@@ -51,6 +53,11 @@ constexpr bool wants_correction(ErrorControl e) {
 struct ServiceClass {
   ProtocolProfile profile = ProtocolProfile::kRateBasedCm;
   ErrorControl error_control = ErrorControl::kIndicate;
+
+  /// Fields in wire order (util/wire_codec.h).
+  static constexpr auto wire_fields() {
+    return std::tuple{&ServiceClass::profile, &ServiceClass::error_control};
+  }
 };
 
 /// Parameters of T-Connect.request (Table 1).  Three addresses support the
@@ -101,6 +108,9 @@ enum class DisconnectReason : std::uint8_t {
   kPeerMisbehaving = 11,    // quarantine escalation: the peer keeps sending
                             // structurally invalid PDUs with valid checksums
 };
+constexpr auto wire_values(DisconnectReason) {
+  return wire::upto<DisconnectReason::kPeerMisbehaving>();
+}
 
 std::string to_string(DisconnectReason r);
 
@@ -131,6 +141,15 @@ struct QosReport {
   /// Violating periods whose indication was suppressed (same parameter
   /// set) since the previous emitted indication.
   std::uint32_t coalesced_periods = 0;
+
+  /// Fields in wire order (util/wire_codec.h); `warmup` stays local.
+  static constexpr auto wire_fields() {
+    return std::tuple{&QosReport::vc, &QosReport::sample_period, &QosReport::agreed,
+                      &QosReport::measured_osdu_rate, &QosReport::measured_mean_delay,
+                      &QosReport::measured_jitter, &QosReport::measured_packet_error_rate,
+                      &QosReport::measured_bit_error_rate, &QosReport::violations,
+                      &QosReport::consecutive_violation_periods, &QosReport::coalesced_periods};
+  }
 };
 
 /// Callback interface implemented by transport users (Stream objects, test

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "net/address.h"
@@ -46,10 +47,12 @@ enum class TpduType : std::uint8_t {
   kHB = 22,   // per-peer heartbeat: batched feedback + liveness (no VC id)
 };
 
-/// Encoded size of a ControlTpdu: every type writes every field, so the
-/// size is fixed (fields 304 + CRC trailer 4).  The encoder reserves
-/// exactly this much.
-inline constexpr std::size_t kControlWireBytes = 308;
+/// The types a ControlTpdu carries: the validity list of its `type` field,
+/// the only TpduType field (the other TPDUs carry a fixed tag).
+inline constexpr TpduType kControlTpduTypes[] = {
+    TpduType::kCR,  TpduType::kCC,  TpduType::kDR, TpduType::kDC, TpduType::kRCR,
+    TpduType::kRCC, TpduType::kRDR, TpduType::kRN, TpduType::kRNC, TpduType::kQI};
+constexpr std::span<const TpduType> wire_values(TpduType) { return kControlTpduTypes; }
 
 /// Handshake (RCR/CR/RN) retransmission: each pending handshake TPDU is
 /// resent every kHandshakeRetransmit, stretched by a uniform draw of up to
@@ -63,7 +66,8 @@ inline constexpr int kHandshakeRetries = 3;
 inline constexpr double kHandshakeJitter = 0.2;
 
 /// Connection-management TPDU.  One struct covers CR/CC/DR/DC/RCR/RCC/RDR/
-/// RN/RNC/QI; unused fields are ignored for a given type.
+/// RN/RNC/QI; every type writes every field (308 bytes with the CRC
+/// trailer), and unused fields are ignored for a given type.
 struct ControlTpdu {
   TpduType type = TpduType::kCR;
   VcId vc = kInvalidVc;
@@ -78,9 +82,21 @@ struct ControlTpdu {
   std::uint8_t importance = 1;  // CR/RCR: preemptive-admission class
   std::uint8_t shed_watermark_pct = 0;  // CR/RCR: sink load-shedding watermark
   std::uint16_t pacing_burst = 1;       // CR/RCR: source pacing granularity
-  std::uint8_t reason = 0;      // DR/DC/RCC(reject): DisconnectReason
+  DisconnectReason reason = DisconnectReason::kUserInitiated;  // DR/DC/RCC(reject)
   std::uint8_t accepted = 0;    // CC/RCC/RNC: 1 = accepted
   QosReport report;             // QI payload
+
+  /// Fields in wire order (util/wire_codec.h).
+  static constexpr auto wire_fields() {
+    return std::tuple{&ControlTpdu::type,         &ControlTpdu::vc,
+                      &ControlTpdu::initiator,    &ControlTpdu::src,
+                      &ControlTpdu::dst,          &ControlTpdu::service_class,
+                      &ControlTpdu::qos,          &ControlTpdu::agreed,
+                      &ControlTpdu::sample_period, &ControlTpdu::buffer_osdus,
+                      &ControlTpdu::importance,   &ControlTpdu::shed_watermark_pct,
+                      &ControlTpdu::pacing_burst, &ControlTpdu::reason,
+                      &ControlTpdu::accepted,     &ControlTpdu::report};
+  }
 
   /// Encoding ends with a CRC-32 trailer: links flip real wire bytes now,
   /// so every control-plane PDU carries its own checksum.
@@ -146,6 +162,11 @@ struct AckTpdu {
   std::uint32_t cumulative_ack = 0;  // all TPDUs with seq < this received
   std::uint32_t window = 0;          // receiver-granted credit in TPDUs
 
+  static constexpr TpduType kWireTag = TpduType::kAK;
+  static constexpr auto wire_fields() {
+    return std::tuple{&AckTpdu::vc, &AckTpdu::cumulative_ack, &AckTpdu::window};
+  }
+
   std::vector<std::uint8_t> encode() const;
   static std::optional<AckTpdu> decode(std::span<const std::uint8_t> wire,
                                        WireFault* fault = nullptr);
@@ -156,14 +177,13 @@ struct NakTpdu {
   VcId vc = kInvalidVc;
   std::vector<std::uint32_t> missing;  // TPDU seqs to retransmit
 
+  static constexpr TpduType kWireTag = TpduType::kNAK;
+  static constexpr auto wire_fields() { return std::tuple{&NakTpdu::vc, &NakTpdu::missing}; }
+
   std::vector<std::uint8_t> encode() const;
   static std::optional<NakTpdu> decode(std::span<const std::uint8_t> wire,
                                        WireFault* fault = nullptr);
 };
-
-/// Encoded size of a FeedbackTpdu (fields 22 + CRC trailer 4); the encoder
-/// reserves exactly this much.
-inline constexpr std::size_t kFeedbackWireBytes = 26;
 
 /// Rate-profile receiver feedback: the state of the receive buffer, from
 /// which the source modulates its sending rate (decoupled from error
@@ -177,6 +197,13 @@ struct FeedbackTpdu {
   std::uint32_t capacity = 0;
   std::uint32_t highest_osdu = 0;    // highest completed OSDU seq
   std::uint8_t paused = 0;           // 1 = source must stop sending
+
+  /// A heartbeat entry is these fields without the tag.
+  static constexpr TpduType kWireTag = TpduType::kFB;
+  static constexpr auto wire_fields() {
+    return std::tuple{&FeedbackTpdu::vc, &FeedbackTpdu::free_slots, &FeedbackTpdu::capacity,
+                      &FeedbackTpdu::highest_osdu, &FeedbackTpdu::paused};
+  }
 
   friend bool operator==(const FeedbackTpdu&, const FeedbackTpdu&) = default;
 

@@ -77,8 +77,8 @@ class ByteWriter {
     blob({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
- private:
-  // Appends v little-endian: its own bytes on a little-endian host.
+  /// Appends an unsigned integer little-endian: its own bytes on a
+  /// little-endian host.
   template <typename T>
   void raw(T v) {
     std::uint8_t b[sizeof(T)];
@@ -90,6 +90,8 @@ class ByteWriter {
     }
     out_.insert(out_.end(), b, b + sizeof(T));
   }
+
+ private:
   std::vector<std::uint8_t>& out_;
 };
 
@@ -158,15 +160,8 @@ class ByteReader {
   std::size_t remaining() const { return in_.size() - pos_; }
   bool at_end() const { return remaining() == 0; }
 
- private:
-  std::span<const std::uint8_t> take(std::size_t n) {
-    if (remaining() < n) throw_underrun();
-    auto s = in_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  // Reads one little-endian T: one bounds check, one load on a
-  // little-endian host.
+  /// Reads one little-endian unsigned integer: one bounds check, one load
+  /// on a little-endian host.
   template <typename T>
   T le() {
     const std::uint8_t* p = take(sizeof(T)).data();
@@ -179,6 +174,14 @@ class ByteReader {
         v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
     }
     return v;
+  }
+
+ private:
+  std::span<const std::uint8_t> take(std::size_t n) {
+    if (remaining() < n) throw_underrun();
+    auto s = in_.subspan(pos_, n);
+    pos_ += n;
+    return s;
   }
   std::span<const std::uint8_t> in_;
   std::size_t pos_ = 0;

@@ -28,6 +28,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "net/packet.h"
@@ -36,20 +38,19 @@
 #include "util/checksum.h"
 #include "util/frame_pool.h"
 #include "util/rng.h"
+#include "util/wire_codec.h"
 
 namespace {
 
 using cmtos::Rng;
 using cmtos::WireFault;
 using cmtos::orch::Opdu;
-using cmtos::orch::OpduType;
 using cmtos::transport::AckTpdu;
 using cmtos::transport::ControlTpdu;
 using cmtos::transport::DataTpdu;
 using cmtos::transport::FeedbackTpdu;
 using cmtos::transport::HeartbeatTpdu;
 using cmtos::transport::NakTpdu;
-using cmtos::transport::TpduType;
 
 using Bytes = std::vector<std::uint8_t>;
 using cmtos::transport::kDtPacketHeaderBytes;
@@ -79,27 +80,49 @@ cmtos::net::Packet dt_packet(std::span<const std::uint8_t> wire) {
 }
 
 // ====================================================================
-// Seed generators: valid encodings with randomized field values.
+// Seed generators: valid encodings with randomized field values.  The
+// table-driven PDUs are filled by walking their field tables
+// (util/wire_codec.h): an integer takes random bits, a double a random
+// value, an enum a random entry of its validity list, a list 0-8 random
+// entries, a Bits entry random bools.
 // ====================================================================
 
-Bytes gen_control(Rng& rng) {
-  ControlTpdu t;
-  t.type = static_cast<TpduType>(rng.uniform(1, 10));
-  t.vc = static_cast<std::uint32_t>(rng.next_u64());
-  t.initiator = {static_cast<std::uint32_t>(rng.uniform(0, 100)),
-                 static_cast<std::uint16_t>(rng.uniform(0, 999))};
-  t.src = {static_cast<std::uint32_t>(rng.uniform(0, 100)),
-           static_cast<std::uint16_t>(rng.uniform(0, 999))};
-  t.dst = {static_cast<std::uint32_t>(rng.uniform(0, 100)),
-           static_cast<std::uint16_t>(rng.uniform(0, 999))};
-  t.sample_period = rng.uniform(0, 1'000'000'000);
-  t.buffer_osdus = static_cast<std::uint32_t>(rng.uniform(0, 1024));
-  t.importance = static_cast<std::uint8_t>(rng.uniform(0, 255));
-  t.shed_watermark_pct = static_cast<std::uint8_t>(rng.uniform(0, 100));
-  t.pacing_burst = static_cast<std::uint16_t>(rng.uniform(1, 64));
-  t.reason = static_cast<std::uint8_t>(rng.uniform(0, 11));
-  t.accepted = static_cast<std::uint8_t>(rng.uniform(0, 1));
-  return t.encode();
+template <typename V>
+void fill(Rng& rng, V& v);
+
+template <typename T, auto... Ms>
+void fill_entry(Rng& rng, T& obj, cmtos::wire::Bits<Ms...>) {
+  ((obj.*Ms = rng.bernoulli(0.5)), ...);
+}
+
+template <typename T, typename M>
+void fill_entry(Rng& rng, T& obj, M T::*m) {
+  fill(rng, obj.*m);
+}
+
+template <typename V>
+void fill(Rng& rng, V& v) {
+  if constexpr (std::is_enum_v<V>) {
+    const auto values = wire_values(V{});
+    v = values[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(std::size(values)) - 1))];
+  } else if constexpr (std::is_same_v<V, double>) {
+    v = rng.uniform_real(-1e6, 1e6);
+  } else if constexpr (std::is_integral_v<V>) {
+    v = static_cast<V>(rng.next_u64());
+  } else if constexpr (requires { v.resize(std::size_t{}); }) {
+    v.resize(static_cast<std::size_t>(rng.uniform(0, 8)));
+    for (auto& e : v) fill(rng, e);
+  } else {
+    std::apply([&](auto... entry) { (fill_entry(rng, v, entry), ...); }, V::wire_fields());
+  }
+}
+
+template <typename Pdu>
+Bytes gen(Rng& rng) {
+  Pdu pdu;
+  fill(rng, pdu);
+  return pdu.encode();
 }
 
 Bytes gen_data(Rng& rng) {
@@ -119,33 +142,6 @@ Bytes gen_data(Rng& rng) {
   return dt_wire(t);
 }
 
-Bytes gen_ack(Rng& rng) {
-  AckTpdu t;
-  t.vc = static_cast<std::uint32_t>(rng.next_u64());
-  t.cumulative_ack = static_cast<std::uint32_t>(rng.next_u64());
-  t.window = static_cast<std::uint32_t>(rng.uniform(0, 4096));
-  return t.encode();
-}
-
-Bytes gen_nak(Rng& rng) {
-  NakTpdu t;
-  t.vc = static_cast<std::uint32_t>(rng.next_u64());
-  const auto n = static_cast<std::size_t>(rng.uniform(0, 32));
-  for (std::size_t i = 0; i < n; ++i)
-    t.missing.push_back(static_cast<std::uint32_t>(rng.next_u64()));
-  return t.encode();
-}
-
-Bytes gen_fb(Rng& rng) {
-  FeedbackTpdu t;
-  t.vc = static_cast<std::uint32_t>(rng.next_u64());
-  t.free_slots = static_cast<std::uint32_t>(rng.uniform(0, 4096));
-  t.capacity = static_cast<std::uint32_t>(rng.uniform(0, 4096));
-  t.highest_osdu = static_cast<std::uint32_t>(rng.next_u64());
-  t.paused = static_cast<std::uint8_t>(rng.uniform(0, 1));
-  return t.encode();
-}
-
 Bytes gen_hb(Rng& rng) {
   HeartbeatTpdu t;
   t.incarnation = static_cast<std::uint32_t>(rng.uniform(1, 8));
@@ -154,16 +150,8 @@ Bytes gen_hb(Rng& rng) {
   t.vc_count = static_cast<std::uint32_t>(rng.uniform(0, 10'000));
   t.digest = rng.next_u64();
   t.flags = static_cast<std::uint8_t>(rng.uniform(0, 3));
-  const auto n = static_cast<std::size_t>(rng.uniform(0, 4));
-  for (std::size_t i = 0; i < n; ++i) {
-    FeedbackTpdu e;
-    e.vc = static_cast<std::uint32_t>(rng.next_u64());
-    e.free_slots = static_cast<std::uint32_t>(rng.uniform(0, 4096));
-    e.capacity = static_cast<std::uint32_t>(rng.uniform(0, 4096));
-    e.highest_osdu = static_cast<std::uint32_t>(rng.next_u64());
-    e.paused = static_cast<std::uint8_t>(rng.uniform(0, 1));
-    t.feedback.push_back(e);
-  }
+  t.feedback.resize(static_cast<std::size_t>(rng.uniform(0, 4)));
+  for (auto& e : t.feedback) fill(rng, e);
   if ((t.flags & cmtos::transport::kHbCarriesIds) != 0) {
     const auto k = static_cast<std::size_t>(rng.uniform(0, 8));
     for (std::size_t i = 0; i < k; ++i)
@@ -172,92 +160,57 @@ Bytes gen_hb(Rng& rng) {
   return t.encode();
 }
 
-Bytes gen_opdu(Rng& rng) {
-  static constexpr OpduType kTypes[] = {
-      OpduType::kSessReq, OpduType::kSessAck, OpduType::kSessRel, OpduType::kPrime,
-      OpduType::kPrimeAck, OpduType::kPrimed, OpduType::kStart, OpduType::kStartAck,
-      OpduType::kStop, OpduType::kStopAck, OpduType::kAdd, OpduType::kRemove,
-      OpduType::kRemoveAck, OpduType::kRegulateSink, OpduType::kRegulateSrc,
-      OpduType::kDrop, OpduType::kRegInd, OpduType::kSrcStats,
-      OpduType::kEventReg, OpduType::kEventInd, OpduType::kDelayed, OpduType::kDelayedAck,
-      OpduType::kVcDead, OpduType::kTimeReq, OpduType::kTimeResp, OpduType::kEpochNack};
-  Opdu o;
-  o.type = kTypes[static_cast<std::size_t>(
-      rng.uniform(0, static_cast<std::int64_t>(std::size(kTypes)) - 1))];
-  o.session = rng.next_u64();
-  o.vc = static_cast<std::uint32_t>(rng.next_u64());
-  o.orch_node = static_cast<std::uint32_t>(rng.uniform(0, 100));
-  o.epoch = static_cast<std::uint32_t>(rng.uniform(1, 1000));
-  const auto n = static_cast<std::size_t>(rng.uniform(0, 8));
-  for (std::size_t i = 0; i < n; ++i)
-    o.vcs.push_back({static_cast<std::uint32_t>(rng.next_u64()),
-                     static_cast<std::uint32_t>(rng.uniform(0, 100)),
-                     static_cast<std::uint32_t>(rng.uniform(0, 100))});
-  o.flags = static_cast<std::uint8_t>(rng.uniform(0, 7));
-  o.ok = static_cast<std::uint8_t>(rng.uniform(0, 1));
-  o.reason = static_cast<cmtos::orch::OrchReason>(rng.uniform(0, 11));
-  o.target_seq = static_cast<std::int64_t>(rng.next_u64());
-  o.max_drop = static_cast<std::uint32_t>(rng.uniform(0, 100));
-  o.interval = rng.uniform(0, 1'000'000'000);
-  o.interval_id = static_cast<std::uint32_t>(rng.next_u64());
-  o.pattern = rng.next_u64();
-  o.mask = rng.next_u64();
-  o.event_value = rng.next_u64();
-  o.osdu_seq = static_cast<std::uint32_t>(rng.next_u64());
-  o.t_origin = rng.uniform(0, 1'000'000'000);
-  o.t_peer = rng.uniform(0, 1'000'000'000);
-  o.probe_id = static_cast<std::uint32_t>(rng.next_u64());
-  return o.encode();
-}
-
 // ====================================================================
 // Family table: generator + decode/re-encode fixpoint check.
 // ====================================================================
 
-// Decodes `wire`; on acceptance runs the fixpoint oracle and returns false
-// on any violation.  Each family instantiates this for its own types.
+// What one decode of a mutant did.
+enum class Verdict { kRefused, kAccepted, kViolation };
+
+// Decodes `wire`; on acceptance runs the fixpoint oracle.  Each family
+// instantiates this for its own types.
 template <typename Pdu>
-bool fixpoint(std::span<const std::uint8_t> wire, const char* family) {
+Verdict fixpoint(std::span<const std::uint8_t> wire, const char* family) {
   WireFault fault = WireFault::kNone;
   auto d1 = Pdu::decode(wire, &fault);
-  if (!d1) return true;  // refusal is always acceptable
+  if (!d1) return Verdict::kRefused;  // refusal is always acceptable
   const Bytes e1 = d1->encode();
   auto d2 = Pdu::decode(e1, &fault);
   if (!d2) {
     std::fprintf(stderr, "FUZZ VIOLATION [%s]: re-decode of accepted input failed (%s)\n",
                  family, to_string(fault));
-    return false;
+    return Verdict::kViolation;
   }
   if (d2->encode() != e1) {
     std::fprintf(stderr, "FUZZ VIOLATION [%s]: encode(decode(x)) is not a fixpoint\n",
                  family);
-    return false;
+    return Verdict::kViolation;
   }
-  return true;
+  return Verdict::kAccepted;
 }
 
 // The packet-path fixpoint: an accepted packet re-encodes to a packet that
 // decodes again and re-encodes byte-identically.
-bool dt_fixpoint(const cmtos::net::Packet& pkt, const char* family) {
+Verdict dt_fixpoint(const cmtos::net::Packet& pkt, const char* family) {
   WireFault fault = WireFault::kNone;
   auto d1 = DataTpdu::decode_packet(pkt, &fault);
-  if (!d1) return true;  // refusal is always acceptable
+  if (!d1) return Verdict::kRefused;  // refusal is always acceptable
   const Bytes e1 = dt_wire(*d1);
   auto d2 = DataTpdu::decode_packet(dt_packet(e1), &fault);
   if (!d2) {
     std::fprintf(stderr, "FUZZ VIOLATION [%s]: re-decode of accepted input failed (%s)\n",
                  family, to_string(fault));
-    return false;
+    return Verdict::kViolation;
   }
   if (dt_wire(*d2) != e1) {
     std::fprintf(stderr, "FUZZ VIOLATION [%s]: encode(decode(x)) is not a fixpoint\n",
                  family);
-    return false;
+    return Verdict::kViolation;
   }
-  return true;
+  return Verdict::kAccepted;
 }
 
-bool dt_check(std::span<const std::uint8_t> wire, const char* family) {
+Verdict dt_check(std::span<const std::uint8_t> wire, const char* family) {
   return dt_fixpoint(dt_packet(wire), family);
 }
 
@@ -279,18 +232,18 @@ void reseal_dt_header(Bytes& x) {
 struct Family {
   const char* name;
   Bytes (*gen)(Rng&);
-  bool (*check)(std::span<const std::uint8_t>, const char*);
+  Verdict (*check)(std::span<const std::uint8_t>, const char*);
   void (*reseal)(Bytes&);
 };
 
 constexpr Family kFamilies[] = {
-    {"control_tpdu", gen_control, fixpoint<ControlTpdu>, reseal_trailer},
+    {"control_tpdu", gen<ControlTpdu>, fixpoint<ControlTpdu>, reseal_trailer},
     {"data_tpdu", gen_data, dt_check, reseal_dt_header},
-    {"ack_tpdu", gen_ack, fixpoint<AckTpdu>, reseal_trailer},
-    {"nak_tpdu", gen_nak, fixpoint<NakTpdu>, reseal_trailer},
-    {"fb_tpdu", gen_fb, fixpoint<FeedbackTpdu>, reseal_trailer},
+    {"ack_tpdu", gen<AckTpdu>, fixpoint<AckTpdu>, reseal_trailer},
+    {"nak_tpdu", gen<NakTpdu>, fixpoint<NakTpdu>, reseal_trailer},
+    {"fb_tpdu", gen<FeedbackTpdu>, fixpoint<FeedbackTpdu>, reseal_trailer},
     {"hb_tpdu", gen_hb, fixpoint<HeartbeatTpdu>, reseal_trailer},
-    {"opdu", gen_opdu, fixpoint<Opdu>, reseal_trailer},
+    {"opdu", gen<Opdu>, fixpoint<Opdu>, reseal_trailer},
 };
 constexpr std::size_t kFamilyCount = std::size(kFamilies);
 
@@ -398,7 +351,7 @@ bool fuzz_packet_path(Rng& rng) {
       break;
   }
 
-  return dt_fixpoint(pkt, "data_tpdu/packet");
+  return dt_fixpoint(pkt, "data_tpdu/packet") != Verdict::kViolation;
 }
 
 // ====================================================================
@@ -425,7 +378,7 @@ bool replay_corpus(const std::string& dir) {
     // Every corpus entry goes through every decoder: a refusal bug in any
     // family must stay fixed regardless of which family it was found in.
     for (const auto& fam : kFamilies)
-      if (!fam.check(bytes, fam.name)) {
+      if (fam.check(bytes, fam.name) == Verdict::kViolation) {
         std::fprintf(stderr, "fuzz_pdu: corpus file %s violates [%s]\n",
                      path.string().c_str(), fam.name);
         ok = false;
@@ -485,21 +438,9 @@ int main(int argc, char** argv) {
     const Bytes& donor = dseeds[static_cast<std::size_t>(
         rng.uniform(0, static_cast<std::int64_t>(dseeds.size()) - 1))];
     mutate(x, rng, donor, fam.reseal);
-    WireFault fault = WireFault::kNone;
-    const bool accepted =
-        [&] {
-          switch (f) {  // decode once for stats; fixpoint re-decodes on acceptance
-            case 0: return ControlTpdu::decode(x, &fault).has_value();
-            case 1: return DataTpdu::decode_packet(dt_packet(x), &fault).has_value();
-            case 2: return AckTpdu::decode(x, &fault).has_value();
-            case 3: return NakTpdu::decode(x, &fault).has_value();
-            case 4: return FeedbackTpdu::decode(x, &fault).has_value();
-            case 5: return HeartbeatTpdu::decode(x, &fault).has_value();
-            default: return Opdu::decode(x, &fault).has_value();
-          }
-        }();
-    accepted ? ++acceptances : ++refusals;
-    if (!fam.check(x, fam.name)) ++violations;
+    const Verdict v = fam.check(x, fam.name);
+    v == Verdict::kRefused ? ++refusals : ++acceptances;
+    if (v == Verdict::kViolation) ++violations;
   }
 
   std::printf(

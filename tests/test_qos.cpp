@@ -123,7 +123,7 @@ TEST(Tpdu, ControlRoundTrip) {
   t.agreed = params(20, 5000);
   t.sample_period = 250 * kMillisecond;
   t.buffer_osdus = 32;
-  t.reason = 4;
+  t.reason = DisconnectReason::kQosUnachievable;
   t.accepted = 1;
 
   const auto wire = t.encode();
@@ -141,7 +141,7 @@ TEST(Tpdu, ControlRoundTrip) {
   EXPECT_DOUBLE_EQ(back->agreed.osdu_rate, 20);
   EXPECT_EQ(back->sample_period, t.sample_period);
   EXPECT_EQ(back->buffer_osdus, 32u);
-  EXPECT_EQ(back->reason, 4);
+  EXPECT_EQ(back->reason, DisconnectReason::kQosUnachievable);
   EXPECT_EQ(back->accepted, 1);
 }
 
@@ -268,16 +268,24 @@ TEST(Tpdu, AckNakFeedbackRoundTrip) {
   EXPECT_EQ(f->paused, 1);
 }
 
-// The encoders reserve their output once from these constants; a field
-// added to either layout without updating the constant fails here.
+// The encoders reserve their output once: the DT header from its constant,
+// the table-driven TPDUs from the size their table gives.  A size that
+// disagrees with what the writer emits fails here, as does a second
+// allocation (capacity beyond the image).
 TEST(Tpdu, ReservedSizesMatchWhatTheWritersEmit) {
   DataTpdu dt;
   dt.payload = PayloadView::adopt({1, 2, 3});
   net::Packet pkt;
   dt.encode_onto(pkt);
   EXPECT_EQ(pkt.payload.size(), kDtPacketHeaderBytes);
-  EXPECT_EQ(FeedbackTpdu{}.encode().size(), kFeedbackWireBytes);
-  EXPECT_EQ(ControlTpdu{}.encode().size(), kControlWireBytes);
+  const auto exact = [](const auto& pdu) {
+    const auto image = pdu.encode();
+    EXPECT_EQ(image.size(), wire::encoded_size(pdu));
+    EXPECT_EQ(image.capacity(), image.size());
+  };
+  exact(FeedbackTpdu{});
+  exact(ControlTpdu{});
+  exact(NakTpdu{.vc = 5, .missing = {1, 2, 3}});
 }
 
 TEST(Tpdu, PeekTypeAndVc) {

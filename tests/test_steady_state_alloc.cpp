@@ -124,8 +124,8 @@ TEST(SteadyStateAlloc, MediaPathAllocationsFlatAfterWarmup) {
 }
 
 TEST(SteadyStateAlloc, OpduEncodeAllocatesOnlyItsImage) {
-  // Opdu::encode reserves its exact wire size: one allocation, the
-  // returned vector, with or without a vcs list.
+  // Opdu::encode reserves the exact size its field table gives: one
+  // allocation, the returned vector, with or without a vcs list.
   constexpr int kEncodes = 100;
   for (std::size_t vcs : {0, 3}) {
     auto o = orch::Opdu::command(orch::OpduType::kRegulateSrc, 7, 9, 1, 3);
@@ -134,7 +134,8 @@ TEST(SteadyStateAlloc, OpduEncodeAllocatesOnlyItsImage) {
     std::size_t bytes = 0;
     for (int i = 0; i < kEncodes; ++i) bytes += o.encode().size();
     EXPECT_LE(bench::heap_allocs() - heap0, kEncodes) << vcs << " vcs";
-    EXPECT_EQ(bytes, kEncodes * (orch::kOpduWireBytes + vcs * orch::kOpduVcEntryBytes));
+    EXPECT_EQ(bytes, kEncodes * wire::encoded_size(o));
+    EXPECT_EQ(o.encode().capacity(), wire::encoded_size(o)) << vcs << " vcs";
   }
 }
 

@@ -132,6 +132,17 @@ Checks
                         ByteWriter in DataTpdu::encode_onto (the 58-byte DT
                         header is written in place into the packet's inline
                         bytes) each bring a per-packet allocation back.
+  wire-table            The six flat control-plane PDUs (ControlTpdu,
+                        AckTpdu, NakTpdu, FeedbackTpdu, Opdu, RpcMsg) are
+                        encoded and decoded only by walking their field
+                        tables in the codec engine (util/wire_codec.h).  A
+                        ByteReader or ByteWriter in a member function of one
+                        of them anywhere in src/, or anywhere in src/
+                        transport/, src/orch/ or platform/rpc.{h,cpp} outside
+                        the two hand-written codecs (DataTpdu::decode_packet,
+                        HeartbeatTpdu::encode_into/decode_into) and peek_vc,
+                        is a field sequence written out by hand: the second
+                        copy of a table, the one that drifts.
   layering              The src/ layers include only downward: an
                         `#include "<dir>/..."` in src/<layer>/ may name its
                         own layer or a library its CMake target links,
@@ -201,6 +212,7 @@ CHECKS = (
     "handshake-retransmit",
     "opdu-construction",
     "dataplane-alloc",
+    "wire-table",
     "layering",
 )
 
@@ -1325,6 +1337,39 @@ def check_dataplane_alloc(sf: SourceFile, facts: Facts) -> list[Finding]:
     return out
 
 
+WIRE_TABLE_PDUS = ("ControlTpdu", "AckTpdu", "NakTpdu", "FeedbackTpdu", "Opdu", "RpcMsg")
+WIRE_TABLE_DIR_RE = re.compile(r"(^|/)src/(transport|orch)/|(^|/)src/platform/rpc\.(h|cpp)$")
+BYTE_IO_RE = re.compile(r"\bByte(?:Reader|Writer)\b")
+HAND_WRITTEN_CODECS = (
+    "DataTpdu::decode_packet",
+    "HeartbeatTpdu::encode_into",
+    "HeartbeatTpdu::decode_into",
+    "peek_vc",
+)
+
+
+def check_wire_table(sf: SourceFile, facts: Facts) -> list[Finding]:
+    """Flags ByteReader/ByteWriter uses that encode or decode a
+    table-driven PDU's fields by hand instead of through util/wire_codec.h."""
+    if not SRC_DIR_RE.search(sf.rel):
+        return []
+    pdu_dir = WIRE_TABLE_DIR_RE.search(sf.rel) is not None
+    out = []
+    for m in BYTE_IO_RE.finditer(sf.code):
+        fn = enclosing_function(sf, m.start())
+        pdu_member = fn is not None and fn.split("::")[0] in WIRE_TABLE_PDUS
+        if not pdu_member and not (pdu_dir and fn not in HAND_WRITTEN_CODECS):
+            continue
+        out.append(Finding(
+            sf.rel, sf.line_of(m.start()), "wire-table",
+            f"{m.group(0)} in {fn or 'namespace scope'}: ControlTpdu, AckTpdu, "
+            "NakTpdu, FeedbackTpdu, Opdu and RpcMsg are encoded and decoded by "
+            "walking their field tables (util/wire_codec.h); a field sequence "
+            "written out by hand is a second copy of the table, the one that "
+            "drifts"))
+    return out
+
+
 LINK_RE = re.compile(r"target_link_libraries\s*\(\s*cmtos_(\w+)([^)]*)\)")
 INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"/\n]+)/[^"\n]*"', re.M)
 LAYER_DIR_RE = re.compile(r"(?:^|/)src/(\w+)/")
@@ -1390,6 +1435,7 @@ ALL_CHECKS = (
     check_handshake_retransmit,
     check_opdu_construction,
     check_dataplane_alloc,
+    check_wire_table,
     check_layering,
 )
 
@@ -1575,6 +1621,8 @@ DT_EXPECT = {
     (4, "decode-totality"),   # *decode(...) immediate dereference
     (8, "decode-totality"),   # stored result deref'd with no branch between
     (12, "decode-totality"),  # wire length sizing a reserve with no guard
+    (10, "wire-table"),       # a hand-written reader in src/transport/ ...
+    (14, "wire-table"),       # ... outside the DT and heartbeat codecs
 }
 
 HM_PROBE = """\
@@ -1783,7 +1831,51 @@ void TransportEntity::send_burst(std::vector<net::Packet>&& burst) {
 """
 DA_TRANSPORT_EXPECT = {
     (3, "dataplane-alloc"),   # the DT header built through a ByteWriter
+    (3, "wire-table"),        # ... which no hand-written codec may hold either
+    (8, "wire-table"),        # a table-driven PDU encoded by hand
     (12, "dataplane-alloc"),  # make_shared of a packet deque outside src/net
+}
+
+WT_PROBE = """\
+#include "util/byte_io.h"
+void write_address(ByteWriter& w, const net::NetAddress& a) {
+  w.u32(a.node);
+}
+std::optional<Opdu> Opdu::decode(std::span<const std::uint8_t> in, WireFault* fault) {
+  ByteReader r(in);
+  return std::nullopt;
+}
+bool HeartbeatTpdu::decode_into(std::span<const std::uint8_t> in, HeartbeatTpdu& t,
+                                WireFault* fault) {
+  return wire::decode_checked(in, fault, [&t](ByteReader& r) { return WireFault::kNone; });
+}
+std::optional<VcId> peek_vc(std::span<const std::uint8_t> in) {
+  ByteReader r(in.subspan(1));
+  return r.u64();
+}
+void FeedbackTpdu::dump(std::vector<std::uint8_t>& out) const {
+  ByteWriter w(out);  // cmtos-analyze: allow(wire-table)
+}
+"""
+WT_EXPECT = {
+    (2, "wire-table"),  # a nested struct's fields written by a helper
+    (6, "wire-table"),  # a table-driven PDU decoded field by field
+}
+
+# Outside the PDU layers a ByteWriter is an application payload codec; a
+# table-driven PDU's member is still flagged wherever it is defined.
+WT_PASS_PROBE = """\
+std::vector<std::uint8_t> encode_offer(const Offer& o) {
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  return out;
+}
+std::vector<std::uint8_t> RpcMsg::encode() const {
+  ByteWriter w(out);
+}
+"""
+WT_PASS_EXPECT = {
+    (7, "wire-table"),  # an RpcMsg encoder outside the engine
 }
 
 LY_PROBE = """\
@@ -1828,6 +1920,8 @@ PROBES = (
     ("src/transport/probe_opdu.cpp", OC_PASS_PROBE, set()),
     ("src/net/probe_alloc.cpp", DA_PROBE, DA_EXPECT),
     ("src/transport/probe_alloc.cpp", DA_TRANSPORT_PROBE, DA_TRANSPORT_EXPECT),
+    ("src/orch/probe_wire.cpp", WT_PROBE, WT_EXPECT),
+    ("src/platform/probe_wire.cpp", WT_PASS_PROBE, WT_PASS_EXPECT),
     ("src/transport/probe_layering.h", LY_PROBE, LY_EXPECT),
     ("src/orch/probe_layering.h", LY_PASS_PROBE, set()),
 )
