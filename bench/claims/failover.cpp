@@ -9,7 +9,7 @@
 
 #include "claims.h"
 #include "orch/failover.h"
-#include "sim/chaos.h"
+#include "net/chaos.h"
 
 namespace cmtos::bench {
 namespace {
@@ -134,8 +134,8 @@ Outcome run_case(std::uint64_t seed, bool partition, bool fencing) {
   const auto rejected0 = rejected.value();
   const auto superseded0 = superseded.value();
 
-  sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
-  sim::ChaosPlan plan;
+  net::ChaosEngine engine(w.platform.network());
+  net::ChaosPlan plan;
   plan.seed = seed;
   if (partition) {
     plan.isolate(w.platform.scheduler().now() + kSecond, w.wsC->id, 3 * kSecond);

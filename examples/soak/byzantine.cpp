@@ -44,7 +44,7 @@ std::int64_t links_corrupted(World& w) {
 /// All four impairment families hit the s1 media path (hub<->srv1 on the
 /// source side, hub<->wsB on the sink side) mid-playback.  `hardening`
 /// false reruns the identical storm against the pre-hardening protocol.
-bool storm(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool hardening) {
+bool storm(World& w, net::ChaosEngine& engine, std::uint64_t seed, bool hardening) {
   const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
   wire::set_hardening(hardening);
@@ -56,7 +56,7 @@ bool storm(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool hardenin
   const auto frames_before = w.sink1->stats().frames_rendered;
 
   const Time t0 = w.platform.scheduler().now();
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   // ~10% of full media frames take a flip; small control PDUs mostly slip
   // through, so liveness survives while the data plane is under fire.
@@ -96,13 +96,13 @@ bool storm(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool hardenin
   return true;
 }
 
-bool storm_hardened(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool storm_hardened(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   return storm(w, engine, seed, true);
 }
 
 /// The contrast storm; leaves the process-wide switch back on for whatever
 /// runs next.
-bool storm_unhardened(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool storm_unhardened(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   const bool passed = storm(w, engine, seed, false);
   wire::set_hardening(true);
   return passed;
@@ -110,7 +110,7 @@ bool storm_unhardened(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 
 /// A pure duplication flood on the source path: every duplicate must be
 /// discarded exactly once, nothing delivered twice, nobody quarantined.
-bool dup_flood(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool dup_flood(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
   const std::int64_t dup_dropped_before = reg.total("transport.dup_dropped");
@@ -118,7 +118,7 @@ bool dup_flood(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
   const auto frames_before = w.sink1->stats().frames_rendered;
 
   const Time t0 = w.platform.scheduler().now();
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   plan.dup_storm(t0 + kSecond, w.hub->id, w.srv1->id, 0.4, 5 * kSecond);
   plan.dup_storm(t0 + kSecond, w.hub->id, w.wsB->id, 0.4, 5 * kSecond);
@@ -152,7 +152,7 @@ GoodputSample measure_goodput(std::uint64_t seed, unsigned threads, WorldBody bo
   const std::int64_t checksum_before = reg.total("wire.checksum_failed");
   World w(seed, threads);
   if (!w.ok) return s;
-  sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
+  net::ChaosEngine engine(w.platform.network());
   s.ok = body(w, engine, seed);
   for (auto* sink : {w.sink1.get(), w.sink2.get(), w.sink3.get()}) {
     s.frames += sink->stats().frames_rendered;

@@ -40,9 +40,9 @@ namespace {
 
 /// A source node dies mid-playback; the session sheds its stream and keeps
 /// regulating the rest.
-bool crash_mid_stream(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool crash_mid_stream(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   plan.crash(w.platform.scheduler().now() + 2 * kSecond, w.srv2->id);
   plan.events.back().start_jitter = 200 * kMillisecond;
@@ -60,13 +60,13 @@ bool crash_mid_stream(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 
 /// The network partitions during prime: the op times out cleanly, then a
 /// re-prime after the heal succeeds and the session starts.
-bool partition_prime_start(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool partition_prime_start(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   if (!w.establish()) return fail("session setup");
   w.platform.host(w.wsC->id).llo.set_op_timeout(kSecond);
 
   // The cut must heal inside the transport liveness budget (800 ms), so the
   // VCs survive the partition and only the prime op is lost.
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   plan.partition(w.platform.scheduler().now() + 100 * kMillisecond, w.hub->id, w.srv1->id,
                  600 * kMillisecond);
@@ -91,9 +91,9 @@ bool partition_prime_start(World& w, sim::ChaosEngine& engine, std::uint64_t see
 
 /// The orchestrating node dies mid-regulation: the supervisor re-elects a
 /// survivor and the surviving stream is re-regulated.
-bool orch_death(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool orch_death(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   plan.crash(w.platform.scheduler().now() + 2 * kSecond, w.wsC->id);
   plan.events.back().start_jitter = 200 * kMillisecond;
@@ -116,7 +116,7 @@ bool orch_death(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
 /// the endpoints nack it into self-retirement and no stale target is ever
 /// applied; without fencing its targets land beside the successor's — the
 /// split brain the epoch exists to prevent.
-bool split_brain(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool fencing) {
+bool split_brain(World& w, net::ChaosEngine& engine, std::uint64_t seed, bool fencing) {
   const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
   w.set_fencing(fencing);
@@ -124,7 +124,7 @@ bool split_brain(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool fe
   const std::int64_t applied_before = reg.total("orch.stale_target_applied");
   const std::int64_t superseded_before = reg.total("orch.superseded");
 
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   plan.isolate(w.platform.scheduler().now() + 2 * kSecond, w.wsC->id, 3 * kSecond);
   engine.arm(plan);
@@ -162,11 +162,11 @@ bool split_brain(World& w, sim::ChaosEngine& engine, std::uint64_t seed, bool fe
   return true;
 }
 
-bool split_brain_fenced(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool split_brain_fenced(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   return split_brain(w, engine, seed, true);
 }
 
-bool split_brain_unfenced(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool split_brain_unfenced(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   return split_brain(w, engine, seed, false);
 }
 
@@ -174,12 +174,12 @@ bool split_brain_unfenced(World& w, sim::ChaosEngine& engine, std::uint64_t seed
 /// (800 ms) and the supervisor's agent_dead_after (1 s): no failover may
 /// result.  Then one real outage: exactly one failover, and the flapper is
 /// fenced when it heals.
-bool orch_flap(World& w, sim::ChaosEngine& engine, std::uint64_t seed) {
+bool orch_flap(World& w, net::ChaosEngine& engine, std::uint64_t seed) {
   const obs::Registry& reg = obs::Registry::global();
   if (!w.establish() || !w.prime_and_start()) return fail("session setup");
   const std::int64_t rejected_before = reg.total("orch.stale_epoch_rejected");
   const Time t0 = w.platform.scheduler().now();
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   plan.isolate(t0 + kSecond, w.wsC->id, 300 * kMillisecond);
   plan.isolate(t0 + 2 * kSecond, w.wsC->id, 300 * kMillisecond);
@@ -217,12 +217,12 @@ const char* sweep_one(std::uint64_t seed, unsigned threads) {
   const std::int64_t violations_before = reg.total("contract.violations");
   World w(seed, threads);
   if (!w.ok || !w.establish() || !w.prime_and_start()) return "session setup";
-  sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
+  net::ChaosEngine engine(w.platform.network());
 
   Rng rng(seed ^ 0x5eed5eedull);
   const Time t0 = w.platform.scheduler().now();
   const int family = static_cast<int>(rng.uniform(0, 3));
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = seed;
   switch (family) {
     case 0:

@@ -27,7 +27,7 @@
 #include "platform/host.h"
 #include "platform/qos_manager.h"
 #include "platform/stream.h"
-#include "sim/chaos.h"
+#include "net/chaos.h"
 #include "soak.h"
 
 namespace cmtos::soak {
@@ -153,8 +153,8 @@ bool storm_recover(std::uint64_t seed, unsigned threads) {
   mgr.manage(*w.audio);
   mgr.attach_agent(w.session->agent());
 
-  sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
-  sim::ChaosPlan plan;
+  net::ChaosEngine engine(w.platform.network());
+  net::ChaosPlan plan;
   plan.seed = seed;
   const Time t0 = w.platform.scheduler().now() + 2 * kSecond;
   // 80 ms per-packet jitter overwhelms the video ladder's 40 ms preferred

@@ -16,7 +16,7 @@
 #include "orch/failover.h"
 #include "platform/host.h"
 #include "platform/stream.h"
-#include "sim/chaos.h"
+#include "net/chaos.h"
 #include "soak.h"
 
 namespace cmtos::soak {
@@ -134,7 +134,7 @@ struct World {
 };
 
 /// A scenario body over one World and a ChaosEngine bound to it.
-using WorldBody = bool (*)(World& w, sim::ChaosEngine& engine, std::uint64_t seed);
+using WorldBody = bool (*)(World& w, net::ChaosEngine& engine, std::uint64_t seed);
 
 /// Adapts a WorldBody into a table row: builds the world and its engine,
 /// runs the body, then prints the engine's fault log (one `fault:` line per
@@ -143,7 +143,7 @@ template <WorldBody Body>
 bool in_world(std::uint64_t seed, unsigned threads) {
   World w(seed, threads);
   if (!w.ok) return fail("world setup");
-  sim::ChaosEngine engine(w.platform.scheduler(), w.platform.chaos_target());
+  net::ChaosEngine engine(w.platform.network());
   const bool passed = Body(w, engine, seed);
   for (const auto& line : engine.log()) std::printf("fault: %s\n", line.c_str());
   return passed;

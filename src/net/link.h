@@ -135,13 +135,10 @@ class Link {
   }
   void set_bit_error_rate(double p) { cfg_.bit_error_rate = p; }
   void set_jitter(Duration j) { cfg_.jitter = j; }
-  // --- byzantine impairment injection (chaos storm setters; each returns
-  // the previous value so the engine can restore it when the storm ends) ---
-  double set_dup_rate(double p) { return std::exchange(cfg_.dup_rate, p); }
-  double set_truncate_rate(double p) { return std::exchange(cfg_.truncate_rate, p); }
-  std::pair<double, Duration> set_reorder(double p, Duration window) {
-    return {std::exchange(cfg_.reorder_rate, p), std::exchange(cfg_.reorder_window, window)};
-  }
+  /// Direct access for the chaos engine's storms, which set and restore
+  /// impairment fields generically.  Latency-relevant fields go through
+  /// set_propagation_delay, which refreshes the executor lookahead.
+  LinkConfig& mutable_config() { return cfg_; }
   void set_propagation_delay(Duration d) {
     cfg_.propagation_delay = d;
     if (retune_) retune_();  // the network refreshes the executor lookahead

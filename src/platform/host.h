@@ -19,7 +19,6 @@
 #include "platform/orch_app_mux.h"
 #include "platform/rpc.h"
 #include "platform/trader.h"
-#include "sim/chaos.h"
 #include "sim/scheduler.h"
 #include "transport/transport_entity.h"
 #include "util/rng.h"
@@ -39,6 +38,9 @@ struct Host {
     // Crash/restart of the software stack routes through the network node:
     // Network::set_node_up is the single cross-shard fault channel, and the
     // handler tears down / cold-starts the layers that live on this shard.
+    // A crash drops every layer's volatile state (transport VCs and pending
+    // handshakes, LLO sessions and endpoint attachments, pending RPCs); a
+    // restart comes back empty, so peers must re-establish everything.
     network.node(node).set_fault_handler([this](bool up) {
       if (up) {
         entity.restart();
@@ -104,86 +106,7 @@ class Platform {
   /// byte-for-byte (the determinism oracle).
   void set_threads(unsigned n) { scheduler_.set_threads(n); }
 
-  // ------------------------------------------------------------------
-  // Fault model
-  // ------------------------------------------------------------------
-
-  /// Crashes one host: the network node goes down (terminating and transit
-  /// traffic black-holed) and its fault handler drops every layer's
-  /// volatile state — transport VCs and pending handshakes, LLO sessions
-  /// and endpoint attachments, pending RPCs.
-  void crash_node(net::NodeId id) { network_.set_node_up(id, false); }
-
-  /// Brings a crashed host back with empty protocol state (cold start:
-  /// peers must re-establish everything).
-  void restart_node(net::NodeId id) { network_.set_node_up(id, true); }
-
   bool node_alive(net::NodeId id) const { return network_.node_up(id); }
-
-  /// Binds a ChaosEngine's fault callbacks to this platform's topology.
-  /// Loss/jitter storms apply to both directions of the named link and
-  /// report the previous a->b value for restoration (symmetric links
-  /// assumed, as Network::add_link configures them).
-  sim::ChaosTarget chaos_target() {
-    sim::ChaosTarget t;
-    t.crash_node = [this](std::uint32_t n) { crash_node(n); };
-    t.restart_node = [this](std::uint32_t n) { restart_node(n); };
-    t.set_link_up = [this](std::uint32_t a, std::uint32_t b, bool up) {
-      network_.set_link_up(a, b, up);
-    };
-    t.set_node_isolated = [this](std::uint32_t n, bool isolated) {
-      network_.set_node_isolated(n, isolated);
-    };
-    t.set_link_loss = [this](std::uint32_t a, std::uint32_t b, double loss) {
-      net::Link* fwd = network_.link(a, b);
-      net::Link* rev = network_.link(b, a);
-      const double prev = fwd != nullptr ? fwd->config().loss_rate : 0.0;
-      if (fwd != nullptr) fwd->set_loss_rate(loss);
-      if (rev != nullptr) rev->set_loss_rate(loss);
-      return prev;
-    };
-    t.set_link_jitter = [this](std::uint32_t a, std::uint32_t b, Duration jitter) {
-      net::Link* fwd = network_.link(a, b);
-      net::Link* rev = network_.link(b, a);
-      const Duration prev = fwd != nullptr ? fwd->config().jitter : 0;
-      if (fwd != nullptr) fwd->set_jitter(jitter);
-      if (rev != nullptr) rev->set_jitter(jitter);
-      return prev;
-    };
-    t.set_link_ber = [this](std::uint32_t a, std::uint32_t b, double ber) {
-      net::Link* fwd = network_.link(a, b);
-      net::Link* rev = network_.link(b, a);
-      const double prev = fwd != nullptr ? fwd->config().bit_error_rate : 0.0;
-      if (fwd != nullptr) fwd->set_bit_error_rate(ber);
-      if (rev != nullptr) rev->set_bit_error_rate(ber);
-      return prev;
-    };
-    t.set_link_dup = [this](std::uint32_t a, std::uint32_t b, double rate) {
-      net::Link* fwd = network_.link(a, b);
-      net::Link* rev = network_.link(b, a);
-      double prev = 0.0;
-      if (fwd != nullptr) prev = fwd->set_dup_rate(rate);
-      if (rev != nullptr) rev->set_dup_rate(rate);
-      return prev;
-    };
-    t.set_link_truncate = [this](std::uint32_t a, std::uint32_t b, double rate) {
-      net::Link* fwd = network_.link(a, b);
-      net::Link* rev = network_.link(b, a);
-      double prev = 0.0;
-      if (fwd != nullptr) prev = fwd->set_truncate_rate(rate);
-      if (rev != nullptr) rev->set_truncate_rate(rate);
-      return prev;
-    };
-    t.set_link_reorder = [this](std::uint32_t a, std::uint32_t b, double rate, Duration window) {
-      net::Link* fwd = network_.link(a, b);
-      net::Link* rev = network_.link(b, a);
-      std::pair<double, Duration> prev{0.0, 0};
-      if (fwd != nullptr) prev = fwd->set_reorder(rate, window);
-      if (rev != nullptr) rev->set_reorder(rate, window);
-      return prev;
-    };
-    return t;
-  }
 
  private:
   sim::Scheduler scheduler_;

@@ -1,6 +1,7 @@
 #include "sim/executor.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/trace.h"
 #include "util/contract.h"
@@ -8,10 +9,35 @@
 namespace cmtos::sim {
 namespace {
 
-// Spin iterations before parking on the condvar.  On a single-hardware-thread
-// host spinning only steals cycles from whoever holds the core, so park
-// immediately there.
-const int kSpinLimit = std::thread::hardware_concurrency() > 1 ? 4096 : 0;
+// A handoff yield-spins up to kSpinLimit times before parking on the
+// condvar: rounds are often far shorter than a futex sleep/wake.  A yield
+// slower than kSlowYield handed the core to another thread, so the core is
+// contended and the waiter parks at once rather than steal a peer's time.
+constexpr int kSpinLimit = 4096;
+constexpr auto kSlowYield = std::chrono::microseconds(50);
+
+/// Waits until `ready()`, spinning then parking on `cv`.  The party that
+/// makes `ready()` true calls wake(), so the park never misses the notify.
+template <typename Ready>
+void await(Mutex& mu, CondVar& cv, const Ready& ready) {
+  for (int spin = 0; spin < kSpinLimit; ++spin) {
+    if (ready()) return;
+    const auto before = std::chrono::steady_clock::now();
+    std::this_thread::yield();
+    if (std::chrono::steady_clock::now() - before > kSlowYield) break;
+  }
+  const MutexLock lk(mu);
+  cv.wait(mu, ready);
+}
+
+/// Wakes the waiters of `cv` after a state change their predicate reads.
+/// The empty critical section orders it: a waiter is either before its
+/// predicate check (and will see the change) or parked inside wait (and
+/// will get the notify), never between the two.
+void wake(Mutex& mu, CondVar& cv) {
+  { const MutexLock lk(mu); }
+  cv.notify_all();
+}
 
 }  // namespace
 
@@ -168,25 +194,16 @@ void Executor::run_parallel_round(Time horizon) {
     if (head_lb_[i] < horizon && ++runnable > 2) break;
   }
   if (!workers_.empty() && runnable > 2) {
-    round_active_.store(static_cast<unsigned>(workers_.size()), std::memory_order_relaxed);
-    round_gen_.fetch_add(1, std::memory_order_release);
-    {
-      // Empty critical section: a worker is either before its predicate
-      // check (and will observe the new generation) or parked inside wait
-      // (and will get the notify) — never between the two.
-      const MutexLock lk(mu_);
-    }
-    cv_start_.notify_all();
+    round_left_.store(0, std::memory_order_relaxed);
+    const std::uint64_t gen = (round_word_.load(std::memory_order_relaxed) >> 32) + 1;
+    round_word_.store(gen << 32, std::memory_order_release);
+    wake(mu_, cv_start_);
     work_round();  // the calling thread participates
-    for (int spin = 0; round_active_.load(std::memory_order_acquire) != 0; ++spin) {
-      if (spin < kSpinLimit) {
-        std::this_thread::yield();
-        continue;
-      }
-      const MutexLock lk(mu_);
-      cv_done_.wait(mu_, [this] { return round_active_.load(std::memory_order_acquire) == 0; });
-      break;
-    }
+    // Every shard is claimed: close the round to late workers and wait only
+    // for those that joined, so a worker the OS has not run cannot stall it.
+    const auto joined = static_cast<unsigned>(
+        round_word_.fetch_or(kRoundClosed, std::memory_order_acq_rel) & kJoinedMask);
+    await(mu_, cv_done_, [&] { return round_left_.load(std::memory_order_acquire) == joined; });
   } else {
     work_round();
   }
@@ -254,37 +271,25 @@ void Executor::drain_outboxes() {
 
 void Executor::start_workers(unsigned n) {
   shutdown_.store(false, std::memory_order_relaxed);
-  const std::uint64_t start_gen = round_gen_.load(std::memory_order_relaxed);
+  const std::uint64_t start_gen = round_word_.load(std::memory_order_relaxed) >> 32;
   for (unsigned i = 0; i < n; ++i) {
     workers_.emplace_back([this, start_gen] {
       std::uint64_t seen = start_gen;
+      const auto fresh = [&] {
+        return shutdown_.load(std::memory_order_acquire) ||
+               (round_word_.load(std::memory_order_acquire) >> 32) != seen;
+      };
       for (;;) {
-        // Spin briefly before parking: consecutive parallel rounds arrive
-        // back-to-back and a futex sleep/wake costs more than the round.
-        int spin = 0;
-        std::uint64_t gen;
-        while ((gen = round_gen_.load(std::memory_order_acquire)) == seen &&
-               !shutdown_.load(std::memory_order_acquire)) {
-          if (++spin < kSpinLimit) {
-            std::this_thread::yield();
-            continue;
-          }
-          const MutexLock lk(mu_);
-          cv_start_.wait(mu_, [&] {
-            return shutdown_.load(std::memory_order_acquire) ||
-                   round_gen_.load(std::memory_order_acquire) != seen;
-          });
-          break;
-        }
+        await(mu_, cv_start_, fresh);
         if (shutdown_.load(std::memory_order_acquire)) return;
-        seen = round_gen_.load(std::memory_order_acquire);
+        // Join the open round.  Only the current round is ever open, and a
+        // count bumped on a closed one is dropped by the next publish.
+        const std::uint64_t w = round_word_.fetch_add(1, std::memory_order_acq_rel);
+        seen = w >> 32;
+        if ((w & kRoundClosed) != 0) continue;
         work_round();
-        if (round_active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          {
-            const MutexLock lk(mu_);
-          }
-          cv_done_.notify_all();
-        }
+        round_left_.fetch_add(1, std::memory_order_acq_rel);
+        wake(mu_, cv_done_);
       }
     });
   }
@@ -293,14 +298,10 @@ void Executor::start_workers(unsigned n) {
 void Executor::stop_workers() {
   if (workers_.empty()) return;
   shutdown_.store(true, std::memory_order_release);
-  {
-    const MutexLock lk(mu_);
-  }
-  cv_start_.notify_all();
+  wake(mu_, cv_start_);
   for (auto& w : workers_) w.join();
   workers_.clear();
   shutdown_.store(false, std::memory_order_relaxed);
-  round_active_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace cmtos::sim

@@ -145,17 +145,20 @@ class Executor {
   std::vector<NodeRuntime::Deferred> drained_;
 
   // Worker pool (threads_ - 1 workers; the calling thread participates).
-  // Handoff is spin-then-block: rounds are often far shorter than a futex
-  // wake, so workers briefly spin on round_gen_ before parking on the
-  // condvar, and the coordinator spins on round_active_ before parking on
-  // cv_done_.  The mutex only guards the park/notify edge; all round state
-  // is published through the release increment of round_gen_.
+  // A worker joins a round by bumping the joined count in round_word_;
+  // once the last shard is claimed the caller closes the round and waits
+  // only for the workers that joined (DESIGN.md §10, "Round handoff").
+  // The mutex only guards the park/notify edge; all round state is
+  // published through the release store of a new generation.
   std::vector<std::thread> workers_;
   Mutex mu_;
   CondVar cv_start_;
   CondVar cv_done_;
-  std::atomic<std::uint64_t> round_gen_{0};  // incremented to launch a round
-  std::atomic<unsigned> round_active_{0};    // workers still inside the round
+  // (generation << 32) | closed bit | workers joined.
+  static constexpr std::uint64_t kRoundClosed = 1ull << 31;
+  static constexpr std::uint64_t kJoinedMask = kRoundClosed - 1;
+  std::atomic<std::uint64_t> round_word_{0};
+  std::atomic<unsigned> round_left_{0};  // joined workers done with the round
   std::atomic<bool> shutdown_{false};
   Time round_horizon_ = 0;
   std::atomic<std::uint32_t> round_next_{0};  // round_shards_ claim cursor

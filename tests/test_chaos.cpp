@@ -1,4 +1,4 @@
-// Chaos tests: deterministic fault injection (sim/chaos + the platform
+// Chaos tests: deterministic fault injection (net/chaos + the platform
 // fault model), transport liveness under node crash, RPC retry across
 // transient partitions, tightened control-path timeouts, Gilbert–Elliott
 // burst loss under a full orchestrated session, and orchestrator failover
@@ -11,7 +11,7 @@
 #include "fixtures.h"
 #include "obs/metrics.h"
 #include "orch/failover.h"
-#include "sim/chaos.h"
+#include "net/chaos.h"
 
 namespace cmtos::test {
 namespace {
@@ -28,42 +28,166 @@ using transport::TransportConfig;
 // Chaos engine: replayability
 // ====================================================================
 
-/// Runs a multi-fault plan (crash, loss storm, partition + auto-heal,
-/// jitter storm, restart — every event with start jitter, so the plan seed
-/// matters) against a fresh world and returns the fault log.
-std::vector<std::string> run_soak(std::uint64_t plan_seed) {
-  StarPlatform star(3, lan_link(), 7);
+/// Arms every FaultKind on a star whose links start with each storm field
+/// off its default, checks both directions' LinkConfig during and after
+/// each storm and the faults.injected{kind} counts, and returns the log.
+/// The dup storm has start jitter, so the plan seed moves it.
+std::vector<std::string> run_every_kind(std::uint64_t plan_seed) {
+  const net::LinkConfig link{.jitter = 250 * kMicrosecond, .loss_rate = 0.01,
+                             .bit_error_rate = 1e-7, .dup_rate = 0.02, .truncate_rate = 0.03,
+                             .reorder_rate = 0.04, .reorder_window = 500 * kMicrosecond};
+  StarPlatform star(4, link, 7);
+  platform::Platform& p = star.platform;
+  net::Network& net = p.network();
   const net::NodeId hub = star.hub->id;
   const net::NodeId l0 = star.leaves[0]->id;
   const net::NodeId l1 = star.leaves[1]->id;
   const net::NodeId l2 = star.leaves[2]->id;
+  const net::NodeId l3 = star.leaves[3]->id;
+  // An asymmetric link: a storm restores both directions from the
+  // forward link's previous value.
+  net.link(l3, hub)->set_loss_rate(0.05);
 
-  sim::ChaosPlan plan;
+  net::ChaosPlan plan;
   plan.seed = plan_seed;
   plan.crash(100 * kMillisecond, l0)
-      .loss_storm(150 * kMillisecond, hub, l1, 0.5, 200 * kMillisecond)
-      .partition(200 * kMillisecond, hub, l2, 300 * kMillisecond)
-      .jitter_storm(250 * kMillisecond, hub, l1, 2 * kMillisecond, 100 * kMillisecond)
-      .restart(600 * kMillisecond, l0);
-  for (auto& e : plan.events) e.start_jitter = 50 * kMillisecond;
+      .restart(200 * kMillisecond, l0)
+      .partition(300 * kMillisecond, hub, l1, 100 * kMillisecond)
+      .heal(450 * kMillisecond, hub, l1)
+      .isolate(500 * kMillisecond, l2, 100 * kMillisecond)
+      .loss_storm(700 * kMillisecond, hub, l3, 0.25, 100 * kMillisecond)
+      .jitter_storm(700 * kMillisecond, hub, l3, 3 * kMillisecond, 150 * kMillisecond)
+      .corrupt_storm(900 * kMillisecond, hub, l0, 1e-5, 100 * kMillisecond)
+      .reorder_storm(1000 * kMillisecond, hub, l1, 0.2, 4 * kMillisecond, 100 * kMillisecond)
+      .dup_storm(1100 * kMillisecond, hub, l2, 0.1, 100 * kMillisecond)
+      .truncate_storm(1300 * kMillisecond, l3, hub, 0.05, 100 * kMillisecond);
+  plan.events[9].start_jitter = 20 * kMillisecond;
 
-  sim::ChaosEngine engine(star.platform.scheduler(), star.platform.chaos_target());
+  const std::vector<std::pair<std::string, std::int64_t>> want_counts = {
+      {"node_crash", 1},    {"node_restart", 1},  {"link_down", 1},     {"link_up", 2},
+      {"node_isolate", 1},  {"node_heal", 1},     {"loss_storm", 1},    {"jitter_storm", 1},
+      {"corrupt_storm", 1}, {"reorder_storm", 1}, {"dup_storm", 1},     {"truncate_storm", 1}};
+  auto injected = [](const std::string& kind) {
+    return obs::Registry::global().counter("faults.injected", {{"kind", kind}}).value();
+  };
+  std::vector<std::int64_t> before;
+  for (const auto& [kind, n] : want_counts) before.push_back(injected(kind));
+
+  net::ChaosEngine engine(net);
   engine.arm(plan);
-  star.platform.run_until(2 * kSecond);
-  // crash + loss storm + cut + auto-heal + jitter storm + restart.
-  EXPECT_GE(engine.injected(), 6);
+  using C = net::LinkConfig;
+  // Both directions of hub<->leaf hold `want` in `field` at time t.
+  auto expect_at = [&](Time t, net::NodeId leaf, auto C::*field, auto want) {
+    p.scheduler().at(t, [&net, hub, leaf, field, want, t] {
+      EXPECT_EQ(net.link(hub, leaf)->config().*field, want) << "t=" << t;
+      EXPECT_EQ(net.link(leaf, hub)->config().*field, want) << "t=" << t;
+    });
+  };
+  auto expect_up = [&](Time t, net::NodeId a, net::NodeId b, bool up) {
+    p.scheduler().at(t, [&net, a, b, up] { EXPECT_EQ(net.link(a, b)->up(), up); });
+  };
+  p.scheduler().at(150 * kMillisecond, [&] { EXPECT_FALSE(p.node_alive(l0)); });
+  p.scheduler().at(250 * kMillisecond, [&] { EXPECT_TRUE(p.node_alive(l0)); });
+  expect_up(350 * kMillisecond, l1, hub, false);
+  expect_up(420 * kMillisecond, hub, l1, true);
+  expect_up(550 * kMillisecond, l2, hub, false);
+  expect_up(650 * kMillisecond, l2, hub, true);
+  expect_at(750 * kMillisecond, l3, &C::loss_rate, 0.25);
+  expect_at(750 * kMillisecond, l3, &C::jitter, 3 * kMillisecond);
+  expect_at(820 * kMillisecond, l3, &C::loss_rate, 0.01);
+  expect_at(820 * kMillisecond, l3, &C::jitter, 3 * kMillisecond);
+  expect_at(950 * kMillisecond, l3, &C::jitter, 250 * kMicrosecond);
+  expect_at(950 * kMillisecond, l0, &C::bit_error_rate, 1e-5);
+  expect_at(1050 * kMillisecond, l0, &C::bit_error_rate, 1e-7);
+  expect_at(1050 * kMillisecond, l1, &C::reorder_rate, 0.2);
+  expect_at(1050 * kMillisecond, l1, &C::reorder_window, 4 * kMillisecond);
+  expect_at(1150 * kMillisecond, l1, &C::reorder_rate, 0.04);
+  expect_at(1150 * kMillisecond, l1, &C::reorder_window, 500 * kMicrosecond);
+  expect_at(1150 * kMillisecond, l2, &C::dup_rate, 0.1);
+  expect_at(1350 * kMillisecond, l2, &C::dup_rate, 0.02);
+  expect_at(1350 * kMillisecond, l3, &C::truncate_rate, 0.05);
+  expect_at(1450 * kMillisecond, l3, &C::truncate_rate, 0.03);
+  // Only the fields a storm set move; the rest of the link is untouched.
+  expect_at(1450 * kMillisecond, l3, &C::dup_rate, 0.02);
+  expect_at(1450 * kMillisecond, l3, &C::bit_error_rate, 1e-7);
+  p.run_until(2 * kSecond);
+
+  EXPECT_EQ(engine.injected(), 13);  // heals count; storm restores do not
+  for (std::size_t i = 0; i < want_counts.size(); ++i)
+    EXPECT_EQ(injected(want_counts[i].first) - before[i], want_counts[i].second)
+        << want_counts[i].first;
   return engine.log();
 }
 
 TEST(ChaosEngine, SameSeedReproducesIdenticalFaultTrace) {
-  const auto log1 = run_soak(11);
-  const auto log2 = run_soak(11);
-  ASSERT_FALSE(log1.empty());
-  EXPECT_EQ(log1, log2);
+  EXPECT_EQ(run_every_kind(11), run_every_kind(11));
 }
 
 TEST(ChaosEngine, DifferentSeedMovesJitteredStartTimes) {
-  EXPECT_NE(run_soak(11), run_soak(12));
+  EXPECT_NE(run_every_kind(11), run_every_kind(12));
+}
+
+/// The fault log, number formatting included, pinned to a literal.
+TEST(ChaosEngine, GoldenFaultLogCoversEveryKind) {
+  const std::vector<std::string> want = {
+      "t=100000000 node_crash node=1",
+      "t=200000000 node_restart node=1",
+      "t=300000000 link_down link=0<->2",
+      "t=400000000 link_up link=0<->2",
+      "t=450000000 link_up link=0<->2",
+      "t=500000000 node_isolate node=3",
+      "t=600000000 node_heal node=3",
+      "t=700000000 loss_storm link=0<->4 loss=0.250000",
+      "t=700000000 jitter_storm link=0<->4 jitter=3000000",
+      "t=800000000 loss_storm link=0<->4 restored loss=0.010000",
+      "t=850000000 jitter_storm link=0<->4 restored jitter=250000",
+      "t=900000000 corrupt_storm link=0<->1 ber=0.000010",
+      "t=1000000000 reorder_storm link=0<->2 rate=0.200000 window=4000000",
+      "t=1000000000 corrupt_storm link=0<->1 restored ber=0.000000",
+      "t=1100000000 reorder_storm link=0<->2 restored reorder=0.040000",
+      "t=1119562582 dup_storm link=0<->3 rate=0.100000",
+      "t=1219562582 dup_storm link=0<->3 restored dup=0.020000",
+      "t=1300000000 truncate_storm link=4<->0 rate=0.050000",
+      "t=1400000000 truncate_storm link=4<->0 restored trunc=0.030000",
+  };
+  EXPECT_EQ(run_every_kind(3), want);
+}
+
+/// Storms of one field overlapping on one link: the most recently started
+/// storm still running sets the value, and the pre-storm value returns
+/// when the last one ends, on both directions.
+TEST(ChaosEngine, OverlappingStormsOnOneLinkRestoreThePreStormValue) {
+  StarPlatform star(1, lan_link(), 7);
+  net::Network& net = star.platform.network();
+  const net::NodeId hub = star.hub->id;
+  const net::NodeId l0 = star.leaves[0]->id;
+
+  net::ChaosPlan plan;
+  // Staggered: the first storm ends while the second still runs.
+  plan.loss_storm(100 * kMillisecond, hub, l0, 0.3, 200 * kMillisecond)
+      .loss_storm(200 * kMillisecond, hub, l0, 0.5, 200 * kMillisecond)
+      .jitter_storm(100 * kMillisecond, hub, l0, 5 * kMillisecond, 200 * kMillisecond)
+      .jitter_storm(200 * kMillisecond, l0, hub, 9 * kMillisecond, 200 * kMillisecond)
+      // Nested: the later storm ends first, and the outer one takes over.
+      .loss_storm(1000 * kMillisecond, hub, l0, 0.3, 300 * kMillisecond)
+      .loss_storm(1100 * kMillisecond, l0, hub, 0.5, 100 * kMillisecond);
+  net::ChaosEngine engine(star.platform.network());
+  engine.arm(plan);
+
+  auto expect_link = [&](Time t, double loss, Duration jitter) {
+    star.platform.run_until(t);
+    for (const net::Link* l : {net.link(hub, l0), net.link(l0, hub)})
+      EXPECT_TRUE(l->config().loss_rate == loss && l->config().jitter == jitter) << "t=" << t;
+  };
+  expect_link(150 * kMillisecond, 0.3, 5 * kMillisecond);
+  expect_link(250 * kMillisecond, 0.5, 9 * kMillisecond);
+  expect_link(350 * kMillisecond, 0.5, 9 * kMillisecond);
+  expect_link(450 * kMillisecond, 0.0, 0);
+  expect_link(1050 * kMillisecond, 0.3, 0);
+  expect_link(1150 * kMillisecond, 0.5, 0);
+  expect_link(1250 * kMillisecond, 0.3, 0);
+  expect_link(1350 * kMillisecond, 0.0, 0);
+  EXPECT_EQ(engine.injected(), 6);
 }
 
 // ====================================================================
@@ -86,7 +210,7 @@ TEST(TransportLiveness, CrashedPeerTearsDownVcWithPeerDead) {
   ASSERT_EQ(src.confirms.size(), 1u);
   EXPECT_GT(w.platform.network().reserved_on(w.a->id, w.b->id), 0);
 
-  w.platform.crash_node(w.b->id);
+  w.platform.network().set_node_up(w.b->id, false);
   w.platform.run_until(2 * kSecond);
 
   // The crashed side's user heard its own stack die ...
@@ -108,7 +232,7 @@ TEST(TransportLiveness, DisabledByDefault) {
   w.platform.run_until(500 * kMillisecond);
   ASSERT_EQ(src.confirms.size(), 1u);
 
-  w.platform.crash_node(w.b->id);
+  w.platform.network().set_node_up(w.b->id, false);
   w.platform.run_until(5 * kSecond);
   // peer_dead_after = 0: no keepalives, no liveness verdict — the survivor
   // never learns (the historical behaviour, unchanged by default).
@@ -137,9 +261,9 @@ struct LivePair {
 TEST(TransportLiveness, PeerRestartBeforeDeadlineTearsDownThroughIncarnation) {
   LivePair p;
   ASSERT_EQ(p.src.confirms.size(), 1u);
-  p.w.platform.crash_node(p.w.b->id);
+  p.w.platform.network().set_node_up(p.w.b->id, false);
   p.w.platform.run_until(550 * kMillisecond);
-  p.w.platform.restart_node(p.w.b->id);
+  p.w.platform.network().set_node_up(p.w.b->id, true);
   // The survivor last heard b at ~500 ms, so silence alone could not
   // condemn the VC before ~900 ms: the restarted entity's new incarnation
   // on its first heartbeat reply does it.
@@ -203,7 +327,7 @@ TEST(ControlTimeouts, TightenedOrchOpTimeoutFailsFast) {
   StarPlatform star(2, lan_link(), 5);
   auto* a = star.leaves[0];
   auto* b = star.leaves[1];
-  star.platform.crash_node(b->id);
+  star.platform.network().set_node_up(b->id, false);
   a->llo.set_op_timeout(300 * kMillisecond);
 
   std::optional<bool> ok;
@@ -350,8 +474,8 @@ TEST(Failover, OrchestratorDeathReElectsAndResumesSurvivors) {
 
   // Kill the orchestrating node mid-regulation, through the chaos engine so
   // the fault is logged and counted like any soak scenario.
-  sim::ChaosEngine engine(w.p->scheduler(), w.p->chaos_target());
-  sim::ChaosPlan plan;
+  net::ChaosEngine engine(w.p->network());
+  net::ChaosPlan plan;
   plan.crash(5 * kSecond + kMillisecond, w.wsC->id);
   engine.arm(plan);
   w.p->run_until(8 * kSecond);
@@ -484,8 +608,8 @@ TEST(Failover, RebuildRetriesWithBackoffUntilEndpointReachable) {
   w.p->host(w.wsB->id).llo.set_op_timeout(500 * kMillisecond);
   w.p->run_until(5 * kSecond);
 
-  sim::ChaosEngine engine(w.p->scheduler(), w.p->chaos_target());
-  sim::ChaosPlan plan;
+  net::ChaosEngine engine(w.p->network());
+  net::ChaosPlan plan;
   // Isolation starts now: a plan must not reach into the past.
   plan.isolate(5 * kSecond, w.srv1->id, 700 * kMillisecond);
   plan.crash(5 * kSecond + kMillisecond, w.wsC->id);
@@ -510,8 +634,8 @@ TEST(Failover, OrphansWhenNoStreamSurvives) {
       [&](net::NodeId, net::NodeId n) { new_node = n; });
 
   // srv1 + wsC dead kills an endpoint of every stream: nothing survives.
-  w.p->crash_node(w.wsC->id);
-  w.p->crash_node(w.srv1->id);
+  w.p->network().set_node_up(w.wsC->id, false);
+  w.p->network().set_node_up(w.srv1->id, false);
   w.p->run_until(8 * kSecond);
 
   EXPECT_EQ(w.supervisor->failovers(), 0);

@@ -255,7 +255,7 @@ TEST(Connect, UnreachableDestinationTimesOut) {
   auto& b = p.add_host("b");
   p.network().add_link(a.id, b.id, {});
   p.network().finalize_routes();
-  p.crash_node(b.id);
+  p.network().set_node_up(b.id, false);
   ScriptedUser src_user(a.entity);
   a.entity.bind(10, &src_user);
   a.entity.bind(11, &src_user);
@@ -450,7 +450,7 @@ const Ending kEndings[] = {
      {DisconnectReason::kRejectedByUser}},
     {"CrExhaustion",
      [](ContendedWorld& w) {
-       w.platform.crash_node(w.ws->id);
+       w.platform.network().set_node_up(w.ws->id, false);
        connect(w);
      },
      {DisconnectReason::kUnreachable}, {}, {}},
@@ -463,17 +463,17 @@ const Ending kEndings[] = {
     {"EntityCrash",
      [](ContendedWorld& w) {
        established(w);
-       w.platform.crash_node(w.s1->id);
+       w.platform.network().set_node_up(w.s1->id, false);
      },
      {DisconnectReason::kEntityFailure}, {DisconnectReason::kPeerDead}, {}},
     // A conventional connect still awaiting its CC dies with the stack
     // unreported: crash() tells only remote-connect initiators.
     {"EntityCrashWhileConnecting",
      [](ContendedWorld& w) {
-       w.platform.crash_node(w.ws->id);
+       w.platform.network().set_node_up(w.ws->id, false);
        connect(w);
        w.platform.run_until(w.platform.scheduler().now() + kSecond);
-       w.platform.crash_node(w.s1->id);
+       w.platform.network().set_node_up(w.s1->id, false);
      },
      {}, {}, {}},
 };

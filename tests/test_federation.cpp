@@ -178,7 +178,7 @@ TEST(Federation, DomainOrchestratorDeathIsolatedToItsDomain) {
 
   // Kill domain 0's orchestrating node.  Its survivors re-elect wsB within
   // the domain; domains 1 and 2 must never notice.
-  w.p->crash_node(w.wsC->id);
+  w.p->network().set_node_up(w.wsC->id, false);
   w.p->run_until(12 * kSecond);
 
   EXPECT_EQ(fleet->supervisor(0).failovers(), 1);
