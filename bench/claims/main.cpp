@@ -22,31 +22,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "claims.h"
 #include "obs/metrics.h"
-#include "util/checksum.h"
 #include "obs/trace.h"
-
-namespace {
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) return line.substr(line.find_first_not_of(' ', colon + 1));
-    }
-  }
-  return "unknown";
-}
-
-}  // namespace
+#include "run_meta.h"
 
 int main(int argc, char** argv) {
   using namespace cmtos;
@@ -121,14 +103,8 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::Tracer::global().stop();
   if (!json_path.empty()) {
     const std::string claim = only.empty() ? "all" : only;
-    const char* crc_kernel = cmtos::detail::to_string(cmtos::detail::crc32_kernel());
-    const obs::Labels meta = {{"claim", claim},
-                              {"revision", revision},
-                              {"cpu", cpu_model()},
-                              {"nproc", std::to_string(std::thread::hardware_concurrency())},
-                              {"build_type", CLAIMS_BUILD_TYPE},
-                              {"compiler", CLAIMS_COMPILER},
-                              {"crc_kernel", crc_kernel}};
+    obs::Labels meta = {{"claim", claim}};
+    stamp_run_meta(meta, revision);
     if (!obs::Registry::global().write_json(json_path, meta))
       std::fprintf(stderr, "warning: cannot write metrics to %s\n", json_path.c_str());
   }

@@ -1,11 +1,11 @@
-// S1 — the scale-out core: flat tables, the hierarchical timer wheel,
-// 10k-VC churn and federated orchestration fan-in.
+// S1 — the scale-out core: flat tables, the per-shard event heap, 10k-VC
+// churn and federated orchestration fan-in.
 //
 //   scale.tables      FlatMap vs std::map/unordered_map lookup at 10k
 //                     entries, plus steady-state churn allocations (open
 //                     addressing + slab freelist => near zero);
-//   scale.timers      arm/cancel/fire cost with 10k armed timers on the
-//                     hierarchical wheel (sim/node_runtime);
+//   scale.timers      arm/cancel/fire cost with 10k armed timers on one
+//                     shard's event heap (sim/node_runtime);
 //   scale.churn       >= 10,000 concurrent transport VCs under
 //                     connect/disconnect churn: per-VC heap bytes,
 //                     allocations per churn op at two populations
@@ -123,7 +123,7 @@ TimerMicro run_timer_micro(std::size_t timers) {
   std::size_t fired = 0;
   std::uint64_t s = 0xdeadbeef;
 
-  // Arm: delays spread from 1 ms to ~20 s, crossing every wheel level.
+  // Arm: delays spread from 1 ms to ~20 s.
   r.arm_ns = wall_seconds([&] {
     for (std::size_t i = 0; i < timers; ++i) {
       const Duration d = kMillisecond + static_cast<Duration>(mix64(s) % (20 * kSecond));
@@ -134,7 +134,7 @@ TimerMicro run_timer_micro(std::size_t timers) {
   r.cancel_ns = wall_seconds([&] {
     for (std::size_t i = 0; i < timers; i += 2) handles[i].cancel();
   }) * 1e9 / static_cast<double>(timers / 2);
-  // Fire the survivors (includes all wheel cascade work).
+  // Fire the survivors (includes reaping the cancelled entries).
   const double fire_secs = wall_seconds([&] { sched.run_until(21 * kSecond); });
   r.fired = fired;
   r.fire_ns = fire_secs * 1e9 / static_cast<double>(fired > 0 ? fired : 1);
@@ -500,7 +500,7 @@ std::vector<Claim> scale_claims() {
   return {
       {"scale.tables", "scale-out core: flat tables vs node-based maps at 10k entries", 0,
        tables_row},
-      {"scale.timers", "scale-out core: hierarchical timer wheel at 10k armed timers", 0,
+      {"scale.timers", "scale-out core: per-shard event heap at 10k armed timers", 0,
        timers_row},
       {"scale.churn", "scale-out core: 10k concurrent VCs under connect/disconnect churn",
        20260807, churn_row},

@@ -7,7 +7,9 @@
 // Each row checks its own oracles in C++; after the row the driver checks
 // the oracle every row shares — `contract.violations` stays absent — and
 // writes the metrics snapshot.  Same seed, same stdout and snapshot at every
-// --threads value (tests/determinism_check.py diffs 1/2/8).
+// --threads value (tests/determinism_check.py diffs 1/2/8).  The snapshot's
+// meta names the scenario and seed; --revision R adds the machine and build
+// stamp of a committed baseline (run_meta.h), as claims --json does.
 //
 // Exit status: 0 when every oracle held, 1 when one failed, 2 on a usage
 // error.
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "run_meta.h"
 #include "soak.h"
 
 namespace cmtos::soak {
@@ -37,10 +40,11 @@ int main(int argc, char** argv) {
     for (const Scenario& row : family()) table.push_back(row);
 
   const char* usage =
-      "usage: soak --scenario NAME [--seed N] [--threads N] [--json PATH]\n"
+      "usage: soak --scenario NAME [--seed N] [--threads N] [--json PATH] [--revision R]\n"
       "       soak --list\n";
   std::string scenario;
   std::string json_path;
+  std::string revision;
   std::uint64_t seed = 1;
   unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
@@ -56,6 +60,8 @@ int main(int argc, char** argv) {
       threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--json") == 0 && has_value) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--revision") == 0 && has_value) {
+      revision = argv[++i];
     } else {
       std::fputs(usage, stderr);
       return 2;
@@ -77,8 +83,9 @@ int main(int argc, char** argv) {
     passed = fail("contract violations");
 
   if (!json_path.empty()) {
-    cmtos::obs::Registry::global().write_json(
-        json_path, {{"scenario", scenario}, {"seed", std::to_string(seed)}});
+    cmtos::obs::Labels meta = {{"scenario", scenario}, {"seed", std::to_string(seed)}};
+    if (!revision.empty()) cmtos::bench::stamp_run_meta(meta, revision);
+    cmtos::obs::Registry::global().write_json(json_path, meta);
   }
   std::printf("soak: scenario %s seed %llu: %s\n", scenario.c_str(),
               static_cast<unsigned long long>(seed), passed ? "OK" : "FAILED");

@@ -230,7 +230,7 @@ void Executor::work_round() {
       // (serial) round runs in merged order.  Only this thread writes the
       // shard's bound during the round: cross-shard inserts wait in
       // outboxes until the barrier.
-      if (h == nullptr || h->time >= round_horizon_ || s.slots_[h->slot].global) {
+      if (h == nullptr || h->time >= round_horizon_ || s.slots_[h->slot()].global) {
         head_lb_[i] = h != nullptr ? h->time : kTimeNever;
         break;
       }
@@ -243,30 +243,29 @@ void Executor::work_round() {
 }
 
 void Executor::drain_outboxes() {
-  // Only a shard that ran this round can hold outbox entries.
-  auto& all = drained_;
+  // Only a shard that ran this round can hold outbox entries.  Each outbox
+  // is already in its shard's (time, seq) order, so its index breaks ties.
+  auto& keys = drained_;
   for (const std::uint32_t i : round_shards_) {
-    NodeRuntime& s = *shards_[i];
-    if (s.outbox_.empty()) continue;
-    for (auto& d : s.outbox_) all.push_back(std::move(d));
-    s.outbox_.clear();
+    const auto& out = shards_[i]->outbox_;
+    for (std::uint32_t k = 0; k < out.size(); ++k) keys.push_back({out[k].src_time, i, k});
   }
-  if (all.empty()) return;
-  std::sort(all.begin(), all.end(),
-            [](const NodeRuntime::Deferred& a, const NodeRuntime::Deferred& b) {
-              if (a.src_time != b.src_time) return a.src_time < b.src_time;
-              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
-              if (a.src_seq != b.src_seq) return a.src_seq < b.src_seq;
-              return a.idx < b.idx;
-            });
-  for (auto& d : all) {
+  if (keys.empty()) return;
+  std::sort(keys.begin(), keys.end(), [](const OutboxKey& a, const OutboxKey& b) {
+    if (a.src_time != b.src_time) return a.src_time < b.src_time;
+    if (a.shard != b.shard) return a.shard < b.shard;
+    return a.idx < b.idx;
+  });
+  for (const OutboxKey& k : keys) {
+    NodeRuntime::Deferred& d = shards_[k.shard]->outbox_[k.idx];
     // With a sound lookahead the delivery lands at or after the target's
     // clock; the clamp keeps a mid-run lookahead shrink deterministic
     // rather than time-travelling.
     const Time t = std::max(d.time, d.target->now());
     (void)d.target->insert_direct(t, std::move(d.fn), d.global);
   }
-  all.clear();
+  keys.clear();
+  for (const std::uint32_t i : round_shards_) shards_[i]->outbox_.clear();
 }
 
 void Executor::start_workers(unsigned n) {

@@ -22,7 +22,8 @@
 //   4. Barrier: schedule calls that targeted another shard during a
 //      parallel round were buffered in the outboxes of the shards that
 //      ran; they are applied in deterministic (source time, source shard,
-//      source seq, index) order.
+//      outbox index) order.  A shard runs its events in (time, seq) order,
+//      so the index orders one shard's entries as its seqs would.
 //
 // The same classification and execution rules run at every worker count:
 // at --threads 1 a "parallel" round simply visits the shards sequentially.
@@ -141,8 +142,14 @@ class Executor {
   std::vector<Time> global_lb_;
   // The current parallel round's shards (bound below the horizon).
   std::vector<std::uint32_t> round_shards_;
-  // drain_outboxes' merge buffer; it keeps its capacity across rounds.
-  std::vector<NodeRuntime::Deferred> drained_;
+  // drain_outboxes' sort keys: the callbacks stay in the outboxes and move
+  // once, into their target's slot.  Keeps its capacity across rounds.
+  struct OutboxKey {
+    Time src_time;
+    std::uint32_t shard;
+    std::uint32_t idx;
+  };
+  std::vector<OutboxKey> drained_;
 
   // Worker pool (threads_ - 1 workers; the calling thread participates).
   // A worker joins a round by bumping the joined count in round_word_;

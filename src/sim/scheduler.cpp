@@ -13,16 +13,16 @@ Time Scheduler::now() const {
   return control_->now();
 }
 
-EventHandle Scheduler::at(Time t, EventFn fn) {
+EventHandle Scheduler::at(Time t, EventFn&& fn) {
   return control_->at_global(t, std::move(fn));
 }
 
-EventHandle Scheduler::after(Duration d, EventFn fn) {
+EventHandle Scheduler::after(Duration d, EventFn&& fn) {
   if (d < 0) d = 0;
   return control_->at_global(now() + d, std::move(fn));
 }
 
-void Timer::after(Scheduler& sched, Duration d, EventFn fn) {
+void Timer::after(Scheduler& sched, Duration d, EventFn&& fn) {
   h_.cancel();
   h_ = sched.after(d, std::move(fn));
 }

@@ -42,10 +42,10 @@ class Scheduler {
 
   /// Schedules `fn` to run at absolute time `t` (>= now) on the control
   /// shard, as a global event.
-  EventHandle at(Time t, EventFn fn);
+  EventHandle at(Time t, EventFn&& fn);
 
   /// Schedules `fn` to run `d` after now (d < 0 is clamped to 0).
-  EventHandle after(Duration d, EventFn fn);
+  EventHandle after(Duration d, EventFn&& fn);
 
   /// Runs events until the queues are empty or `limit` events have fired.
   /// Returns the number of events fired.  Fully serial (used by unit

@@ -141,7 +141,7 @@ TEST(Executor, RunFiresInTimeShardInsertionOrderAcrossManyShards) {
     const int events = static_cast<int>(rng.uniform(0, 6));
     for (int k = 0; k < events; ++k, ++index) {
       // Coarse times give ties within a shard and across shards; every
-      // tenth event lands past the timer wheel's span.
+      // tenth event lands six hours later.
       Time t = rng.uniform(1, 40) * kMillisecond;
       if (rng.uniform(0, 9) == 0) t += 6 * 3600 * kSecond;
       const Fired f{t, id, index};

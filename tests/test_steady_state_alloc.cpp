@@ -113,11 +113,11 @@ TEST(SteadyStateAlloc, MediaPathAllocationsFlatAfterWarmup) {
   // Absolute ceiling: flatness alone would accept a per-fragment allocation
   // added uniformly to every window.  The ceiling is the measured level with
   // inline DT headers, capacity-keeping link queues, recycled packet
-  // vectors, one reassembly window at the sink and heartbeat buffers kept
-  // across ticks (~1.04 on GCC 12 / libstdc++: the window's one map node
-  // per OSDU plus control traffic) plus 25%, so one more allocation per
-  // OSDU fails it.
-  constexpr double kMaxAllocsPerOsdu = 1.04 * 1.25;
+  // vectors, one reassembly window at the sink, heartbeat buffers kept
+  // across ticks and one flat event heap per shard (~1.01 on GCC 12 /
+  // libstdc++: the window's one map node per OSDU plus control traffic)
+  // plus 25%, so one more allocation per OSDU fails it.
+  constexpr double kMaxAllocsPerOsdu = 1.01 * 1.25;
   for (int i = 0; i < kWindows; ++i)
     EXPECT_LE(win[i].allocs_per_osdu(), kMaxAllocsPerOsdu)
         << "allocs/OSDU above ceiling in window " << i;
@@ -176,8 +176,7 @@ TEST(SteadyStateAlloc, HeartbeatExchangeAllocatesNothing) {
     w.platform.run_until(w.platform.scheduler().now() + 2 * transport::kFeedbackPeriod);
   };
   // Warmup, 6 s: the engines' scratch buffers grow to fit an exchange, and
-  // the simulator's timer wheel turns once (4.1 s), so each bucket an armed
-  // tick lands in already holds capacity.
+  // each shard's event heap and slot pool reach their high-water marks.
   for (int i = 0; i < 150; ++i) step();
 
   const auto& to_source = *w.platform.network().link(w.b->id, w.a->id);
