@@ -204,9 +204,13 @@ void FederatedHlo::root_pass() {
     HloAgent* a = agent(i);
     if (a == nullptr) continue;
     // Remove kAlignGain of the deviation over the next interval, bent at
-    // most kMaxRateScaleDev so media rates never visibly warp.
+    // most kMaxRateScaleDev so media rates never visibly warp.  A domain
+    // moves in whole steps of its OSDU period, so a deviation within one
+    // step is left alone: bending it could only dither.
     const double bend =
-        std::clamp(kAlignGain * dev / interval_s, -kMaxRateScaleDev, kMaxRateScaleDev);
+        std::abs(dev) <= d.last.osdu_period_s
+            ? 0.0
+            : std::clamp(kAlignGain * dev / interval_s, -kMaxRateScaleDev, kMaxRateScaleDev);
     a->set_rate_scale(1.0 + bend);
   }
   max_domain_skew_s_ = worst;

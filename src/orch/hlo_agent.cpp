@@ -158,7 +158,8 @@ bool HloAgent::retarget_stream_rate(transport::VcId vc, double osdu_rate) {
       // immediately before and after the rate swap, so rebase base_seq
       // around the current position at the *new* rate.
       const double pos = position_seconds(s);
-      it->second.base_seq = it->second.last_delivered + 1 - std::llround(pos * osdu_rate);
+      it->second.base_seq = it->second.last_delivered + 1 + it->second.catch_up_in_flight -
+                            std::llround(pos * osdu_rate);
     }
     s.osdu_rate = osdu_rate;
     return true;
@@ -177,8 +178,16 @@ void HloAgent::set_event_callback(std::function<void(const EventIndication&)> fn
 double HloAgent::position_seconds(const OrchStreamSpec& s) const {
   auto it = status_.find(s.vc.vc);
   if (it == status_.end() || s.osdu_rate <= 0) return 0;
-  return static_cast<double>(it->second.last_delivered - it->second.base_seq + 1) /
+  const VcStatus& st = it->second;
+  return static_cast<double>(st.last_delivered - st.base_seq + 1 + st.catch_up_in_flight) /
          s.osdu_rate;
+}
+
+double HloAgent::step_seconds() const {
+  double period = 0;
+  for (const auto& s : streams_)
+    if (s.osdu_rate > 0) period = std::max(period, 1.0 / s.osdu_rate);
+  return period;
 }
 
 void HloAgent::on_vc_dead(const EventIndication& ind) {
@@ -222,6 +231,24 @@ void HloAgent::interval_tick() {
     reference /= static_cast<double>(streams_.size());
   }
 
+  // The federation root's bend, carried as media time: a few percent of
+  // a one-OSDU interval target rounds away, so the credit acts only once
+  // it amounts to a whole step, and then on every stream in this interval
+  // alike.  A step ahead drops at the sources, a step back lowers the
+  // targets.  The credit holds one excursion: it clears once the root
+  // stops bending.
+  const double step_s = step_seconds();
+  int step = 0;
+  if (rate_scale_ == 1.0) {
+    bend_credit_s_ = 0;
+  } else {
+    bend_credit_s_ += (rate_scale_ - 1.0) * interval_s;
+    if (step_s > 0 && std::abs(bend_credit_s_) >= step_s) {
+      step = bend_credit_s_ > 0 ? 1 : -1;
+      bend_credit_s_ -= step * step_s;
+    }
+  }
+
   for (const auto& s : streams_) {
     auto& st = status_[s.vc.vc];
     double correction_s = 0;
@@ -239,14 +266,27 @@ void HloAgent::interval_tick() {
     }
     // The LLO's slot controller tolerates ~1 OSDU of slack per interval;
     // subtracting the previous interval's overshoot stops that slack from
-    // compounding into a sustained rate error.  rate_scale_ is a federation
-    // root's inter-domain nudge: it scales every stream identically, so the
-    // intra-domain rate ratios (the sync relationship) are preserved.
+    // compounding into a sustained rate error.  A bend step moves every
+    // stream by the same media time, so the intra-domain rate ratios (the
+    // sync relationship) are preserved.
+    const std::int64_t step_osdus = step * std::llround(step_s * s.osdu_rate);
     const std::int64_t delta = std::max<std::int64_t>(
-        0,
-        std::llround((interval_s + correction_s) * s.osdu_rate * rate_scale_) - st.overshoot);
+        0, std::llround((interval_s + correction_s) * s.osdu_rate) - st.overshoot +
+               std::min<std::int64_t>(step_osdus, 0));
+    const std::int64_t catch_up = std::max<std::int64_t>(step_osdus, 0);
+    // A catch-up's gap reaches the sink one pipeline later; one the sink
+    // never showed as a skip (the source had nothing to drop, or a render
+    // masked it) stops counting after kCatchUpLandsWithin.
+    if (catch_up > 0) {
+      st.catch_up_in_flight += catch_up;
+      st.catch_up_age = 0;
+    } else if (st.catch_up_in_flight > 0 &&
+               (st.catch_up_age += policy_.interval) > kCatchUpLandsWithin) {
+      st.catch_up_in_flight = 0;
+    }
     st.last_target = delta;  // interpreted against interval_start_seq on report
-    llo_.regulate(session_, s.vc.vc, delta, s.max_drop_per_interval, policy_.interval, id);
+    llo_.regulate(session_, s.vc.vc, delta, s.max_drop_per_interval, policy_.interval, id,
+                  static_cast<std::uint32_t>(catch_up));
   }
 
   // Federation digest: the whole domain compressed into O(1) numbers once
@@ -259,6 +299,7 @@ void HloAgent::interval_tick() {
     double pos_sum = 0;
     for (const auto& s : streams_) pos_sum += position_seconds(s);
     agg.mean_position_s = pos_sum / static_cast<double>(streams_.size());
+    agg.osdu_period_s = step_s;
     double err_sum = 0;
     for (const auto& s : streams_) {
       agg.max_abs_skew_s =
@@ -300,9 +341,18 @@ void HloAgent::on_regulate(const RegulateIndication& ind) {
   st.drops_total += ind.dropped;
   // last_target is the delta set for the interval; the report echoes the
   // interval-begin position, so the absolute miss is directly computable.
-  st.last_error_osdus =
-      static_cast<double>(ind.interval_start_seq + st.last_target - ind.delivered_seq);
-  st.overshoot = std::clamp<std::int64_t>(-std::llround(st.last_error_osdus), 0, 4);
+  std::int64_t error = ind.interval_start_seq + st.last_target - ind.delivered_seq;
+  // drop_newest leaves a gap in the sequence numbers, so the sink's
+  // position takes a source drop as a skip one pipeline later.  The
+  // position counted a catch-up when it was asked for, so its skip is no
+  // overshoot.
+  if (error < 0 && st.catch_up_in_flight > 0) {
+    const std::int64_t skipped = std::min(-error, st.catch_up_in_flight);
+    st.catch_up_in_flight -= skipped;
+    error += skipped;
+  }
+  st.last_error_osdus = static_cast<double>(error);
+  st.overshoot = std::clamp<std::int64_t>(-error, 0, 4);
 
   // §6.3.1.2 diagnosis from the semaphore blocking times.
   MissDiagnosis diag = MissDiagnosis::kOnTarget;

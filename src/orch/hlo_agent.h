@@ -77,6 +77,7 @@ struct DomainAggregate {
   std::uint32_t interval_id = 0;
   std::size_t vc_count = 0;
   double mean_position_s = 0;       // domain media-time datum
+  double osdu_period_s = 0;         // the domain's step: its slowest stream's OSDU period
   double max_abs_skew_s = 0;        // worst intra-domain relative skew
   double mean_abs_error_osdus = 0;  // mean |target error| at last report
   std::uint64_t reports = 0;        // per-VC reports folded in since last digest
@@ -158,6 +159,11 @@ class HloAgent {
     double last_error_osdus = 0;         // target - delivered at interval end
     int consecutive_misses = 0;
     std::int64_t drops_total = 0;
+    // Catch-up drops asked of the source whose sequence gap has not reached
+    // the sink yet: counted in the media position at once, absorbed when
+    // the sink skips the gap, retired kCatchUpLandsWithin after the last.
+    std::int64_t catch_up_in_flight = 0;
+    Duration catch_up_age = 0;
     std::int64_t intervals = 0;
     MissDiagnosis last_diagnosis = MissDiagnosis::kOnTarget;
   };
@@ -208,7 +214,10 @@ class HloAgent {
   /// Inter-domain alignment knob: scales every stream's target rate by
   /// `scale` (clamped to [0.9, 1.1]) so a federation root can nudge a whole
   /// domain that has drifted ahead of or behind its siblings.  Intra-domain
-  /// ratios — the synchronisation relationship — are untouched.
+  /// ratios — the synchronisation relationship — are untouched.  The bend
+  /// accumulates as media time and acts in whole steps of the domain's
+  /// slowest OSDU period, on every stream in the same interval: a step
+  /// ahead drops at the sources, a step back lowers the targets.
   void set_rate_scale(double scale);
   double rate_scale() const { return rate_scale_; }
 
@@ -219,8 +228,11 @@ class HloAgent {
   void on_superseded_nack();
   /// Orchestrating node's local clock (the master reference / datum).
   Time master_now() const;
-  /// Media-time position of a stream, in seconds since its base.
+  /// Media-time position of a stream, in seconds since its base, counting
+  /// its catch-up drops still in flight.
   double position_seconds(const OrchStreamSpec& s) const;
+  /// The domain's step: the OSDU period of its slowest stream.
+  double step_seconds() const;
 
   Llo& llo_;
   OrchSessionId session_;
@@ -247,6 +259,10 @@ class HloAgent {
   std::uint64_t reports_processed_ = 0;
   std::uint64_t reports_window_ = 0;  // reports since the last aggregate
   double rate_scale_ = 1.0;
+  double bend_credit_s_ = 0;  // the bend not yet taken as a whole step
+  /// A source drop reaches the sink about one pipeline later (1.3 s in the
+  /// city); a catch-up still unseen after this never will be.
+  static constexpr Duration kCatchUpLandsWithin = 5 * kSecond;
   std::function<void(const DomainAggregate&)> on_aggregate_;
 };
 

@@ -108,11 +108,14 @@ class CMTOS_SHARD_AFFINE Llo {
 
   /// Orch.Regulate.request (§6.3.1.1): sets the flow-rate target for one
   /// VC for the forthcoming interval, as a delta of `target_seq` OSDUs from
-  /// the sink's position at receipt (see Opdu::target_seq).  The matching
-  /// indication arrives via the regulate callback.
+  /// the sink's position at receipt (see Opdu::target_seq).  A non-zero
+  /// `catch_up` also asks the source to drop that many OSDUs at once
+  /// (within `max_drop`).  The matching indication arrives via the
+  /// regulate callback.
   void regulate(OrchSessionId session, transport::VcId vc, std::int64_t target_seq,
-                std::uint32_t max_drop, Duration interval, std::uint32_t interval_id) {
-    table_.regulate(session, vc, target_seq, max_drop, interval, interval_id);
+                std::uint32_t max_drop, Duration interval, std::uint32_t interval_id,
+                std::uint32_t catch_up = 0) {
+    table_.regulate(session, vc, target_seq, max_drop, interval, interval_id, catch_up);
   }
   /// Per-session indication sink (one HLO agent per session).
   void set_regulate_callback(OrchSessionId session,

@@ -65,7 +65,7 @@ enum class OpduType : std::uint8_t {
   // Group 2 primitives (Table 6).
   kRegulateSink = 30,  // orchestrating -> sink: interval target
   kRegulateSrc = 31,   // orchestrating -> source: interval drop budget
-  kDrop = 32,          // sink -> source: discard n OSDUs now
+  kDrop = 32,          // sink/orchestrator -> source: discard n OSDUs now
   kRegInd = 33,        // sink -> orchestrating: end-of-interval report
   kSrcStats = 34,      // source -> orchestrating: end-of-interval report
   kEventReg = 35,      // orchestrating -> sink: register event pattern

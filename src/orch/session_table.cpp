@@ -226,7 +226,7 @@ void SessionTable::run_op(OrchSessionId s, OpduType type, std::uint8_t flags,
 
 void SessionTable::regulate(OrchSessionId s, VcId vc, std::int64_t target_seq,
                             std::uint32_t max_drop, Duration interval,
-                            std::uint32_t interval_id) {
+                            std::uint32_t interval_id, std::uint32_t catch_up) {
   Session* sess = session(s);
   if (sess == nullptr || sess->phase == SessionPhase::kEstablishing) return;
   const OrchVcInfo* m = member(*sess, vc);
@@ -284,6 +284,13 @@ void SessionTable::regulate(OrchSessionId s, VcId vc, std::int64_t target_seq,
       o.src_node = info.src_node;
     }
     llo_.send_opdu(type == OpduType::kRegulateSink ? info.sink_node : info.src_node, o);
+  }
+  if (catch_up > 0) {
+    // Behind the source's new drop budget on the same path, as a sink's
+    // own kDrop would be.
+    Opdu drop = Opdu::command(OpduType::kDrop, s, vc, llo_.node_, session_epoch(s));
+    drop.drop_count = catch_up;
+    llo_.send_opdu(info.src_node, drop);
   }
 }
 

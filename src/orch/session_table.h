@@ -58,7 +58,8 @@ class CMTOS_SHARD_AFFINE SessionTable {
   }
   void remove(OrchSessionId session, transport::VcId vc, OrchResultFn done);
   void regulate(OrchSessionId session, transport::VcId vc, std::int64_t target_seq,
-                std::uint32_t max_drop, Duration interval, std::uint32_t interval_id);
+                std::uint32_t max_drop, Duration interval, std::uint32_t interval_id,
+                std::uint32_t catch_up);
   void delayed(OrchSessionId session, transport::VcId vc, bool source_side,
                std::int64_t osdus_behind);
   void register_event(OrchSessionId session, transport::VcId vc, std::uint64_t pattern,

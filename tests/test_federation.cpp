@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "obs/metrics.h"
 #include "orch/failover.h"
 #include "orch/federation.h"
+#include "util/rng.h"
 
 namespace cmtos::test {
 namespace {
@@ -201,6 +203,124 @@ TEST(Federation, DomainOrchestratorDeathIsolatedToItsDomain) {
   EXPECT_GT(w.fed->root_aggregates_processed(), agg_mark);
   EXPECT_GT(w.fed->domain_reports_processed(0), d0_mark);
 }
+
+// A reduced federated city: a core switch and 12 districts of one media
+// server and two workstations, one 10 fps stream per workstation, one
+// FederatedHlo domain per district.  The district servers' clocks drift
+// over +/-2000 ppm (the seed picks which district gets which drift), so
+// left alone the domains drift apart by up to 0.4 s per 100 s.
+struct DriftCity {
+  static constexpr int kDistricts = 12;
+  static constexpr int kWs = 2;
+  static constexpr double kMaxDriftPpm = 2000;
+
+  explicit DriftCity(std::uint64_t seed) : p(seed), rng(seed ^ 0xd21f7ull) {
+    std::vector<double> drift(kDistricts);
+    for (int d = 0; d < kDistricts; ++d)
+      drift[static_cast<std::size_t>(d)] = -kMaxDriftPpm + 2 * kMaxDriftPpm * d / (kDistricts - 1);
+    for (int d = kDistricts - 1; d > 0; --d)
+      std::swap(drift[static_cast<std::size_t>(d)],
+                drift[static_cast<std::size_t>(rng.uniform(0, d))]);
+    const auto link = [&](net::NodeId a, net::NodeId b, std::int64_t bps) {
+      net::LinkConfig cfg;
+      cfg.bandwidth_bps = bps;
+      cfg.propagation_delay = 1 * kMillisecond + rng.uniform(0, 50) * kMicrosecond;
+      p.network().add_link(a, b, cfg);
+    };
+    auto& core = p.add_host("core");
+    std::vector<platform::Host*> srv, ws;
+    for (int d = 0; d < kDistricts; ++d) {
+      const std::string dn = "d" + std::to_string(d);
+      auto& hub = p.add_host(dn + "-hub");
+      srv.push_back(&p.add_host(dn + "-srv",
+                                sim::LocalClock(0, drift[static_cast<std::size_t>(d)])));
+      link(core.id, hub.id, 100'000'000);
+      link(hub.id, srv.back()->id, 10'000'000);
+      for (int w = 0; w < kWs; ++w) {
+        ws.push_back(&p.add_host(dn + "-ws" + std::to_string(w)));
+        link(hub.id, ws.back()->id, 10'000'000);
+      }
+    }
+    p.network().finalize_routes();
+
+    int connected = 0;
+    platform::VideoQos vq;
+    vq.frames_per_second = 10;
+    for (int d = 0; d < kDistricts; ++d) {
+      servers.push_back(std::make_unique<StoredMediaServer>(p, *srv[static_cast<std::size_t>(d)],
+                                                            "store" + std::to_string(d)));
+      for (int w = 0; w < kWs; ++w) {
+        const auto i = static_cast<std::size_t>(d * kWs + w);
+        TrackConfig track;
+        track.track_id = static_cast<std::uint32_t>(i + 1);
+        track.vbr.base_bytes = 512;
+        const auto src = servers.back()->add_track(static_cast<net::Tsap>(100 + w), track);
+        RenderConfig rc;
+        rc.expect_track = track.track_id;
+        sinks.push_back(std::make_unique<RenderingSink>(p, *ws[i], net::Tsap{200}, rc));
+        streams.push_back(std::make_unique<platform::Stream>(p, *ws[i], "s" + std::to_string(i)));
+        streams.back()->set_buffer_osdus(8);
+        streams.back()->connect(src, {ws[i]->id, net::Tsap{200}}, platform::MediaQos{vq}, {},
+                                [&](bool ok, auto) { connected += ok; });
+      }
+    }
+    p.run_until(2 * kSecond);
+    EXPECT_EQ(connected, kDistricts * kWs);
+
+    FederationPolicy fp;
+    fp.domain.interval = 100 * kMillisecond;
+    fp.domain.allow_no_common_node = true;
+    fed = std::make_unique<FederatedHlo>(p.orchestrator(), fp);
+    std::vector<std::vector<orch::OrchStreamSpec>> domains(kDistricts);
+    for (std::size_t i = 0; i < streams.size(); ++i)
+      domains[i / kWs].push_back(streams[i]->orch_spec(2));
+    bool established = false, primed = false, started = false;
+    EXPECT_TRUE(fed->orchestrate(std::move(domains), [&](bool ok, auto) { established = ok; }));
+    p.run_until(4 * kSecond);
+    fed->prime(false, [&](bool ok, auto) { primed = ok; });
+    p.run_until(6 * kSecond);
+    fed->start([&](bool ok, auto) { started = ok; });
+    p.run_until(7 * kSecond);
+    EXPECT_TRUE(established && primed && started);
+  }
+
+  platform::Platform p;
+  Rng rng;
+  std::vector<std::unique_ptr<StoredMediaServer>> servers;
+  std::vector<std::unique_ptr<RenderingSink>> sinks;
+  std::vector<std::unique_ptr<platform::Stream>> streams;
+  std::unique_ptr<FederatedHlo> fed;
+};
+
+// The root bends a drifted domain's rate by at most 5 %, which rounds away
+// against a one-OSDU interval target unless it is carried across intervals.
+// Once the prime buffers drain (after about 300 s) the slow-clock domains
+// fall behind; with the carried bend they catch up by dropping at source,
+// and the federation stays aligned for 15 simulated minutes.
+class FederationDrift : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FederationDrift, CityStaysAlignedForFifteenMinutes) {
+  const std::uint64_t seed = GetParam();
+  DriftCity c(seed);
+  const std::int64_t drops0 = obs::Registry::global().total("orch.osdus_dropped");
+  double domain_skew = 0;
+  for (Time t = 10 * kSecond; t <= 907 * kSecond; t += 500 * kMillisecond) {
+    c.p.run_until(t);
+    domain_skew = std::max(domain_skew, c.fed->max_domain_skew_s());
+  }
+  EXPECT_LT(domain_skew, 0.5);
+  EXPECT_GT(obs::Registry::global().total("orch.osdus_dropped"), drops0) << "no domain caught up";
+  // Every sink ends within one OSDU of every other.
+  std::int64_t lo = c.sinks.front()->last_seq(), hi = lo;
+  for (const auto& s : c.sinks) {
+    lo = std::min(lo, s->last_seq());
+    hi = std::max(hi, s->last_seq());
+  }
+  EXPECT_LE(hi - lo, 1);
+  EXPECT_EQ(obs::Registry::global().total("contract.violations"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FederationDrift, ::testing::Values(1u, 7u));
 
 TEST(Federation, OrchestrateFailsClosedOnUnorchestratableDomain) {
   FedWorld w;
