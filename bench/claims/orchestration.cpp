@@ -96,6 +96,11 @@ struct ShardedRun {
   std::size_t events = 0;
   std::uint64_t serial_rounds = 0;
   std::uint64_t parallel_rounds = 0;
+  // Runtime counters of the round handoff: they vary with the worker count.
+  std::uint64_t pool_rounds = 0;
+  std::uint64_t inline_rounds = 0;
+  std::uint64_t pool_events = 0;
+  std::uint64_t pool_wakes = 0;
   double wall_s = 0;
 };
 
@@ -157,26 +162,37 @@ ShardedRun run_sharded(std::uint64_t seed, unsigned threads) {
   ShardedRun r;
   const auto& exec = platform.scheduler().executor();
   const std::uint64_t serial0 = exec.serial_rounds(), par0 = exec.parallel_rounds();
+  const std::uint64_t pool0 = exec.pool_rounds(), inline0 = exec.inline_rounds();
+  const std::uint64_t pool_events0 = exec.pool_events(), wakes0 = exec.pool_wakes();
   const Time until = platform.scheduler().now() + 30 * kSecond;
   r.wall_s = wall_seconds([&] { r.events = platform.scheduler().run_until(until); });
   r.serial_rounds = exec.serial_rounds() - serial0;
   r.parallel_rounds = exec.parallel_rounds() - par0;
+  r.pool_rounds = exec.pool_rounds() - pool0;
+  r.inline_rounds = exec.inline_rounds() - inline0;
+  r.pool_events = exec.pool_events() - pool_events0;
+  r.pool_wakes = exec.pool_wakes() - wakes0;
   return r;
 }
 
 void sharded_row(std::uint64_t seed, Oracle& check) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   row("hardware threads available: %u", hw);
-  row("%-10s %12s %14s %16s %14s %10s", "threads", "events", "serial rounds", "parallel rounds",
-      "events/sec", "speedup");
+  row("%-10s %12s %14s %16s %14s %10s %12s %14s %12s %11s", "threads", "events", "serial rounds",
+      "parallel rounds", "events/sec", "speedup", "pool rounds", "inline rounds", "pool events",
+      "pool wakes");
   const ShardedRun base = run_sharded(seed, 1);
   const double base_eps = static_cast<double>(base.events) / base.wall_s;
   for (unsigned threads : {1u, 4u}) {
     const ShardedRun r = threads == 1 ? base : run_sharded(seed, threads);
     const double eps = static_cast<double>(r.events) / r.wall_s;
-    row("%-10u %12zu %14llu %16llu %14.0f %9.2fx", threads, r.events,
+    row("%-10u %12zu %14llu %16llu %14.0f %9.2fx %12llu %14llu %12llu %11llu", threads, r.events,
         static_cast<unsigned long long>(r.serial_rounds),
-        static_cast<unsigned long long>(r.parallel_rounds), eps, eps / base_eps);
+        static_cast<unsigned long long>(r.parallel_rounds), eps, eps / base_eps,
+        static_cast<unsigned long long>(r.pool_rounds),
+        static_cast<unsigned long long>(r.inline_rounds),
+        static_cast<unsigned long long>(r.pool_events),
+        static_cast<unsigned long long>(r.pool_wakes));
     const obs::Labels labels = {{"threads", std::to_string(threads)},
                                 {"hw_threads", std::to_string(hw)}};
     headline("orchestration.sharded_events_per_sec", eps, labels);

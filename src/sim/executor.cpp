@@ -16,18 +16,29 @@ namespace {
 constexpr int kSpinLimit = 4096;
 constexpr auto kSlowYield = std::chrono::microseconds(50);
 
+// A parallel round wakes the pool only when its queued events repay the
+// handoff.  Spread over t threads, E events save E x (1 - 1/t) event
+// costs, and the wake, the barrier and the workers' spin after the round
+// cost about kHandoffEvents events, so the pool pays from
+// kHandoffEvents x t / (t - 1) events on: 96 at 2 threads, 64 at 4.  Set
+// from the city and the sharded claims row (DESIGN.md §10, "Which rounds
+// wake the pool").
+constexpr std::size_t kHandoffEvents = 48;
+
 /// Waits until `ready()`, spinning then parking on `cv`.  The party that
 /// makes `ready()` true calls wake(), so the park never misses the notify.
+/// Returns true when it parked.
 template <typename Ready>
-void await(Mutex& mu, CondVar& cv, const Ready& ready) {
+bool await(Mutex& mu, CondVar& cv, const Ready& ready) {
   for (int spin = 0; spin < kSpinLimit; ++spin) {
-    if (ready()) return;
+    if (ready()) return false;
     const auto before = std::chrono::steady_clock::now();
     std::this_thread::yield();
     if (std::chrono::steady_clock::now() - before > kSlowYield) break;
   }
   const MutexLock lk(mu);
   cv.wait(mu, ready);
+  return true;
 }
 
 /// Wakes the waiters of `cv` after a state change their predicate reads.
@@ -184,16 +195,19 @@ void Executor::run_parallel_round(Time horizon) {
   for (std::uint32_t i = 0; i < shard_count(); ++i)
     if (head_lb_[i] < horizon) round_shards_.push_back(i);
   // Small-round elision: waking the pool costs more than draining one or
-  // two shards inline.  Which thread executes a shard never affects event
-  // order (per-shard order plus the sorted outbox drain carry determinism).
-  // The runnable count must stay pure queue state to stay reproducible, so
-  // it counts refreshed heads, never possibly stale bounds.
+  // two shards, or a few dozen events, inline.  Which thread executes a
+  // shard never affects event order (per-shard order plus the sorted
+  // outbox drain carry determinism).  The runnable count runs at every
+  // worker count and counts refreshed heads, never possibly stale bounds,
+  // so head_probes stays reproducible; the event count runs only with a
+  // pool and calls no probe.
   unsigned runnable = 0;
   for (const std::uint32_t i : round_shards_) {
     head_lb_[i] = probe(i, false);
     if (head_lb_[i] < horizon && ++runnable > 2) break;
   }
-  if (!workers_.empty() && runnable > 2) {
+  if (!workers_.empty() && runnable > 2 && round_pays_for_pool(horizon)) {
+    ++pool_rounds_;
     round_left_.store(0, std::memory_order_relaxed);
     const std::uint64_t gen = (round_word_.load(std::memory_order_relaxed) >> 32) + 1;
     round_word_.store(gen << 32, std::memory_order_release);
@@ -204,13 +218,25 @@ void Executor::run_parallel_round(Time horizon) {
     const auto joined = static_cast<unsigned>(
         round_word_.fetch_or(kRoundClosed, std::memory_order_acq_rel) & kJoinedMask);
     await(mu_, cv_done_, [&] { return round_left_.load(std::memory_order_acquire) == joined; });
+    pool_events_ += round_fired_.load(std::memory_order_relaxed);
   } else {
+    ++inline_rounds_;
     work_round();
   }
   parallel_phase_ = false;
   fired_ += round_fired_.load(std::memory_order_relaxed);
   head_probes_ += round_probes_.load(std::memory_order_relaxed);
   drain_outboxes();
+}
+
+bool Executor::round_pays_for_pool(Time horizon) const {
+  const std::size_t want = kHandoffEvents * threads_ / (threads_ - 1);
+  std::size_t n = 0;
+  for (const std::uint32_t i : round_shards_) {
+    n += shards_[i]->queued_before(horizon, want - n);
+    if (n >= want) return true;
+  }
+  return false;
 }
 
 void Executor::work_round() {
@@ -279,13 +305,14 @@ void Executor::start_workers(unsigned n) {
                (round_word_.load(std::memory_order_acquire) >> 32) != seen;
       };
       for (;;) {
-        await(mu_, cv_start_, fresh);
+        const bool parked = await(mu_, cv_start_, fresh);
         if (shutdown_.load(std::memory_order_acquire)) return;
         // Join the open round.  Only the current round is ever open, and a
         // count bumped on a closed one is dropped by the next publish.
         const std::uint64_t w = round_word_.fetch_add(1, std::memory_order_acq_rel);
         seen = w >> 32;
         if ((w & kRoundClosed) != 0) continue;
+        if (parked) pool_wakes_.fetch_add(1, std::memory_order_relaxed);
         work_round();
         round_left_.fetch_add(1, std::memory_order_acq_rel);
         wake(mu_, cv_done_);

@@ -99,6 +99,16 @@ class Executor {
   /// idle shards cost none once their bounds are exact.
   std::uint64_t head_probes() const { return head_probes_; }
 
+  /// Runtime counters of the round handoff (DESIGN.md §10).  They depend
+  /// on the worker count, so they stay out of every deterministic
+  /// snapshot: parallel rounds handed to the worker pool, parallel rounds
+  /// the calling thread drained inline, events fired in pool rounds, and
+  /// times a parked worker was woken to join a round.
+  std::uint64_t pool_rounds() const { return pool_rounds_; }
+  std::uint64_t inline_rounds() const { return inline_rounds_; }
+  std::uint64_t pool_events() const { return pool_events_; }
+  std::uint64_t pool_wakes() const { return pool_wakes_.load(std::memory_order_relaxed); }
+
  private:
   friend class NodeRuntime;
 
@@ -116,6 +126,10 @@ class Executor {
   Time probe(std::uint32_t i, bool global);
   void run_serial_round(Time horizon);
   void run_parallel_round(Time horizon);
+  /// True when round_shards_ queue enough events below `horizon` to pay
+  /// for waking the pool (a capped count of heap entries, no probes).
+  /// Only called with a pool, so threads_ >= 2.
+  bool round_pays_for_pool(Time horizon) const;
   void drain_outboxes();
 
   void start_workers(unsigned n);
@@ -133,6 +147,9 @@ class Executor {
   std::uint64_t serial_rounds_ = 0;
   std::uint64_t parallel_rounds_ = 0;
   std::uint64_t head_probes_ = 0;
+  std::uint64_t pool_rounds_ = 0;
+  std::uint64_t inline_rounds_ = 0;
+  std::uint64_t pool_events_ = 0;
   std::vector<std::unique_ptr<NodeRuntime>> shards_;
   // Per-shard lower bounds on the head time and the global head time
   // (kTimeNever for an empty queue).  NodeRuntime::insert_direct lowers its
@@ -171,6 +188,7 @@ class Executor {
   std::atomic<std::uint32_t> round_next_{0};  // round_shards_ claim cursor
   std::atomic<std::size_t> round_fired_{0};
   std::atomic<std::uint64_t> round_probes_{0};
+  std::atomic<std::uint64_t> pool_wakes_{0};
 };
 
 }  // namespace cmtos::sim

@@ -121,6 +121,30 @@ class NodeRuntime {
   /// they are at least half the heap and 64 or more, so arm/cancel churn
   /// keeps this at most 2 x live() + 64.
   std::size_t queued() const { return heap_.size(); }
+  /// Heap entries (dead ones included) earlier than `horizon`, counted up
+  /// to `cap`.  Heap order puts each entry's parent at or before it, so
+  /// those entries form a subtree at the root: the walk descends only
+  /// below entries earlier than the horizon and stops at the cap.  Reads
+  /// no head and reaps nothing, so it leaves every counter as it was.
+  std::size_t queued_before(Time horizon, std::size_t cap) const {
+    std::size_t n = 0;
+    // Right children still to visit: at most one per level of the path.
+    std::size_t pending[64];
+    int top = 0;
+    std::size_t i = 0;
+    while (n < cap) {
+      if (i < heap_.size() && heap_[i].time < horizon) {
+        ++n;
+        pending[top++] = 2 * i + 2;
+        i = 2 * i + 1;
+      } else if (top > 0) {
+        i = pending[--top];
+      } else {
+        break;
+      }
+    }
+    return n;
+  }
 
   /// Entry key layout: a shard holds at most 2^24 slots (live events) and
   /// hands out 2^40 sequence numbers (1.1e12 schedule calls).

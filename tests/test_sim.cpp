@@ -172,17 +172,22 @@ TEST(Executor, RunFiresInTimeShardInsertionOrderAcrossManyShards) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
-/// A world of `shards` runtimes whose local chains post deliveries to other
-/// shards at least the lookahead ahead, plus control-shard global events;
-/// returns per-shard fire logs and the round counts.
+/// A world of 24 runtimes running `chains` local tick chains each; some
+/// chains post deliveries to other shards at least the lookahead ahead, and
+/// control-shard global events make some rounds serial.  Returns per-shard
+/// fire logs, the round counts and the handoff counters.  One chain a shard
+/// queues a couple of dozen events per round, too few to wake the pool; 16
+/// queue a few hundred.
 struct RoundWorld {
   std::vector<std::vector<std::int64_t>> logs;
   std::uint64_t serial_rounds = 0;
   std::uint64_t parallel_rounds = 0;
+  std::uint64_t pool_rounds = 0;
+  std::uint64_t pool_events = 0;
   std::size_t events = 0;
 };
 
-RoundWorld run_round_world(unsigned threads) {
+RoundWorld run_round_world(unsigned threads, std::size_t chains = 1) {
   constexpr std::size_t kShards = 24;
   constexpr Duration kLookahead = kMillisecond;
   Scheduler s;
@@ -194,9 +199,10 @@ RoundWorld run_round_world(unsigned threads) {
   RoundWorld w;
   w.logs.resize(kShards);
 
-  std::vector<std::function<void()>> ticks(kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    ticks[i] = [&, i] {
+  std::vector<std::function<void()>> ticks(kShards * chains);
+  for (std::size_t k = 0; k < ticks.size(); ++k) {
+    const std::size_t i = k % kShards;
+    ticks[k] = [&, i, k] {
       NodeRuntime& rt = *rts[i];
       auto& log = w.logs[i];
       log.push_back(rt.now());
@@ -209,29 +215,67 @@ RoundWorld run_round_world(unsigned threads) {
           w.logs[to].push_back(-dst.now() - from);
         });
       }
-      const auto period = static_cast<Duration>(i % 5 + 1) * 300 * kMicrosecond;
-      if (rt.now() < 400 * kMillisecond) rt.after(period, ticks[i]);
+      const auto period = static_cast<Duration>(k % 5 + 1) * 300 * kMicrosecond;
+      if (rt.now() < 400 * kMillisecond) rt.after(period, ticks[k]);
     };
-    rts[i]->at(static_cast<Time>(i) * 10 * kMicrosecond, ticks[i]);
+    rts[i]->at(static_cast<Time>(k) * 10 * kMicrosecond, ticks[k]);
   }
   // Global control-shard events make some rounds serial.
   for (int k = 1; k <= 20; ++k) s.at(k * 17 * kMillisecond, [] {});
   for (int step = 1; step <= 5; ++step) w.events += s.run_until(step * 100 * kMillisecond);
   w.serial_rounds = exec.serial_rounds();
   w.parallel_rounds = exec.parallel_rounds();
+  w.pool_rounds = exec.pool_rounds();
+  w.pool_events = exec.pool_events();
+  EXPECT_EQ(exec.pool_rounds() + exec.inline_rounds(), exec.parallel_rounds());
   return w;
 }
 
-TEST(Executor, RoundsAndFireLogsMatchAtOneAndFourThreads) {
-  const RoundWorld one = run_round_world(1);
-  const RoundWorld four = run_round_world(4);
+void expect_same_rounds_and_logs(const RoundWorld& one, const RoundWorld& four) {
   EXPECT_GT(one.serial_rounds, 0u);
   EXPECT_GT(one.parallel_rounds, 0u);
+  EXPECT_EQ(one.pool_rounds, 0u);
   EXPECT_EQ(one.events, four.events);
   EXPECT_EQ(one.serial_rounds, four.serial_rounds);
   EXPECT_EQ(one.parallel_rounds, four.parallel_rounds);
   for (std::size_t i = 0; i < one.logs.size(); ++i)
     EXPECT_EQ(one.logs[i], four.logs[i]) << "shard " << i;
+}
+
+// Sparse rounds never pay for the handoff: the calling thread drains them.
+TEST(Executor, RoundsAndFireLogsMatchAtOneAndFourThreads) {
+  const RoundWorld one = run_round_world(1);
+  const RoundWorld four = run_round_world(4);
+  expect_same_rounds_and_logs(one, four);
+  EXPECT_EQ(four.pool_rounds, 0u);
+}
+
+// Dense rounds wake the pool, and the fire logs stay those of one thread.
+TEST(Executor, DenseRoundsRunOnThePoolWithOneThreadLogs) {
+  const RoundWorld one = run_round_world(1, 16);
+  const RoundWorld four = run_round_world(4, 16);
+  expect_same_rounds_and_logs(one, four);
+  EXPECT_GT(four.pool_rounds, 0u);
+  EXPECT_GT(four.pool_events, 0u);
+}
+
+// The pool rule's count: heap entries earlier than the horizon, capped.
+TEST(NodeRuntime, QueuedBeforeCountsEntriesBelowTheHorizonUpToItsCap) {
+  Scheduler s;
+  NodeRuntime& rt = s.executor().add_shard();
+  Rng rng(11);
+  std::vector<Time> times;
+  for (int k = 0; k < 200; ++k) times.push_back(rng.uniform(0, 999) * kMicrosecond);
+  for (const Time t : times) rt.at(t, [] {});
+  for (const Time horizon : {Time{0}, 1 * kMicrosecond, 250 * kMicrosecond, 700 * kMicrosecond,
+                             kMillisecond}) {
+    const auto below = static_cast<std::size_t>(
+        std::count_if(times.begin(), times.end(), [&](Time t) { return t < horizon; }));
+    EXPECT_EQ(rt.queued_before(horizon, 1000), below) << "horizon " << horizon;
+    EXPECT_EQ(rt.queued_before(horizon, 20), std::min<std::size_t>(below, 20))
+        << "horizon " << horizon;
+  }
+  EXPECT_EQ(rt.queued_before(kMillisecond, 0), 0u);
 }
 
 TEST(Executor, RunUntilAdvancesEveryClockWhenIdle) {
